@@ -57,22 +57,26 @@ class GlobalDofMap:
 
     def cell_dofs(self, c: int) -> np.ndarray:
         """Global indices of cell c's unknowns, in local layout order."""
+        return self.group_dofs([c])[0]
+
+    def group_dofs(self, cells) -> np.ndarray:
+        """Global indices of the unknowns of cells sharing one vertex count.
+
+        Returns a (len(cells), n_local) array, each row in local layout order.
+        """
         mesh = self.mesh
-        ids = mesh.cells[c]
-        eids = mesh.cell_edges[c]
+        cells = np.asarray(cells, dtype=int)
+        ids = mesh.cells.stack(cells)
+        eids = mesh.cell_edges.stack(cells)[..., None]
         _, o_en, o_ev, o_cell = self.offsets
         parts = [ids]
         if self._n_en:
-            parts.append(
-                (o_en + eids[:, None] * self._n_en + np.arange(self._n_en)).ravel()
-            )
+            parts.append(o_en + eids * self._n_en + np.arange(self._n_en))
         if self._n_ev:
-            parts.append(
-                (o_ev + eids[:, None] * self._n_ev + np.arange(self._n_ev)).ravel()
-            )
+            parts.append(o_ev + eids * self._n_ev + np.arange(self._n_ev))
         if self._n_cell:
-            parts.append(o_cell + c * self._n_cell + np.arange(self._n_cell))
-        return np.concatenate(parts)
+            parts.append(o_cell + cells[:, None] * self._n_cell + np.arange(self._n_cell))
+        return np.concatenate([p.reshape(len(cells), -1) for p in parts], axis=1)
 
     @property
     def boundary_mask(self) -> np.ndarray:
@@ -132,14 +136,20 @@ class BoundarySpec:
 def assemble_stiffness(
     mesh: PolygonMesh, kernels: list[LocalKernels], dofmap: GlobalDofMap
 ) -> sp.csr_matrix:
-    """Scatter the local stiffness matrices into the full symmetric matrix."""
+    """Scatter the local stiffness matrices into the full symmetric matrix.
+
+    Cells are scattered one vertex-count group at a time, from the stacked
+    stiffness blocks and unknown indices of the group.
+    """
+    counts = np.array([kern.layout.n_vertices for kern in kernels])
     rows, cols, vals = [], [], []
-    for c, kern in enumerate(kernels):
-        idx = dofmap.cell_dofs(c)
-        grid = np.meshgrid(idx, idx, indexing="ij")
-        rows.append(grid[0].ravel())
-        cols.append(grid[1].ravel())
-        vals.append(kern.stiffness.ravel())
+    for m in np.unique(counts):
+        cells = np.flatnonzero(counts == m)
+        idx = dofmap.group_dofs(cells)
+        n = idx.shape[1]
+        rows.append(np.repeat(idx, n, axis=1).ravel())
+        cols.append(np.tile(idx, n).ravel())
+        vals.append(np.stack([kernels[c].stiffness for c in cells]).ravel())
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dofmap.n_total, dofmap.n_total),
@@ -347,10 +357,11 @@ class PlateSolver:
             rhs = rhs - self._a_fc @ vals
         if self._lu is None:
             try:
-                self._lu = spla.splu(self._a_ff)
+                lu = spla.splu(self._a_ff)
             except RuntimeError as exc:
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
-            _check_pivots(self._lu)
+            _check_pivots(lu)
+            self._lu = lu
         x = _refined_solve(self._a_ff, self._lu, rhs, 1e-10)
         full = np.zeros(self.dofmap.n_total)
         full[self.free] = x

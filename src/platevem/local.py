@@ -16,25 +16,33 @@ that the two cells sharing an edge address identical functionals. Edge
 moment test polynomials are powers of t = 2 (s - s_mid) / |e| in [-1, 1];
 the doubled variable keeps high-order moment columns of the local systems
 away from underflow-like scales.
+
+The kernels of all cells with the same vertex count are built together:
+every array below carries the cells of one group on axis 0. Volume
+integrals of products of monomials are gathered from one table of exact
+cell moments, which come from edge integrals alone; no cell quadrature is
+involved. Fan quadrature serves only non-polynomial data (loads and
+interpolation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .mesh import CellFrame
-from .plate import (
-    MaterialParams,
-    energy_and_seminorm_grams,
-    energy_gram,
-    normal_moment_matrix,
-    shear_matrix,
-    twist_matrix,
+from .mesh import CellFrame, CellGroup
+from .plate import MaterialParams
+from .polynomials import (
+    ScaledMonomialBasis,
+    _derivative_factors,
+    centered_power_moments,
+    derivative_map,
+    exponents,
+    space_dim,
 )
-from .polynomials import ScaledMonomialBasis, centered_power_moments, space_dim
-from .quadrature import edge_rule, polygon_rule
+from .quadrature import edge_rule, gauss_legendre, polygon_rule
 
 
 class ProjectorError(Exception):
@@ -88,51 +96,408 @@ def dof_layout(n_vertices: int, order: int) -> DofLayout:
     return DofLayout(order, n_vertices)
 
 
-def cell_basis(frame: CellFrame, order: int) -> ScaledMonomialBasis:
-    return ScaledMonomialBasis(frame.centroid, frame.diameter, order)
+@dataclass(frozen=True)
+class _OrderTables:
+    """Constant index and coefficient tables of one order (shared, read-only).
 
-
-def dof_matrix(
-    frame: CellFrame,
-    order: int,
-    basis: ScaledMonomialBasis | None = None,
-    vander=None,
-    rule=None,
-) -> np.ndarray:
-    """Unknowns of every basis monomial: the (n_total x dim) evaluation matrix.
-
-    Exact: edge moments use the closed-form integrals of centered powers and
-    interior moments use a fan quadrature of sufficient degree. ``vander``
-    may supply precomputed basis values at the points of ``rule`` (which must
-    be exact to twice the order).
+    ``mass``, ``xx``, ``yy`` and ``mixed`` index the flat cell moment table
+    of :func:`group_basis`: entry (j, k) of ``mass`` addresses the moment of
+    m_j m_k, and ``xx``, ``yy``, ``mixed`` those of the products of second
+    derivatives d_xx m_j d_xx m_k, d_yy m_j d_yy m_k and every product
+    carrying two x and two y derivatives in total. Absent products point at
+    the table's final zero entry. The ``c_*`` matrices hold the matching
+    products of derivative factors.
     """
-    basis = basis or cell_basis(frame, order)
-    layout = dof_layout(frame.n_vertices, order)
-    mat = np.empty((layout.n_total, basis.dim))
-    mat[: layout.n_vertices] = basis.eval(frame.vertices)
+
+    mass: np.ndarray  # (dim_{order-2}, dim)
+    xx: np.ndarray  # (dim, dim)
+    yy: np.ndarray
+    mixed: np.ndarray
+    c_xx: np.ndarray  # d_xx x d_xx
+    c_yy: np.ndarray  # d_yy x d_yy
+    c_cross: np.ndarray  # d_xx x d_yy + d_yy x d_xx
+    c_xy: np.ndarray  # d_xy x d_xy
+    first: np.ndarray  # (2, dim, dim) unit-scale maps of d_x, d_y
+    second: np.ndarray  # (3, dim, dim) d_xx, d_xy, d_yy
+    third: np.ndarray  # (4, dim, dim) d_xxx, d_xxy, d_xyy, d_yyy
+    bilap: np.ndarray  # (dim, dim) unit-scale bilaplacian
+    normal_pairing: np.ndarray  # (order - 1, order + 1) t^k against s^j
+    value_pairing: np.ndarray  # (n_edge_value, order + 1)
+
+
+def _moment_degree(order: int) -> int:
+    """Highest total degree of a moment any kernel reads: order + (order - 2)."""
+    return 2 * order - 2
+
+
+@lru_cache(maxsize=None)
+def _order_tables(order: int) -> _OrderTables:
+    degree = _moment_degree(order)
+    width = degree + 1
+    exps = np.array(exponents(order))
+    a = exps[:, 0, None] + exps[None, :, 0]
+    b = exps[:, 1, None] + exps[None, :, 1]
+
+    def flat(da, db):
+        aa, bb = a - da, b - db
+        ok = (aa >= 0) & (bb >= 0) & (aa + bb <= degree)
+        return np.where(ok, aa * width + bb, width * width)
+
+    fxx, fxy, fyy = (_derivative_factors(order, i, j) for i, j in ((2, 0), (1, 1), (0, 2)))
+    lap = derivative_map(order, 2, 0) + derivative_map(order, 0, 2)
     sigma = centered_power_moments(2 * order)
-    for i in range(frame.n_vertices):
-        p0, p1 = frame.edge_endpoints_global(i)
-        restr = basis.edge_restriction(p0, p1)  # (order + 1, dim)
-        normal_der = basis.directional_matrix(frame.normals[i])
-        restr_dn = restr @ normal_der
-        n_deg = restr.shape[0]
-        for k in range(layout.n_edge_normal):
-            pair = 2.0**k * sigma[k : k + n_deg]
-            mat[layout.edge_normal_slice(i)][k] = frame.edge_lengths[i] * (
-                pair @ restr_dn
-            )
-        for k in range(layout.n_edge_value):
-            pair = 2.0**k * sigma[k : k + n_deg]
-            mat[layout.edge_value_slice(i)][k] = pair @ restr
-    if layout.n_cell:
-        if rule is None or vander is None:
-            rule = polygon_rule(frame.vertices, frame.star, 2 * order)
-            vander = basis.eval(rule.points)
-        low_dim = space_dim(order - 4)
-        vals_low = vander[:, :low_dim]
-        mat[layout.cell_slice] = (vals_low * rule.weights[:, None]).T @ vander / frame.area
-    return mat
+    n = order + 1
+    layout = dof_layout(3, order)
+
+    def pairing(rows):
+        return np.array([2.0**k * sigma[k : k + n] for k in range(rows)]).reshape(rows, n)
+
+    def maps(pairs):
+        return np.stack([derivative_map(order, i, j) for i, j in pairs])
+
+    tables = _OrderTables(
+        mass=flat(0, 0)[: space_dim(order - 2)],
+        xx=flat(4, 0),
+        yy=flat(0, 4),
+        mixed=flat(2, 2),
+        c_xx=np.outer(fxx, fxx),
+        c_yy=np.outer(fyy, fyy),
+        c_cross=np.outer(fxx, fyy) + np.outer(fyy, fxx),
+        c_xy=np.outer(fxy, fxy),
+        first=maps(((1, 0), (0, 1))),
+        second=maps(((2, 0), (1, 1), (0, 2))),
+        third=maps(((3, 0), (2, 1), (1, 2), (0, 3))),
+        bilap=lap @ lap,
+        normal_pairing=pairing(layout.n_edge_normal),
+        value_pairing=pairing(layout.n_edge_value),
+    )
+    for value in vars(tables).values():
+        value.flags.writeable = False
+    return tables
+
+
+@dataclass(frozen=True)
+class GroupBasis:
+    """Scaled cell monomials of one order on every cell of a group.
+
+    Holds the closed-form data every local operator is built from: the
+    exact cell moments, the basis values at the vertices, and the exact
+    restrictions of the basis to the edges in the global edge orientation.
+    """
+
+    group: CellGroup
+    layout: DofLayout
+    moments: np.ndarray  # (G, (2 order - 1)^2 + 1), see _cell_moments
+    vertex_values: np.ndarray  # (G, m, dim)
+    restrictions: np.ndarray  # (G, m, order + 1, dim): s-coefficients per edge
+
+    @property
+    def order(self) -> int:
+        return self.layout.order
+
+
+def _cell_moments(scaled: np.ndarray, diameters: np.ndarray, degree: int) -> np.ndarray:
+    """Exact integrals of xi^a eta^b over each cell, for a + b <= degree.
+
+    ``scaled`` holds the vertices in each cell's scaled coordinates
+    (xi, eta) = (x - x_c) / h. Row c of the result holds the moment of
+    xi^a eta^b at position a * (degree + 1) + b, zeros where a + b > degree,
+    and one trailing zero that gathers of absent products point at.
+
+    xi^a eta^b is homogeneous of degree d = a + b about the centroid, so by
+    the homogeneous-function theorem (Chin, Lasserre and Sukumar, Comput.
+    Mech. 2015) its integral is (d + 2)^-1 sum_e (x_e . n_e) int_e f, for
+    any point x_e of edge e; with x_e the edge start, (x_e . n_e) |e| is the
+    cross product of the edge's end points. The edge integrals use
+    Gauss-Legendre rules exact to ``degree``.
+    """
+    nxt = np.roll(scaled, -1, axis=1)
+    cross = scaled[..., 0] * nxt[..., 1] - scaled[..., 1] * nxt[..., 0]  # (G, m)
+    nodes, weights = gauss_legendre(degree // 2 + 1)
+    tau = 0.5 * (nodes + 1.0)
+    points = scaled[:, :, None, :] + tau[:, None] * (nxt - scaled)[:, :, None, :]
+    powers = np.arange(degree + 1)
+    px = points[..., 0, None] ** powers  # (G, m, n_gauss, degree + 1)
+    py = points[..., 1, None] ** powers
+    table = np.einsum("cmg,cmga,cmgb->cab", cross[..., None] * (0.5 * weights), px, py)
+    a, b = np.indices(table.shape[1:])
+    table = np.where(a + b <= degree, table / (a + b + 2), 0.0)
+    table *= diameters[:, None, None] ** 2  # back from scaled to physical area
+    flat = np.zeros((len(table), table[0].size + 1))
+    flat[:, :-1] = table.reshape(len(table), -1)
+    return flat
+
+
+def group_basis(group: CellGroup, order: int) -> GroupBasis:
+    """Moments, vertex values and edge restrictions of a group's cell bases."""
+    layout = dof_layout(group.n_vertices, order)
+    exps = np.array(exponents(order))
+    h = group.diameters[:, None, None]
+    scaled = (group.vertices - group.centroids[:, None, :]) / h
+    vertex_values = scaled[..., 0, None] ** exps[:, 0] * scaled[..., 1, None] ** exps[:, 1]
+
+    # Edge i in the global orientation runs p0 -> p1, x(s) = mid + s (p1 - p0)
+    # for s in [-1/2, 1/2]; each scaled coordinate is c0 + c1 s along it.
+    nxt = np.roll(group.vertices, -1, axis=1)
+    forward = (group.edge_signs > 0)[..., None]
+    p0 = np.where(forward, group.vertices, nxt)
+    p1 = np.where(forward, nxt, group.vertices)
+    c0 = ((0.5 * (p0 + p1) - group.centroids[:, None, :]) / h)[..., None]
+    c1 = ((p1 - p0) / h)[..., None]
+    # pw[..., x, i, p]: coefficient of s^p in (c0 + c1 s)^i for coordinate x
+    n = order + 1
+    pw = np.zeros(c0.shape[:-1] + (n, n))
+    pw[..., 0, 0] = 1.0
+    for i in range(1, n):
+        pw[..., i, : i + 1] = c0 * pw[..., i - 1, : i + 1]
+        pw[..., i, 1 : i + 1] += c1 * pw[..., i - 1, :i]
+    pa = pw[..., 0, exps[:, 0], :]  # (G, m, dim, n)
+    pb = pw[..., 1, exps[:, 1], :]
+    restrictions = np.zeros(pa.shape[:2] + (n, len(exps)))
+    for p in range(n):
+        for q in range(n - p):
+            restrictions[..., p + q, :] += pa[..., p] * pb[..., q]
+
+    moments = _cell_moments(scaled, group.diameters, _moment_degree(order))
+    return GroupBasis(group, layout, moments, vertex_values, restrictions)
+
+
+def _by_unknown(vertex, edge_normal, edge_value, interior) -> np.ndarray:
+    """Stack per-unknown rows (G, ., dim) in layout order: (G, n_total, dim)."""
+    g, _, dim = vertex.shape
+    edges = [edge_normal.reshape(g, -1, dim), edge_value.reshape(g, -1, dim)]
+    return np.concatenate([vertex, *edges, interior], axis=1)
+
+
+def energy_grams(gb: GroupBasis, material: MaterialParams):
+    """Energy and broken-H2 seminorm Gram matrices of the basis, (G, dim, dim).
+
+    The energy Gram is symmetric positive semidefinite with the linear
+    polynomials as kernel; the seminorm counts each mixed derivative once.
+    """
+    t = _order_tables(gb.order)
+    scale = gb.group.diameters[:, None, None] ** -4.0
+    straight = gb.moments[:, t.xx] * t.c_xx + gb.moments[:, t.yy] * t.c_yy
+    mixed = gb.moments[:, t.mixed]
+    nu = material.poisson
+    coupling = nu * t.c_cross + 2.0 * (1.0 - nu) * t.c_xy
+    energy = material.rigidity * scale * (straight + coupling * mixed)
+    seminorm = scale * (straight + t.c_xy * mixed)
+    return energy, seminorm
+
+
+def dof_matrix(gb: GroupBasis) -> np.ndarray:
+    """Unknowns of every basis monomial: (G, n_total, dim), exact.
+
+    Edge moments pair the exact edge restrictions with the closed-form
+    integrals of centered powers; interior moments are gathered from the
+    cell moments.
+    """
+    group, layout = gb.group, gb.layout
+    t = _order_tables(gb.order)
+    restr = gb.restrictions
+    by_axis = restr[..., None, :, :] @ t.first  # (G, m, 2, order + 1, dim)
+    normal = np.einsum("gmx,gmxkd->gmkd", group.normals, by_axis)
+    normal /= group.diameters[:, None, None, None]
+    edge_normal = group.edge_lengths[..., None, None] * (t.normal_pairing @ normal)
+    edge_value = t.value_pairing @ restr
+    interior = gb.moments[:, t.mass[: layout.n_cell]] / group.areas[:, None, None]
+    return _by_unknown(gb.vertex_values, edge_normal, edge_value, interior)
+
+
+def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
+    """Energy pairings a(m_beta, .) of all monomials against the unknowns.
+
+    Row beta of each returned (dim x n_total) block represents the
+    functional v -> a_K(m_beta, v) through the boundary expansion of the
+    cell energy (interior bilaplacian, edge bending moment and effective
+    shear, corner twist), which involves only the local unknowns.
+    """
+    group, layout = gb.group, gb.layout
+    t = _order_tables(gb.order)
+    rigidity, nu = material.rigidity, material.poisson
+    h = group.diameters[:, None]
+    nx, ny = group.normals[..., 0], group.normals[..., 1]
+    tx, ty = group.tangents[..., 0], group.tangents[..., 1]
+    sign = group.edge_signs
+    restr = gb.restrictions
+    # restrictions come in powers of s in [-1/2, 1/2]; the edge moments pair
+    # against powers of t = 2 s, so coefficient k picks up 2^-k
+    halving = 0.5 ** np.arange(layout.order + 1)
+
+    # bending moment D (nu Lap + (1 - nu) d_nn), even in the normal
+    n_mom = layout.n_edge_normal
+    w_moment = np.stack(
+        [nu + (1.0 - nu) * nx**2, 2.0 * (1.0 - nu) * nx * ny, nu + (1.0 - nu) * ny**2],
+        axis=-1,
+    ) * (rigidity / h**2)[..., None]
+    moment = np.einsum("gmx,gmxkd->gmkd", w_moment, restr[..., None, :n_mom, :] @ t.second)
+    edge_normal = (sign[..., None, None] * halving[:n_mom, None]) * moment
+
+    # effective shear D (d_n Lap + (1 - nu) d_ntt) on the outward pair
+    # (sign n, sign t), odd in the pair
+    n_val = layout.n_edge_value
+    w_shear = np.stack(
+        [
+            nx + (1.0 - nu) * tx**2 * nx,
+            ny + (1.0 - nu) * (tx**2 * ny + 2.0 * tx * ty * nx),
+            nx + (1.0 - nu) * (ty**2 * nx + 2.0 * tx * ty * ny),
+            ny + (1.0 - nu) * ty**2 * ny,
+        ],
+        axis=-1,
+    ) * (sign * rigidity / h**3)[..., None]
+    shear = np.einsum("gmx,gmxkd->gmkd", w_shear, restr[..., None, :n_val, :] @ t.third)
+    edge_value = -(group.edge_lengths[..., None, None] * halving[:n_val, None]) * shear
+
+    # corner twist D (1 - nu) d_nt, even in the pair: -1 at the edge start,
+    # +1 at its end, which is the next vertex
+    w_twist = np.stack([nx * tx, nx * ty + ny * tx, ny * ty], axis=-1) * (
+        rigidity * (1.0 - nu) / h**2
+    )[..., None]
+    at_vertex = (gb.vertex_values[..., None, None, :] @ t.second)[..., 0, :]  # (G, m, 3, dim)
+    start = np.einsum("gmx,gmxd->gmd", w_twist, at_vertex)
+    end = np.einsum("gmx,gmxd->gmd", w_twist, np.roll(at_vertex, -1, axis=1))
+    vertex = np.roll(end, 1, axis=1) - start
+
+    scale = rigidity * group.areas / group.diameters**4
+    interior = scale[:, None, None] * t.bilap[: layout.n_cell]
+    return _by_unknown(vertex, edge_normal, edge_value, interior).transpose(0, 2, 1)
+
+
+def _solve_saddle(saddle: np.ndarray, rhs: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Batched solve; a failure is blamed on the first cell that fails alone."""
+    try:
+        sol = np.linalg.solve(saddle, rhs)
+    except np.linalg.LinAlgError as exc:
+        for k in range(len(saddle)):
+            try:
+                np.linalg.solve(saddle[k], rhs[k])
+            except np.linalg.LinAlgError:
+                raise ProjectorError(f"cell {cells[k]}: singular projector system") from exc
+        raise ProjectorError(
+            f"{len(cells)}-cell group from cell {cells[0]}: singular projector system"
+        ) from exc
+    bad = ~np.isfinite(sol).all(axis=(1, 2))
+    if bad.any():
+        cell = cells[np.argmax(bad)]
+        raise ProjectorError(f"cell {cell}: projector system produced non-finite values")
+    return sol
+
+
+def _saddle_system(gb: GroupBasis, material: MaterialParams, gram: np.ndarray):
+    """Projector systems [[G, C^T], [C, 0]] and right-hand sides [B; D].
+
+    B holds the energy pairings of the monomials against the unknowns; C and
+    D the vertex-average pairings against the linear monomials, read off the
+    basis and the vertex unknowns, which close the rank-3 deficiency of G.
+    """
+    b = load_rows(gb, material)
+    lin = np.swapaxes(gb.vertex_values[..., :3], 1, 2)  # (G, 3, m): 1, x, y
+    g, n, n_total = b.shape
+    saddle = np.zeros((g, n + 3, n + 3))
+    saddle[:, :n, :n] = gram
+    saddle[:, n:, :n] = lin @ gb.vertex_values
+    saddle[:, :n, n:] = np.swapaxes(saddle[:, n:, :n], 1, 2)
+    rhs = np.zeros((g, n + 3, n_total))
+    rhs[:, :n] = b
+    rhs[:, n:, : gb.layout.n_vertices] = lin
+    return saddle, rhs
+
+
+def elliptic_projector(
+    gb: GroupBasis,
+    material: MaterialParams,
+    gram: np.ndarray,
+    dofs_of_basis: np.ndarray,
+) -> np.ndarray:
+    """Energy projector onto polynomials, computable from the unknowns.
+
+    Returns pi (G, dim, n_total): coefficients of the projected polynomial
+    per unit unknown, satisfying ``pi @ dofs_of_basis = identity``.
+    """
+    n = gram.shape[1]
+    pi = _solve_saddle(*_saddle_system(gb, material, gram), gb.group.index)[:, :n]
+    # One Newton-Schulz step squares the polynomial-reproduction residual,
+    # which the monomial conditioning would otherwise amplify at high order.
+    # The correction runs in extended precision: in double it would bottom
+    # out at the rounding floor of the large-coefficient products.
+    pi_l = pi.astype(np.longdouble)
+    residual = np.eye(n, dtype=np.longdouble) - pi_l @ dofs_of_basis.astype(np.longdouble)
+    pi_l += residual @ pi_l
+    return pi_l.astype(float)
+
+
+@dataclass
+class LocalKernels:
+    """All per-cell matrices needed for assembly and error evaluation.
+
+    The arrays are views into the stacks of the cell's vertex-count group.
+    """
+
+    frame: CellFrame
+    layout: DofLayout
+    basis: ScaledMonomialBasis
+    pi: np.ndarray  # (dim x n_total) projector coefficients
+    stiffness: np.ndarray  # (n_total x n_total) consistency + stabilization
+    stabilization: np.ndarray
+    moment_op: np.ndarray  # (dim_{order-2} x n_total) interior moments
+    moment_mass: np.ndarray  # (dim_{order-2} x dim_{order-2})
+    seminorm_gram: np.ndarray  # (dim x dim) broken H2 metric
+
+
+def _symmetrized(stack: np.ndarray) -> np.ndarray:
+    out = stack + np.swapaxes(stack, 1, 2)
+    out *= 0.5
+    return out
+
+
+def local_stiffness(
+    gb: GroupBasis,
+    material: MaterialParams,
+    gram: np.ndarray,
+    pi: np.ndarray,
+    dofs_of_basis: np.ndarray,
+):
+    """Consistency plus stabilization stiffness, (G, n_total, n_total) each.
+
+    The consistency part evaluates the energy of the projected polynomials;
+    the stabilization is the Euclidean product of the unknowns on the
+    projector complement, scaled by rigidity / diameter^2. Both are built
+    in place, so that a group holds few full-size temporaries at once.
+    """
+    residual = dofs_of_basis @ pi
+    residual *= -1.0
+    diag = np.arange(residual.shape[1])
+    residual[:, diag, diag] += 1.0
+    stab = np.swapaxes(residual, 1, 2) @ residual
+    del residual
+    stab *= (material.rigidity / gb.group.diameters**2)[:, None, None]
+    stab = _symmetrized(stab)
+    stiff = (np.swapaxes(pi, 1, 2) @ gram) @ pi
+    stiff += stab
+    return _symmetrized(stiff), stab
+
+
+def moment_operator(gb: GroupBasis, pi: np.ndarray):
+    """Interior moments against all monomials up to degree order - 2.
+
+    Moments against monomials of degree up to order - 4 are read directly
+    from the interior unknowns; the top two degrees use the moments of the
+    projected polynomial, which the enhanced local space makes exact.
+
+    Returns (moment_op, mass), (G, dim_{order-2}, n_total) and the Gram
+    matrices (G, dim_{order-2}, dim_{order-2}) of the degree order - 2
+    monomials, both exact.
+    """
+    layout = gb.layout
+    cross_mass = gb.moments[:, _order_tables(gb.order).mass]  # (G, mid, dim)
+    op = cross_mass @ pi
+    low = layout.n_cell
+    if low:
+        op[:, :low] = 0.0
+        op[:, :low, layout.cell_slice] = gb.group.areas[:, None, None] * np.eye(low)
+    mid = cross_mass.shape[1]
+    return op, cross_mass[:, :, :mid]
 
 
 def compute_dofs(
@@ -183,194 +548,6 @@ def compute_dofs(
     return out
 
 
-def _load_row(
-    frame: CellFrame,
-    order: int,
-    basis: ScaledMonomialBasis,
-    layout: DofLayout,
-    material: MaterialParams,
-) -> np.ndarray:
-    """Energy pairings a(m_beta, .) of all monomials against the unknowns.
-
-    Row beta of the returned (dim x n_total) matrix represents the functional
-    v -> a_K(m_beta, v) through the boundary expansion of the cell energy,
-    which involves only the local unknowns.
-    """
-    b = np.zeros((basis.dim, layout.n_total))
-    rigidity = material.rigidity
-    if layout.n_cell:
-        bilap = basis.bilaplacian_matrix()  # columns: coefficients of Lap^2 m_beta
-        low_dim = space_dim(order - 4)
-        b[:, layout.cell_slice] += rigidity * frame.area * bilap[:low_dim, :].T
-    vertex_vals = np.zeros((basis.dim, layout.n_vertices))
-    for i in range(frame.n_vertices):
-        n_out = frame.outward_normal(i)
-        t_out = frame.traversal_tangent(i)
-        sign = frame.edge_signs[i]
-        p0, p1 = frame.edge_endpoints_global(i)
-        restr = basis.edge_restriction(p0, p1)
-        # restrictions come in powers of s in [-1/2, 1/2]; the edge moments
-        # pair against powers of t = 2 s, so coefficient k picks up 2^-k
-        mnn = restr @ normal_moment_matrix(basis, n_out, material)
-        n_mom = layout.n_edge_normal
-        halving = 0.5 ** np.arange(n_mom)
-        b[:, layout.edge_normal_slice(i)] += sign * (halving[:, None] * mnn[:n_mom, :]).T
-        if layout.n_edge_value:
-            shear = restr @ shear_matrix(basis, n_out, t_out, material)
-            n_val = layout.n_edge_value
-            halving_v = 0.5 ** np.arange(n_val)
-            b[:, layout.edge_value_slice(i)] -= frame.edge_lengths[i] * (
-                halving_v[:, None] * shear[:n_val, :]
-            ).T
-        twist = twist_matrix(basis, n_out, t_out, material)
-        i_next = (i + 1) % frame.n_vertices
-        start_vals = basis.eval(frame.vertices[i : i + 1]) @ twist
-        end_vals = basis.eval(frame.vertices[i_next : i_next + 1]) @ twist
-        vertex_vals[:, i] -= start_vals[0]
-        vertex_vals[:, i_next] += end_vals[0]
-    b[:, : layout.n_vertices] += vertex_vals
-    return b
-
-
-def _constraints(frame: CellFrame, basis: ScaledMonomialBasis, layout: DofLayout):
-    """Vertex-average pairing rows closing the rank-3 deficiency.
-
-    Returns (c, d) with c (3 x dim) the pairings of the basis against the
-    linear monomials summed over vertices, and d (3 x n_total) reading the
-    same pairings off the vertex unknowns.
-    """
-    vander = basis.eval(frame.vertices)  # (m, dim)
-    lin = vander[:, :3]  # 1, x, y columns
-    c = lin.T @ vander
-    d = np.zeros((3, layout.n_total))
-    d[:, : layout.n_vertices] = lin.T
-    return c, d
-
-
-def elliptic_projector(
-    frame: CellFrame,
-    order: int,
-    material: MaterialParams,
-    dofs_of_basis: np.ndarray | None = None,
-    gram: np.ndarray | None = None,
-):
-    """Energy projector onto polynomials, computable from the unknowns.
-
-    Returns
-    -------
-    gram : array (dim x dim)
-        Energy pairings of the monomial basis (symmetric PSD, 3-dim kernel).
-    b : array (dim x n_total)
-        Energy pairings of monomials against the unknowns.
-    pi : array (dim x n_total)
-        Coefficients of the projected polynomial per unit unknown; satisfies
-        ``pi @ dof_matrix = identity`` on polynomial data.
-    """
-    basis = cell_basis(frame, order)
-    layout = dof_layout(frame.n_vertices, order)
-    if gram is None:
-        rule = polygon_rule(frame.vertices, frame.star, 2 * order)
-        gram = energy_gram(basis, rule, material)
-    b = _load_row(frame, order, basis, layout, material)
-    c, d = _constraints(frame, basis, layout)
-    n = basis.dim
-    saddle = np.zeros((n + 3, n + 3))
-    saddle[:n, :n] = gram
-    saddle[:n, n:] = c.T
-    saddle[n:, :n] = c
-    rhs = np.vstack([b, d])
-    try:
-        sol = np.linalg.solve(saddle, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ProjectorError(f"cell {frame.index}: singular projector system") from exc
-    if not np.all(np.isfinite(sol)):
-        raise ProjectorError(f"cell {frame.index}: projector system produced non-finite values")
-    pi = sol[:n]
-    # One Newton-Schulz step squares the polynomial-reproduction residual,
-    # which the monomial conditioning would otherwise amplify at high order.
-    # The correction runs in extended precision: in double it would bottom
-    # out at the rounding floor of the large-coefficient products.
-    if dofs_of_basis is None:
-        dofs_of_basis = dof_matrix(frame, order, basis)
-    pi_l = pi.astype(np.longdouble)
-    dofs_l = dofs_of_basis.astype(np.longdouble)
-    residual = np.eye(n, dtype=np.longdouble) - pi_l @ dofs_l
-    pi = np.asarray(pi_l + residual @ pi_l, dtype=float)
-    return gram, b, pi
-
-
-@dataclass
-class LocalKernels:
-    """All per-cell matrices needed for assembly and error evaluation."""
-
-    frame: CellFrame
-    layout: DofLayout
-    basis: ScaledMonomialBasis
-    pi: np.ndarray  # (dim x n_total) projector coefficients
-    stiffness: np.ndarray  # (n_total x n_total) consistency + stabilization
-    stabilization: np.ndarray
-    moment_op: np.ndarray  # (dim_{order-2} x n_total) interior moments
-    moment_mass: np.ndarray  # (dim_{order-2} x dim_{order-2})
-    seminorm_gram: np.ndarray  # (dim x dim) broken H2 metric
-
-
-def local_stiffness(
-    frame: CellFrame,
-    order: int,
-    material: MaterialParams,
-    gram: np.ndarray,
-    pi: np.ndarray,
-    dofs_of_basis: np.ndarray,
-):
-    """Consistency plus stabilization stiffness of one cell.
-
-    The consistency part evaluates the energy of the projected polynomials;
-    the stabilization is the Euclidean product of the unknowns on the
-    projector complement, scaled by rigidity / diameter^2.
-    """
-    consistency = pi.T @ gram @ pi
-    q = dofs_of_basis @ pi
-    residual = np.eye(q.shape[0]) - q
-    scale = material.rigidity / frame.diameter**2
-    stab = scale * (residual.T @ residual)
-    stiff = consistency + stab
-    return 0.5 * (stiff + stiff.T), 0.5 * (stab + stab.T)
-
-
-def moment_operator(
-    frame: CellFrame,
-    order: int,
-    basis: ScaledMonomialBasis,
-    pi: np.ndarray,
-    layout: DofLayout,
-    vander=None,
-    rule=None,
-):
-    """Interior moments against all monomials up to degree order - 2.
-
-    Moments against monomials of degree up to order - 4 are read directly
-    from the interior unknowns; the top two degrees use the moments of the
-    projected polynomial, which the enhanced local space makes exact.
-
-    Returns (moment_op, mass) with mass the Gram matrix of the degree
-    order - 2 monomials, both integrated exactly.
-    """
-    low_dim = space_dim(order - 4)
-    mid_dim = space_dim(order - 2)
-    if rule is None or vander is None:
-        rule = polygon_rule(frame.vertices, frame.star, 2 * order)
-        vander = basis.eval(rule.points)
-    vals_mid = vander[:, :mid_dim]  # canonical order nests lower degrees
-    w = rule.weights[:, None]
-    cross_mass = vals_mid.T @ (w * vander)  # (mid_dim x dim)
-    mass = vals_mid.T @ (w * vals_mid)
-    op = cross_mass @ pi
-    if low_dim:
-        op[:low_dim] = 0.0
-        op[:low_dim, layout.cell_slice] = frame.area * np.eye(low_dim)
-    return op, 0.5 * (mass + mass.T)
-
-
 def local_load(
     kern: LocalKernels, f, quad_degree: int | None = None
 ) -> np.ndarray:
@@ -390,34 +567,39 @@ def local_load(
     return kern.moment_op.T @ np.linalg.solve(kern.moment_mass, fmom)
 
 
-def build_cell_kernels(frame: CellFrame, order: int, material: MaterialParams) -> LocalKernels:
-    """Assemble every local operator of one cell.
+def build_cell_kernels(frame: CellFrame, layout: DofLayout, **rows) -> LocalKernels:
+    """Kernels of one cell from its rows of the group stacks (views, not copies)."""
+    basis = ScaledMonomialBasis(frame.centroid, frame.diameter, layout.order)
+    return LocalKernels(frame=frame, layout=layout, basis=basis, **rows)
 
-    One fan quadrature rule exact to twice the order and one Vandermonde of
-    the basis at its points serve every interior integral.
-    """
-    basis = cell_basis(frame, order)
-    layout = dof_layout(frame.n_vertices, order)
-    rule = polygon_rule(frame.vertices, frame.star, 2 * order)
-    vander = basis.eval(rule.points)
-    gram, h2 = energy_and_seminorm_grams(basis, rule, material)
-    dofs_basis = dof_matrix(frame, order, basis, vander, rule)
-    _gram, _b, pi = elliptic_projector(frame, order, material, dofs_basis, gram)
-    stiff, stab = local_stiffness(frame, order, material, gram, pi, dofs_basis)
-    mom_op, mass = moment_operator(frame, order, basis, pi, layout, vander, rule)
-    return LocalKernels(
-        frame=frame,
-        layout=layout,
-        basis=basis,
-        pi=pi,
-        stiffness=stiff,
-        stabilization=stab,
-        moment_op=mom_op,
-        moment_mass=mass,
-        seminorm_gram=h2,
-    )
+
+def group_kernels(group: CellGroup, order: int, material: MaterialParams) -> list[LocalKernels]:
+    """Kernels of the cells of one group, in group order, from one stacked pass."""
+    gb = group_basis(group, order)
+    gram, seminorm = energy_grams(gb, material)
+    dofs = dof_matrix(gb)
+    pi = elliptic_projector(gb, material, gram, dofs)
+    stiff, stab = local_stiffness(gb, material, gram, pi, dofs)
+    mom_op, mass = moment_operator(gb, pi)
+    return [
+        build_cell_kernels(
+            group.frame(k),
+            gb.layout,
+            pi=pi[k],
+            stiffness=stiff[k],
+            stabilization=stab[k],
+            moment_op=mom_op[k],
+            moment_mass=mass[k],
+            seminorm_gram=seminorm[k],
+        )
+        for k in range(group.n_cells)
+    ]
 
 
 def build_local_kernels(mesh, order: int, material: MaterialParams) -> list[LocalKernels]:
-    """Kernels for every cell of a mesh; cells are independent of each other."""
-    return [build_cell_kernels(mesh.frame(c), order, material) for c in range(mesh.n_cells)]
+    """Kernels for every cell of a mesh, one stacked pass per vertex count."""
+    kernels: list = [None] * mesh.n_cells
+    for group in mesh.cell_groups():
+        for c, kern in zip(group.index, group_kernels(group, order, material)):
+            kernels[c] = kern
+    return kernels

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,81 @@ class CellFrame:
         return (a, b) if self.edge_signs[i] > 0 else (b, a)
 
 
+class CellRows(Sequence):
+    """Integer rows of varying length, one per cell, stored in one flat array.
+
+    ``rows[c]`` is row c as a view. One flat array in place of a list of
+    small arrays keeps a mesh's per-cell tables compact.
+    """
+
+    def __init__(self, rows):
+        self.lengths = np.array([len(r) for r in rows], dtype=int)
+        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
+        self.flat = np.concatenate([np.asarray(r, dtype=int) for r in rows])
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, c: int) -> np.ndarray:
+        c = range(len(self))[c]
+        return self.flat[self.offsets[c] : self.offsets[c + 1]]
+
+    def __iter__(self):
+        return iter(np.split(self.flat, self.offsets[1:-1]))
+
+    def stack(self, cells: np.ndarray) -> np.ndarray:
+        """The rows of ``cells``, all of one length m, as a (len(cells), m) array."""
+        m = self.lengths[cells[0]]
+        return self.flat[self.offsets[cells][:, None] + np.arange(m)]
+
+
+@dataclass(frozen=True)
+class CellGroup:
+    """Geometry of cells sharing one vertex count m, stacked along axis 0.
+
+    Each array holds the corresponding :class:`CellFrame` field of every
+    cell of the group; ``frame(k)`` returns the frame of the k-th cell as
+    views into these stacks.
+    """
+
+    index: np.ndarray  # (G,) mesh cell ids
+    vertex_ids: np.ndarray  # (G, m)
+    vertices: np.ndarray  # (G, m, 2), counterclockwise
+    edge_ids: np.ndarray  # (G, m)
+    edge_signs: np.ndarray  # (G, m)
+    edge_lengths: np.ndarray  # (G, m)
+    normals: np.ndarray  # (G, m, 2), global-orientation normals
+    tangents: np.ndarray  # (G, m, 2), global-orientation tangents
+    areas: np.ndarray  # (G,)
+    centroids: np.ndarray  # (G, 2)
+    diameters: np.ndarray  # (G,)
+    stars: np.ndarray  # (G, 2)
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.index)
+
+    @property
+    def n_vertices(self) -> int:
+        return self.vertex_ids.shape[1]
+
+    def frame(self, k: int) -> CellFrame:
+        return CellFrame(
+            index=int(self.index[k]),
+            vertex_ids=self.vertex_ids[k],
+            vertices=self.vertices[k],
+            edge_ids=self.edge_ids[k],
+            edge_signs=self.edge_signs[k],
+            edge_lengths=self.edge_lengths[k],
+            normals=self.normals[k],
+            tangents=self.tangents[k],
+            area=float(self.areas[k]),
+            centroid=self.centroids[k],
+            diameter=float(self.diameters[k]),
+            star=self.stars[k],
+        )
+
+
 @dataclass
 class PolygonMesh:
     """Polygonal decomposition of a simply connected planar domain.
@@ -78,11 +154,11 @@ class PolygonMesh:
     """
 
     vertices: np.ndarray  # (n_vertices, 2)
-    cells: list  # list of int arrays, counterclockwise
+    cells: CellRows  # vertex ids per cell, counterclockwise
     edge_vertices: np.ndarray  # (n_edges, 2), lower id first
     edge_cells: np.ndarray  # (n_edges, 2), -1 when absent
-    cell_edges: list  # per-cell edge ids aligned with local edges
-    cell_edge_signs: list  # per-cell +-1 traversal signs
+    cell_edges: CellRows  # per-cell edge ids aligned with local edges
+    cell_edge_signs: CellRows  # per-cell +-1 traversal signs
     areas: np.ndarray
     centroids: np.ndarray
     diameters: np.ndarray
@@ -121,31 +197,38 @@ class PolygonMesh:
         return Edge((int(v0), int(v1)), length, n, t, cells, len(cells) == 1)
 
     def frame(self, i: int) -> CellFrame:
-        ids = self.cells[i]
-        verts = self.vertices[ids]
-        m = len(ids)
-        eids = self.cell_edges[i]
-        signs = self.cell_edge_signs[i]
-        vecs = self.vertices[self.edge_vertices[eids, 1]] - self.vertices[
-            self.edge_vertices[eids, 0]
-        ]
-        lengths = np.sqrt((vecs**2).sum(axis=1))
-        tangents = vecs / lengths[:, None]
-        normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-        return CellFrame(
-            index=i,
+        return self.cell_group([i]).frame(0)
+
+    def cell_group(self, cells) -> CellGroup:
+        """Stacked geometry of the given cells, which share one vertex count."""
+        cells = np.asarray(cells, dtype=int)
+        ids = self.cells.stack(cells)
+        eids = self.cell_edges.stack(cells)
+        signs = self.cell_edge_signs.stack(cells)
+        ends = self.vertices[self.edge_vertices[eids]]  # (G, m, 2, 2)
+        vecs = ends[:, :, 1] - ends[:, :, 0]
+        lengths = np.sqrt((vecs**2).sum(axis=-1))
+        tangents = vecs / lengths[..., None]
+        normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
+        return CellGroup(
+            index=cells,
             vertex_ids=ids,
-            vertices=verts,
+            vertices=self.vertices[ids],
             edge_ids=eids,
             edge_signs=signs,
             edge_lengths=lengths,
             normals=normals,
             tangents=tangents,
-            area=float(self.areas[i]),
-            centroid=self.centroids[i],
-            diameter=float(self.diameters[i]),
-            star=self.stars[i],
+            areas=self.areas[cells],
+            centroids=self.centroids[cells],
+            diameters=self.diameters[cells],
+            stars=self.stars[cells],
         )
+
+    def cell_groups(self) -> list[CellGroup]:
+        """One group per vertex count, in increasing count order."""
+        counts = self.cells.lengths
+        return [self.cell_group(np.flatnonzero(counts == m)) for m in np.unique(counts)]
 
     def frames(self):
         return [self.frame(i) for i in range(self.n_cells)]
@@ -259,11 +342,11 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
 
     return PolygonMesh(
         vertices=vertices,
-        cells=cell_arrays,
+        cells=CellRows(cell_arrays),
         edge_vertices=edge_vertices,
         edge_cells=edge_cells_arr,
-        cell_edges=cell_edges,
-        cell_edge_signs=cell_edge_signs,
+        cell_edges=CellRows(cell_edges),
+        cell_edge_signs=CellRows(cell_edge_signs),
         areas=areas,
         centroids=centroids,
         diameters=diameters,

@@ -80,27 +80,6 @@ def hessian_seminorm_gram(basis: ScaledMonomialBasis, rule: QuadratureRule) -> n
     return 0.5 * (gram + gram.T)
 
 
-def energy_and_seminorm_grams(
-    basis: ScaledMonomialBasis, rule: QuadratureRule, material: MaterialParams
-):
-    """Both second-derivative Gram matrices from one set of point values."""
-    dxx = basis.eval(rule.points, (2, 0))
-    dxy = basis.eval(rule.points, (1, 1))
-    dyy = basis.eval(rule.points, (0, 2))
-    lap = dxx + dyy
-    w = rule.weights[:, None]
-    wxx = w * dxx
-    wxy = w * dxy
-    wyy = w * dyy
-    nu = material.poisson
-    energy = nu * (lap.T @ (w * lap)) + (1.0 - nu) * (
-        dxx.T @ wxx + 2.0 * (dxy.T @ wxy) + dyy.T @ wyy
-    )
-    energy *= material.rigidity
-    seminorm = dxx.T @ wxx + dxy.T @ wxy + dyy.T @ wyy
-    return 0.5 * (energy + energy.T), 0.5 * (seminorm + seminorm.T)
-
-
 def normal_moment_matrix(
     basis: ScaledMonomialBasis, normal: np.ndarray, material: MaterialParams
 ) -> np.ndarray:

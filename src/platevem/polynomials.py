@@ -50,6 +50,24 @@ def _derivative_factors(order: int, i: int, j: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def derivative_map(order: int, i: int, j: int) -> np.ndarray:
+    """Coefficient map of d^{i+j}/dx^i dy^j on the unit-scaled basis (dim x dim).
+
+    Column k holds the derivative of basis function k; divide by h^(i+j)
+    for a basis scaled by h. The cached array is shared: do not modify it.
+    """
+    exps = np.array(exponents(order), dtype=int)
+    fac = _derivative_factors(order, i, j)
+    idx = _exponent_index(order)
+    mat = np.zeros((len(exps), len(exps)))
+    for k, (a, b) in enumerate(exps):
+        if fac[k]:
+            mat[idx[(a - i, b - j)], k] = fac[k]
+    mat.flags.writeable = False
+    return mat
+
+
+@lru_cache(maxsize=None)
 def _conv_index_tensor(degree: int) -> np.ndarray:
     """S[k, p, q] = 1 when p + q == k, for products of edge polynomials."""
     n = degree + 1
@@ -108,21 +126,10 @@ class ScaledMonomialBasis:
     def derivative_matrix(self, i: int, j: int) -> np.ndarray:
         """Coefficient map of d^{i+j}/dx^i dy^j on the basis (dim x dim)."""
         cached = self._derivative_cache.get((i, j))
-        if cached is not None:
-            return cached
-        idx = _exponent_index(self.order)
-        mat = np.zeros((self.dim, self.dim))
-        for k, (a, b) in enumerate(self.exponents):
-            if a < i or b < j:
-                continue
-            fac = 1.0
-            for t in range(i):
-                fac *= a - t
-            for t in range(j):
-                fac *= b - t
-            mat[idx[(a - i, b - j)], k] = fac / self.h ** (i + j)
-        self._derivative_cache[(i, j)] = mat
-        return mat
+        if cached is None:
+            cached = derivative_map(self.order, i, j) / self.h ** (i + j)
+            self._derivative_cache[(i, j)] = cached
+        return cached
 
     def laplacian_matrix(self) -> np.ndarray:
         return self.derivative_matrix(2, 0) + self.derivative_matrix(0, 2)

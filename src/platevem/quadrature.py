@@ -37,8 +37,9 @@ def edge_rule(p0: np.ndarray, p1: np.ndarray, degree: int) -> QuadratureRule:
     return QuadratureRule(points, weights * (length / 2.0), degree)
 
 
-def triangle_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int) -> QuadratureRule:
-    """Product Gauss rule on a triangle, exact for polynomials up to ``degree``.
+@lru_cache(maxsize=None)
+def _reference_triangle(degree: int):
+    """Collapsed Gauss rule on the unit triangle: (xi, eta, weights), read-only.
 
     Built by collapsing a tensor Gauss-Legendre grid onto the triangle; the
     collapse Jacobian raises the required one-dimensional degree by one, which
@@ -50,23 +51,36 @@ def triangle_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int) -> Q
     xv, wv = gauss_legendre(nv)
     u = 0.5 * (xu + 1.0)
     v = 0.5 * (xv + 1.0)
-    wu = 0.5 * wu
-    wv = 0.5 * wv
     uu, vv = np.meshgrid(u, v, indexing="ij")
-    ww = np.outer(wu, wv) * uu  # collapse Jacobian
-    xi = uu * (1.0 - vv)
-    eta = uu * vv
-    a = np.asarray(a, dtype=float)
-    area2 = abs(
-        (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    ww = np.outer(0.5 * wu, 0.5 * wv) * uu  # collapse Jacobian
+    rule = ((uu * (1.0 - vv)).ravel(), (uu * vv).ravel(), ww.ravel())
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _fan_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int) -> QuadratureRule:
+    """The reference rule mapped onto triangles (a_i, b_i, c_i), rows of (T, 2).
+
+    Points and weights are listed triangle by triangle.
+    """
+    xi, eta, ww = _reference_triangle(degree)
+    area2 = np.abs(
+        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
     )
     points = (
-        a[None, :]
-        + xi.ravel()[:, None] * (np.asarray(b) - a)[None, :]
-        + eta.ravel()[:, None] * (np.asarray(c) - a)[None, :]
+        a[:, None, :]
+        + xi[None, :, None] * (b - a)[:, None, :]
+        + eta[None, :, None] * (c - a)[:, None, :]
     )
-    weights = ww.ravel() * area2
-    return QuadratureRule(points, weights, degree)
+    weights = ww[None, :] * area2[:, None]
+    return QuadratureRule(points.reshape(-1, 2), weights.ravel(), degree)
+
+
+def triangle_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int) -> QuadratureRule:
+    """Product Gauss rule on a triangle, exact for polynomials up to ``degree``."""
+    corners = (np.asarray(p, dtype=float)[None, :] for p in (a, b, c))
+    return _fan_rule(*corners, degree)
 
 
 def polygon_rule(vertices: np.ndarray, center: np.ndarray, degree: int) -> QuadratureRule:
@@ -81,18 +95,12 @@ def polygon_rule(vertices: np.ndarray, center: np.ndarray, degree: int) -> Quadr
     degree : int
         Polynomial exactness degree of the aggregated rule.
     """
-    m = len(vertices)
-    pts = []
-    wts = []
-    for i in range(m):
-        a = vertices[i]
-        b = vertices[(i + 1) % m]
-        cross = (a[0] - center[0]) * (b[1] - center[1]) - (a[1] - center[1]) * (
-            b[0] - center[0]
-        )
-        if cross <= 0.0:
-            raise ValueError("fan point is not interior: non-positive sub-triangle")
-        rule = triangle_rule(center, a, b, degree)
-        pts.append(rule.points)
-        wts.append(rule.weights)
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), degree)
+    vertices = np.asarray(vertices, dtype=float)
+    center = np.asarray(center, dtype=float)
+    nxt = np.roll(vertices, -1, axis=0)
+    cross = (vertices[:, 0] - center[0]) * (nxt[:, 1] - center[1]) - (
+        vertices[:, 1] - center[1]
+    ) * (nxt[:, 0] - center[0])
+    if np.any(cross <= 0.0):
+        raise ValueError("fan point is not interior: non-positive sub-triangle")
+    return _fan_rule(np.broadcast_to(center, vertices.shape), vertices, nxt, degree)

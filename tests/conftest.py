@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from platevem import local
 from platevem.mesh import PolygonMesh, derive_topology, validate_regularity
+from platevem.plate import DEFAULT_MATERIAL
 
 
 def random_star_polygon(rng: np.random.Generator, n_vertices: int) -> np.ndarray:
@@ -30,6 +32,22 @@ def random_star_polygon(rng: np.random.Generator, n_vertices: int) -> np.ndarray
 
 def single_cell_mesh(vertices: np.ndarray) -> PolygonMesh:
     return derive_topology(vertices, [list(range(len(vertices)))])
+
+
+def cell_kernels(mesh: PolygonMesh, order: int):
+    """Kernels of the only cell of a one-cell mesh."""
+    return local.build_local_kernels(mesh, order, DEFAULT_MATERIAL)[0]
+
+
+def cell_group_basis(mesh: PolygonMesh, order: int):
+    """Batched basis data of a one-cell mesh (a group of one cell)."""
+    (group,) = mesh.cell_groups()
+    return local.group_basis(group, order)
+
+
+def cell_dof_matrix(mesh: PolygonMesh, order: int) -> np.ndarray:
+    """Unknowns of the basis monomials of the only cell of a one-cell mesh."""
+    return local.dof_matrix(cell_group_basis(mesh, order))[0]
 
 
 def polygon_corpus(seed: int, count: int) -> list[PolygonMesh]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from platevem import convergence as cv
-from platevem import local, manufactured, morley
+from platevem import manufactured, morley
 from platevem.assembly import BoundarySpec, PlateSolver, global_dof_map
 from platevem.plate import DEFAULT_MATERIAL
 from platevem.polynomials import ScaledMonomialBasis
@@ -16,6 +16,8 @@ from platevem.quadrature import polygon_rule
 
 from conftest import (
     boundary_identity_expansion,
+    cell_dof_matrix,
+    cell_kernels,
     divergence_theorem_integrals,
     polygon_corpus,
 )
@@ -185,9 +187,8 @@ def test_criterion_6_property_suites():
     for order in ORDERS:
         corpus = polygon_corpus(seed=900 + order, count=100)
         for mesh in corpus:
-            frame = mesh.frame(0)
-            kern = local.build_cell_kernels(frame, order, DEFAULT_MATERIAL)
-            dm = local.dof_matrix(frame, order, kern.basis)
+            kern = cell_kernels(mesh, order)
+            dm = cell_dof_matrix(mesh, order)
             worst_pi = max(
                 worst_pi, np.abs(kern.pi @ dm - np.eye(kern.basis.dim)).max()
             )

@@ -158,6 +158,21 @@ def test_unconstrained_system_rejected(mesh_cache):
         solve_spd(system)
 
 
+def test_singular_free_block_rejected_on_every_solve(mesh_cache, monkeypatch):
+    # with nothing constrained the free block keeps the 3-dim kernel; the
+    # factor cached by a failed first solve must not let a second one pass
+    monkeypatch.setattr(
+        assembly.GlobalDofMap,
+        "boundary_mask",
+        property(lambda self: np.zeros(self.n_total, dtype=bool)),
+    )
+    solver = PlateSolver(mesh_cache("crisscross", 0), 2, DEFAULT_MATERIAL)
+    f = manufactured.load(DEFAULT_MATERIAL)
+    for _ in range(2):
+        with pytest.raises(SolverError):
+            solver.solve(f, BoundarySpec.clamped())
+
+
 @pytest.mark.parametrize("family", ["crisscross", "octagonal"])
 @pytest.mark.parametrize("order", [2, 3])
 def test_patch_solution_matches_interpolant(family, order, mesh_cache):

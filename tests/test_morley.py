@@ -3,7 +3,7 @@ import pytest
 
 from platevem import manufactured, morley
 from platevem.assembly import BoundarySpec, PlateSolver
-from platevem.local import build_cell_kernels
+from platevem.local import build_local_kernels
 from platevem.plate import DEFAULT_MATERIAL
 from platevem.quadrature import polygon_rule
 
@@ -62,9 +62,7 @@ def test_morley_equals_order2_kernels(mesh_cache):
     mesh = mesh_cache("crisscross", 0)
     worst = 0.0
     worst_stab = 0.0
-    for c in range(mesh.n_cells):
-        frame = mesh.frame(c)
-        kern = build_cell_kernels(frame, 2, DEFAULT_MATERIAL)
+    for c, kern in enumerate(build_local_kernels(mesh, 2, DEFAULT_MATERIAL)):
         oracle = morley.morley_local_stiffness(
             mesh.vertices[mesh.cells[c]], DEFAULT_MATERIAL, mesh.cells[c]
         )

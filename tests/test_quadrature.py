@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from platevem.polynomials import ScaledMonomialBasis, exponents
-from platevem.quadrature import edge_rule, polygon_rule, triangle_rule
+from platevem.quadrature import edge_rule, gauss_legendre, polygon_rule, triangle_rule
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -69,3 +69,30 @@ def test_polygon_rule_exactness_on_corpus(degree, small_corpus):
         expected = divergence_theorem_integrals(frame, basis)
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() <= 1e-13 * max(scale, 1.0)
+
+
+def fan_rule_loop(vertices, center, degree):
+    """Fan rule built one sub-triangle at a time from a tensor Gauss grid."""
+    xu, wu = gauss_legendre(max(1, (degree + 3) // 2))
+    xv, wv = gauss_legendre(max(1, (degree + 2) // 2))
+    uu, vv = np.meshgrid(0.5 * (xu + 1.0), 0.5 * (xv + 1.0), indexing="ij")
+    ww = (np.outer(0.5 * wu, 0.5 * wv) * uu).ravel()
+    xi, eta = (uu * (1.0 - vv)).ravel(), (uu * vv).ravel()
+    pts, wts = [], []
+    m = len(vertices)
+    for i in range(m):
+        a, b, c = center, vertices[i], vertices[(i + 1) % m]
+        area2 = abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+        pts.append(a[None, :] + xi[:, None] * (b - a)[None, :] + eta[:, None] * (c - a)[None, :])
+        wts.append(ww * area2)
+    return np.vstack(pts), np.concatenate(wts)
+
+
+@pytest.mark.parametrize("degree", [0, 4, 9])
+def test_polygon_rule_matches_triangle_loop(degree, small_corpus):
+    for mesh in small_corpus[:8]:
+        frame = mesh.frame(0)
+        rule = polygon_rule(frame.vertices, frame.star, degree)
+        points, weights = fan_rule_loop(frame.vertices, frame.star, degree)
+        assert np.array_equal(rule.points, points)
+        assert np.array_equal(rule.weights, weights)
