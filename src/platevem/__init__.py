@@ -18,7 +18,7 @@ from .generators import (
     build_randomized_quadrilateral,
     build_remapped_hexagonal,
 )
-from .assembly import BoundarySpec, PlateSolver, SolverError, assemble_system, solve_spd
+from .assembly import BoundarySpec, PlateSolver, SolverError
 from .convergence import convergence_study, error_2h
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "BoundarySpec",
     "PlateSolver",
     "SolverError",
-    "assemble_system",
-    "solve_spd",
     "convergence_study",
     "error_2h",
 ]

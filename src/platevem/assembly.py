@@ -1,4 +1,4 @@
-"""Global numbering, boundary conditions, sparse assembly, and direct solve."""
+"""Global numbering, boundary conditions, sparse assembly, and the SPD solve."""
 
 from __future__ import annotations
 
@@ -206,117 +206,107 @@ def boundary_values(
     return values
 
 
-@dataclass
-class SparseSystem:
-    """Reduced symmetric system after eliminating the constrained unknowns."""
-
-    matrix: sp.csr_matrix  # free x free block
-    rhs: np.ndarray
-    free: np.ndarray  # indices of free unknowns
-    constrained: np.ndarray
-    constrained_values: np.ndarray
-    dofmap: GlobalDofMap
-
-
-def reduce_system(
-    full: sp.csr_matrix,
-    load: np.ndarray,
-    dofmap: GlobalDofMap,
-    values: np.ndarray,
-) -> SparseSystem:
-    """Eliminate constrained unknowns, moving their columns to the load."""
-    mask = dofmap.boundary_mask
-    free = np.flatnonzero(~mask)
-    constrained = np.flatnonzero(mask)
-    a_ff = full[free][:, free].tocsr()
-    rhs = load[free]
-    vals = values[constrained]
-    if np.any(vals):
-        rhs = rhs - full[free][:, constrained] @ vals
-    return SparseSystem(a_ff, rhs, free, constrained, vals, dofmap)
-
-
-def assemble_system(
-    mesh: PolygonMesh,
-    order: int,
-    material: MaterialParams,
-    f,
-    bc: BoundarySpec,
-    quad_degree: int | None = None,
-) -> SparseSystem:
-    """Build the reduced sparse system of the discrete plate problem."""
-    kernels = build_local_kernels(mesh, order, material)
-    dofmap = global_dof_map(mesh, order)
-    full = assemble_stiffness(mesh, kernels, dofmap)
-    load = assemble_load(mesh, kernels, dofmap, f, quad_degree)
-    values = boundary_values(mesh, dofmap, bc, quad_degree)
-    return reduce_system(full, load, dofmap, values)
+BACKWARD_ERROR_TOL = 1e-10
 
 
 def _check_pivots(lu) -> None:
-    """Reject numerically singular factorizations (e.g. unconstrained kernels)."""
-    diag = np.abs(lu.U.diagonal())
-    if diag.min() <= 1e-12 * max(diag.max(), 1e-300):
+    """Prove the factored matrix symmetric positive definite, or raise.
+
+    With diagonal pivoting an SPD matrix factors without row interchanges
+    (``perm_r == perm_c``) and with every pivot, the diagonal of ``U``,
+    positive. A pivot below 1e-12 of the largest flags a numerically
+    singular matrix (e.g. an unconstrained kernel).
+    """
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(
+            "factorization needed row interchanges: matrix is not symmetric "
+            "positive definite"
+        )
+    pivots = lu.U.diagonal()
+    magnitude = np.abs(pivots)
+    if magnitude.min() <= 1e-12 * max(magnitude.max(), 1e-300):
         raise SolverError(
             "factorization found a numerically zero pivot: matrix is singular "
             "or not symmetric positive definite"
         )
-
-
-def _refined_solve(a: sp.csc_matrix, lu, rhs: np.ndarray, tol: float) -> np.ndarray:
-    """LU solve with iterative refinement down to the residual tolerance.
-
-    Convergence is measured by the normwise backward error
-    ``|r| / (|A| |x| + |b|)``, the tightest residual notion a fixed-precision
-    factorization can meet once the fourth-order operator drives the
-    condition number past 1/tol.
-    """
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("solver produced non-finite values (singular matrix?)")
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    a_norm = spla.norm(a, 1)
-
-    def backward_error(vec):
-        res = float(np.linalg.norm(rhs - a @ vec))
-        return res / (a_norm * float(np.linalg.norm(vec)) + rhs_norm)
-
-    for _ in range(3):
-        if backward_error(x) <= tol:
-            return x
-        x = x + lu.solve(rhs - a @ x)
-    err = backward_error(x)
-    if err > tol:
+    negative = int(np.count_nonzero(pivots < 0.0))
+    if negative:
         raise SolverError(
-            f"backward error {err:.3e} exceeds {tol:.1e}: "
-            "matrix is not symmetric positive definite"
+            f"factorization found {negative} negative pivots: matrix is not "
+            "symmetric positive definite"
         )
-    return x
 
 
-def solve_spd(system: SparseSystem, residual_tol: float = 1e-10) -> np.ndarray:
-    """Direct sparse solve of the reduced system; returns the full vector.
+@dataclass(frozen=True)
+class SpdFactor:
+    """Sparse factor of a symmetric positive definite matrix.
+
+    Keeps the matrix and its 1-norm next to the factor: every solve refines
+    against them.
+    """
+
+    matrix: sp.csc_matrix
+    lu: object  # scipy.sparse.linalg.SuperLU
+    norm_1: float
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """Solve with iterative refinement down to ``BACKWARD_ERROR_TOL``.
+
+        Convergence is measured by the normwise backward error
+        ``|r| / (|A| |x| + |b|)``, the tightest residual notion a
+        fixed-precision factorization can meet once the fourth-order operator
+        drives the condition number past the inverse tolerance. Returns the
+        solution and the number of refinement steps taken.
+        """
+        a, lu = self.matrix, self.lu
+        x = lu.solve(rhs)
+        if not np.all(np.isfinite(x)):
+            raise SolverError("solver produced non-finite values (singular matrix?)")
+        rhs_norm = float(np.linalg.norm(rhs))
+        if rhs_norm == 0.0:
+            return np.zeros_like(rhs), 0
+
+        def backward_error(vec):
+            res = float(np.linalg.norm(rhs - a @ vec))
+            return res / (self.norm_1 * float(np.linalg.norm(vec)) + rhs_norm)
+
+        for step in range(3):
+            if backward_error(x) <= BACKWARD_ERROR_TOL:
+                return x, step
+            x = x + lu.solve(rhs - a @ x)
+        err = backward_error(x)
+        if err > BACKWARD_ERROR_TOL:
+            raise SolverError(
+                f"backward error {err:.3e} exceeds {BACKWARD_ERROR_TOL:.1e}: "
+                "matrix is not symmetric positive definite"
+            )
+        return x, 3
+
+
+def factor_spd(matrix: sp.spmatrix) -> SpdFactor:
+    """Factor a symmetric positive definite matrix; the one factorization site.
+
+    Multiple minimum degree on ``A + A^T`` with diagonal pivots: the ordering
+    sees the symmetric pattern, and an SPD matrix needs no row interchanges.
 
     Raises
     ------
     SolverError
-        When factorization breaks down or the relative residual exceeds
-        ``residual_tol`` (symptoms of an indefinite or singular matrix, e.g.
-        a system assembled without boundary elimination).
+        When the factorization breaks down or its pivots show the matrix is
+        singular or not symmetric positive definite.
     """
-    a = system.matrix.tocsc()
+    a = matrix.tocsc()
     try:
-        lu = spla.splu(a)
+        lu = spla.splu(
+            a,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     _check_pivots(lu)
-    x = _refined_solve(a, lu, system.rhs, residual_tol)
-    full = np.zeros(system.dofmap.n_total)
-    full[system.free] = x
-    full[system.constrained] = system.constrained_values
-    return full
+    return SpdFactor(a, lu, float(spla.norm(a, 1)))
 
 
 class PlateSolver:
@@ -324,7 +314,9 @@ class PlateSolver:
 
     Builds the per-cell kernels, the global numbering, and the stiffness
     matrix once; each :meth:`solve` call assembles a load, applies boundary
-    data, and reuses the cached factorization of the free block.
+    data, and solves with the factor of the free block, made by
+    :func:`factor_spd` on the first solve and kept in :attr:`factor`.
+    :attr:`refine_steps` holds the refinement steps of the last solve.
     """
 
     def __init__(self, mesh: PolygonMesh, order: int, material: MaterialParams):
@@ -337,13 +329,20 @@ class PlateSolver:
         mask = self.dofmap.boundary_mask
         self.free = np.flatnonzero(~mask)
         self.constrained = np.flatnonzero(mask)
-        self._a_ff = self.matrix[self.free][:, self.free].tocsc()
-        self._a_fc = self.matrix[self.free][:, self.constrained].tocsr()
-        self._lu = None
+        rows = self.matrix[self.free]
+        self._a_ff = rows[:, self.free].tocsc()
+        self._a_fc = rows[:, self.constrained].tocsr()
+        self.factor: SpdFactor | None = None
+        self.refine_steps: int | None = None
 
     @property
     def n_dofs(self) -> int:
         return self.dofmap.n_total
+
+    @property
+    def nnz_factor(self) -> int | None:
+        """Stored entries of the factor of the free block, once factored."""
+        return None if self.factor is None else int(self.factor.lu.nnz)
 
     def solve(
         self, f, bc: BoundarySpec, quad_degree: int | None = None
@@ -355,14 +354,9 @@ class PlateSolver:
         vals = values[self.constrained]
         if np.any(vals):
             rhs = rhs - self._a_fc @ vals
-        if self._lu is None:
-            try:
-                lu = spla.splu(self._a_ff)
-            except RuntimeError as exc:
-                raise SolverError(f"sparse factorization failed: {exc}") from exc
-            _check_pivots(lu)
-            self._lu = lu
-        x = _refined_solve(self._a_ff, self._lu, rhs, 1e-10)
+        if self.factor is None:
+            self.factor = factor_spd(self._a_ff)
+        x, self.refine_steps = self.factor.solve(rhs)
         full = np.zeros(self.dofmap.n_total)
         full[self.free] = x
         full[self.constrained] = vals

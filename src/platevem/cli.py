@@ -208,6 +208,8 @@ def _cmd_solve(args) -> int:
                 "n_dofs": solver.n_dofs,
                 "h": mesh.h,
                 "error_2h": err,
+                "nnz_factor": solver.nnz_factor,
+                "refine_steps": solver.refine_steps,
                 "dofs": solution.tolist(),
             },
             fh,

@@ -11,12 +11,17 @@ and quadratics.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import GlobalDofMap, SolverError, global_dof_map
+from .assembly import (
+    BoundarySpec,
+    GlobalDofMap,
+    boundary_values,
+    factor_spd,
+    global_dof_map,
+)
 from .mesh import PolygonMesh
 from .plate import MaterialParams
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 class MorleyError(Exception):
@@ -252,20 +257,11 @@ def morley_solve(
     constrained = np.flatnonzero(mask)
     values = np.zeros(dofmap.n_total)
     if not clamped:
-        from .assembly import BoundarySpec, boundary_values
-
         values = boundary_values(
             mesh, dofmap, BoundarySpec.dirichlet(boundary_value, boundary_gradient)
         )
     rhs = load[free] - full[free][:, constrained] @ values[constrained]
-    a_ff = full[free][:, free].tocsc()
-    try:
-        lu = spla.splu(a_ff)
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    from .assembly import _refined_solve
-
-    x = _refined_solve(a_ff, lu, rhs, 1e-10)
+    x, _ = factor_spd(full[free][:, free]).solve(rhs)
     solution = np.zeros(dofmap.n_total)
     solution[free] = x
     solution[constrained] = values[constrained]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from platevem import assembly, manufactured
 from platevem.assembly import (
@@ -9,11 +10,10 @@ from platevem.assembly import (
     PlateSolver,
     SolverError,
     assemble_stiffness,
-    assemble_system,
     boundary_values,
     dump_matrix,
+    factor_spd,
     global_dof_map,
-    solve_spd,
 )
 from platevem.local import build_local_kernels, compute_dofs
 from platevem.mesh import derive_topology
@@ -78,10 +78,14 @@ def test_boundary_entity_counts(mesh_cache):
     assert free == 221 - 40 == 181
 
 
+def free_block(solver: PlateSolver) -> sp.csr_matrix:
+    """The reduced matrix the solver factors: the free x free block."""
+    return solver.matrix[solver.free][:, solver.free]
+
+
 def test_reduced_matrix_spd(mesh_cache):
-    mesh = mesh_cache("crisscross", 0)
-    system = assemble_system(mesh, 2, DEFAULT_MATERIAL, zero_f, BoundarySpec.clamped())
-    dense = system.matrix.toarray()
+    solver = PlateSolver(mesh_cache("crisscross", 0), 2, DEFAULT_MATERIAL)
+    dense = free_block(solver).toarray()
     assert np.abs(dense - dense.T).max() == 0.0
     w = np.linalg.eigvalsh(dense)
     assert w.min() > 0
@@ -121,20 +125,16 @@ def test_assembly_order_independent(mesh_cache):
 
 
 def test_zero_load_gives_zero_solution(mesh_cache):
-    mesh = mesh_cache("hexagonal", 0)
-    system = assemble_system(mesh, 2, DEFAULT_MATERIAL, zero_f, BoundarySpec.clamped())
-    solution = solve_spd(system)
+    solver = PlateSolver(mesh_cache("hexagonal", 0), 2, DEFAULT_MATERIAL)
+    solution = solver.solve(zero_f, BoundarySpec.clamped())
     assert np.abs(solution).max() == 0.0
 
 
 def test_solve_recovers_random_vector(mesh_cache):
-    mesh = mesh_cache("crisscross", 0)
-    system = assemble_system(mesh, 2, DEFAULT_MATERIAL, zero_f, BoundarySpec.clamped())
+    matrix = free_block(PlateSolver(mesh_cache("crisscross", 0), 2, DEFAULT_MATERIAL))
     rng = np.random.default_rng(4)
-    x0 = rng.uniform(-1, 1, system.matrix.shape[0])
-    system.rhs = system.matrix @ x0
-    solution = solve_spd(system)
-    got = solution[system.free]
+    x0 = rng.uniform(-1, 1, matrix.shape[0])
+    got, _ = factor_spd(matrix).solve(matrix @ x0)
     assert np.linalg.norm(got - x0) <= 1e-8 * np.linalg.norm(x0)
 
 
@@ -146,16 +146,26 @@ def test_unconstrained_system_rejected(mesh_cache):
     dofmap = global_dof_map(mesh, 2)
     full = assemble_stiffness(mesh, kernels, dofmap).tocsr()
     rng = np.random.default_rng(1)
-    system = assembly.SparseSystem(
-        matrix=full,
-        rhs=rng.uniform(-1, 1, dofmap.n_total),
-        free=np.arange(dofmap.n_total),
-        constrained=np.array([], dtype=int),
-        constrained_values=np.array([]),
-        dofmap=dofmap,
-    )
     with pytest.raises(SolverError):
-        solve_spd(system)
+        factor_spd(full).solve(rng.uniform(-1, 1, dofmap.n_total))
+
+
+def test_negated_free_block_rejected(mesh_cache):
+    # negative definite: diagonal pivoting factors it without interchanges,
+    # so only the signs of the pivots can tell it from an SPD matrix
+    solver = PlateSolver(mesh_cache("octagonal", 0), 3, DEFAULT_MATERIAL)
+    with pytest.raises(SolverError, match="negative pivots"):
+        factor_spd(-free_block(solver))
+
+
+def test_factor_is_symmetric_and_sparser(mesh_cache):
+    """The solver's factor keeps the symmetry and fills less than default splu."""
+    solver = PlateSolver(mesh_cache("octagonal", 0), 5, DEFAULT_MATERIAL)
+    solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
+    lu = solver.factor.lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert solver.nnz_factor == lu.nnz
+    assert solver.nnz_factor < spla.splu(free_block(solver).tocsc()).nnz
 
 
 def test_singular_free_block_rejected_on_every_solve(mesh_cache, monkeypatch):

@@ -87,6 +87,8 @@ def test_solve_command(tmp_path):
     assert data["n_dofs"] == 96
     assert len(data["dofs"]) == 96
     assert 0 < data["error_2h"] < 1.5
+    assert data["nnz_factor"] > 0
+    assert data["refine_steps"] in range(4)
 
 
 def test_study_command_rates(tmp_path):

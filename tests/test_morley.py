@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from platevem import manufactured, morley
-from platevem.assembly import BoundarySpec, PlateSolver
+from platevem import assembly, manufactured, morley
+from platevem.assembly import BoundarySpec, PlateSolver, SolverError
 from platevem.local import build_local_kernels
 from platevem.plate import DEFAULT_MATERIAL
 from platevem.quadrature import polygon_rule
@@ -77,6 +77,19 @@ def test_morley_rejects_polygons(mesh_cache):
         morley.morley_solve(
             mesh_cache("octagonal", 0), DEFAULT_MATERIAL, lambda x, y: x
         )
+
+
+def test_morley_singular_system_rejected(mesh_cache, monkeypatch):
+    # with nothing constrained the oracle's matrix keeps its 3-dim kernel;
+    # the solve must raise instead of returning a huge vector
+    monkeypatch.setattr(
+        assembly.GlobalDofMap,
+        "boundary_mask",
+        property(lambda self: np.zeros(self.n_total, dtype=bool)),
+    )
+    f = manufactured.load(DEFAULT_MATERIAL)
+    with pytest.raises(SolverError):
+        morley.morley_solve(mesh_cache("crisscross", 0), DEFAULT_MATERIAL, f)
 
 
 def test_quadratic_patch():
