@@ -102,17 +102,16 @@ def relative_or_absolute_error(
     exact: ProjectedField,
     discrete: ProjectedField,
 ) -> float:
-    """Relative projected error, absolute when the reference is linear.
+    """:func:`error_2h`, or the absolute error when the reference is linear.
 
     Falls back to the absolute broken seminorm of the difference whenever
     the reference seminorm sits at rounding-noise level, which keeps
     consistency sweeps meaningful for linear solutions.
     """
-    denom = seminorm_2h(kernels, exact.coefficients)
-    num = seminorm_2h(kernels, exact.coefficients - discrete.coefficients)
-    if denom <= 1e-9 * _seminorm_scale(kernels, exact.coefficients):
-        return num
-    return num / denom
+    try:
+        return error_2h(kernels, exact, discrete)
+    except ZeroSeminormError:
+        return seminorm_2h(kernels, exact.coefficients - discrete.coefficients)
 
 
 @dataclass

@@ -36,6 +36,17 @@ def _gid(i: int, j: int, r: int) -> int:
     return j * (r + 1) + i
 
 
+def _grid_nodes(r: int, first: int, last: int) -> np.ndarray:
+    """Row-major ids of the grid nodes (i, j) with first <= i, j < last."""
+    ids = np.arange(first, last)
+    return (ids[:, None] * (r + 1) + ids[None, :]).ravel()
+
+
+def _grid_quads(r: int) -> np.ndarray:
+    """Vertex ids of the r x r grid squares, row-major, counterclockwise."""
+    return _grid_nodes(r, 0, r)[:, None] + np.array([0, 1, r + 2, r + 1])
+
+
 def criss_cross_mesh(r: int) -> PolygonMesh:
     """r x r squares, each split into four triangles through its center."""
     if r < 1:
@@ -45,18 +56,11 @@ def criss_cross_mesh(r: int) -> PolygonMesh:
         [[(i + 0.5) / r, (j + 0.5) / r] for j in range(r) for i in range(r)]
     )
     vertices = np.vstack([grid, centers])
-    n_grid = (r + 1) ** 2
-    cells = []
-    for j in range(r):
-        for i in range(r):
-            c = n_grid + j * r + i
-            v00 = _gid(i, j, r)
-            v10 = _gid(i + 1, j, r)
-            v11 = _gid(i + 1, j + 1, r)
-            v01 = _gid(i, j + 1, r)
-            cells.extend(
-                [[v00, v10, c], [v10, v11, c], [v11, v01, c], [v01, v00, c]]
-            )
+    quads = _grid_quads(r)
+    center_ids = np.repeat(len(grid) + np.arange(r * r), 4)
+    cells = np.column_stack(
+        [quads.ravel(), np.roll(quads, -1, axis=1).ravel(), center_ids]
+    )
     return derive_topology(vertices, cells)
 
 
@@ -74,29 +78,20 @@ def randomized_quadrilateral_mesh(
     if r < 1:
         raise MeshError("resolution must be at least 1")
     base = _grid_vertices(r)
-    interior = [
-        _gid(i, j, r) for j in range(1, r) for i in range(1, r)
-    ]
+    interior = _grid_nodes(r, 1, r)
     rng = np.random.default_rng(seed)
     spacing = 1.0 / r
     half = 0.5 * box_ratio * spacing
-    cells = [
-        [_gid(i, j, r), _gid(i + 1, j, r), _gid(i + 1, j + 1, r), _gid(i, j + 1, r)]
-        for j in range(r)
-        for i in range(r)
-    ]
+    cells = _grid_quads(r)
     for _ in range(_MAX_RANDOM_RETRIES):
         vertices = base.copy()
-        if interior:
+        if len(interior):
             offsets = rng.uniform(-half, half, size=(len(interior), 2))
             vertices[interior] += offsets
-        ok = True
-        for ids in cells:
-            quad = vertices[ids]
-            if geometry.signed_area(quad) <= 0.0 or not geometry.is_simple_quad(quad):
-                ok = False
-                break
-        if ok:
+        quads = vertices[cells]
+        if np.all(geometry.signed_area(quads) > 0.0) and np.all(
+            geometry.is_simple_quad(quads)
+        ):
             return derive_topology(vertices, cells)
     raise MeshError(
         f"could not draw a valid randomized mesh after {_MAX_RANDOM_RETRIES} tries"

@@ -1,52 +1,62 @@
-"""Planar polygon primitives: areas, centroids, diameters, kernels, star points."""
+"""Planar polygon primitives: areas, centroids, diameters, kernels, star points.
+
+The closed-form primitives take one polygon as an (m, 2) array or a stack
+of polygons with one vertex count as (..., m, 2), and return one value per
+polygon.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+# A star point must clear the kernel boundary by this fraction of the diameter.
+STAR_CLEARANCE = 1e-12
 
-def signed_area(vertices: np.ndarray) -> float:
+
+def signed_area(vertices: np.ndarray):
     """Shoelace signed area of a polygon (positive for counterclockwise)."""
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    x = vertices[..., 0]
+    y = vertices[..., 1]
+    cross = x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y
+    return 0.5 * np.sum(cross, axis=-1)
 
 
 def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
-    """Area centroid of a simple polygon with nonzero area."""
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
+    """Area centroid of a simple polygon with nonzero area, shape (..., 2)."""
+    x = vertices[..., 0]
+    y = vertices[..., 1]
+    xn = np.roll(x, -1, axis=-1)
+    yn = np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
-    if area == 0.0:
+    area = 0.5 * np.sum(cross, axis=-1)
+    if np.any(area == 0.0):
         raise ValueError("degenerate polygon: zero area")
-    cx = np.sum((x + xn) * cross) / (6.0 * area)
-    cy = np.sum((y + yn) * cross) / (6.0 * area)
-    return np.array([cx, cy])
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
+    return np.stack([cx, cy], axis=-1)
 
 
-def polygon_diameter(vertices: np.ndarray) -> float:
+def polygon_diameter(vertices: np.ndarray):
     """Largest distance between two vertices (equals the diameter for polygons)."""
-    diff = vertices[:, None, :] - vertices[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
+    diff = vertices[..., :, None, :] - vertices[..., None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
 
 
-def kernel_clearance(vertices: np.ndarray, point: np.ndarray) -> float:
+def kernel_clearance(vertices: np.ndarray, point: np.ndarray):
     """Signed distance from ``point`` to the polygon kernel boundary.
 
     Positive iff the whole polygon is visible from ``point`` (the point lies
     in the kernel), with the value giving the distance to the nearest edge
-    line among those that constrain visibility.
+    line among those that constrain visibility. ``point`` has shape (..., 2),
+    one point per polygon.
     """
     a = vertices
-    b = np.roll(vertices, -1, axis=0)
+    b = np.roll(vertices, -1, axis=-2)
     t = b - a
-    lengths = np.sqrt((t**2).sum(axis=1))
-    rel = point[None, :] - a
-    cross = t[:, 0] * rel[:, 1] - t[:, 1] * rel[:, 0]
-    return float(np.min(cross / lengths))
+    lengths = np.sqrt((t**2).sum(axis=-1))
+    rel = point[..., None, :] - a
+    cross = t[..., 0] * rel[..., 1] - t[..., 1] * rel[..., 0]
+    return np.min(cross / lengths, axis=-1)
 
 
 def clip_half_plane(poly: np.ndarray, anchor: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -132,7 +142,7 @@ def star_point(vertices: np.ndarray) -> np.ndarray:
     deepest kernel point (Chebyshev center of the kernel) is returned.
     """
     c = polygon_centroid(vertices)
-    tol = 1e-12 * polygon_diameter(vertices)
+    tol = STAR_CLEARANCE * polygon_diameter(vertices)
     if kernel_clearance(vertices, c) > tol:
         return c
     center, radius = kernel_chebyshev(vertices)
@@ -161,23 +171,28 @@ def min_fan_angle(vertices: np.ndarray, center: np.ndarray) -> float:
     )
 
 
-def segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    """True when the open segments (p1, p2) and (q1, q2) cross."""
+def segments_properly_intersect(p1, p2, q1, q2):
+    """True when the open segments (p1, p2) and (q1, q2) cross.
+
+    Endpoints have shape (..., 2); the answer has one entry per segment pair.
+    """
 
     def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        u = b - a
+        w = c - a
+        return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
 
     d1 = orient(q1, q2, p1)
     d2 = orient(q1, q2, p2)
     d3 = orient(p1, p2, q1)
     d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+    return ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
 
 
-def is_simple_quad(vertices: np.ndarray) -> bool:
+def is_simple_quad(vertices: np.ndarray):
     """True when the closed quadrilateral has no crossing opposite edges."""
-    v = vertices
-    return not (
+    v = [vertices[..., k, :] for k in range(4)]
+    return ~(
         segments_properly_intersect(v[0], v[1], v[2], v[3])
-        or segments_properly_intersect(v[1], v[2], v[3], v[0])
+        | segments_properly_intersect(v[1], v[2], v[3], v[0])
     )

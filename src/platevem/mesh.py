@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -73,17 +74,21 @@ class CellFrame:
 class CellRows(Sequence):
     """Integer rows of varying length, one per cell, stored in one flat array.
 
-    ``rows[c]`` is row c as a view. One flat array in place of a list of
-    small arrays keeps a mesh's per-cell tables compact.
+    Row c is ``flat[offsets[c]:offsets[c + 1]]``; ``rows[c]`` returns it as a
+    view. One flat array in place of a list of small arrays keeps a mesh's
+    per-cell tables compact, and the tables of one mesh share ``offsets``.
     """
 
-    def __init__(self, rows):
-        self.lengths = np.array([len(r) for r in rows], dtype=int)
-        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
-        self.flat = np.concatenate([np.asarray(r, dtype=int) for r in rows])
+    def __init__(self, flat: np.ndarray, offsets: np.ndarray):
+        self.flat = flat
+        self.offsets = offsets
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return len(self.offsets) - 1
 
     def __getitem__(self, c: int) -> np.ndarray:
         c = range(len(self))[c]
@@ -94,7 +99,7 @@ class CellRows(Sequence):
 
     def stack(self, cells: np.ndarray) -> np.ndarray:
         """The rows of ``cells``, all of one length m, as a (len(cells), m) array."""
-        m = self.lengths[cells[0]]
+        m = self.offsets[cells[0] + 1] - self.offsets[cells[0]]
         return self.flat[self.offsets[cells][:, None] + np.arange(m)]
 
 
@@ -230,12 +235,15 @@ class PolygonMesh:
         counts = self.cells.lengths
         return [self.cell_group(np.flatnonzero(counts == m)) for m in np.unique(counts)]
 
-    def frames(self):
-        return [self.frame(i) for i in range(self.n_cells)]
-
 
 def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
     """Build the full mesh data structure from vertices and cell vertex lists.
+
+    Edges are numbered in order of first traversal (cell by cell, local edge
+    by local edge); ``edge_cells`` lists the traversing cells in the same
+    order. Geometry is computed once per vertex-count stack; the linear
+    program of :func:`geometry.star_point` runs only for cells whose
+    centroid is not a star point.
 
     Parameters
     ----------
@@ -248,7 +256,8 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
     MeshError
         On invalid indices, repeated vertices in a cell, non-positive cell
         area, non-manifold edges (more than two incident cells),
-        inconsistently oriented neighbors, or a violated Euler identity.
+        inconsistently oriented neighbors, a violated Euler identity, or a
+        cell with an empty kernel. Each check reports the first offender.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -256,103 +265,136 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
     if not np.all(np.isfinite(vertices)):
         raise MeshError("vertex coordinates must be finite")
     n_vert = len(vertices)
-    cell_arrays = []
-    for c, cell in enumerate(cells):
-        ids = np.asarray(cell, dtype=int)
-        if len(ids) < 3:
-            raise MeshError(f"cell {c} has fewer than 3 vertices")
-        if len(set(ids.tolist())) != len(ids):
-            raise MeshError(f"cell {c} repeats a vertex")
-        if ids.min() < 0 or ids.max() >= n_vert:
-            raise MeshError(f"cell {c} references a vertex out of range")
-        cell_arrays.append(ids)
-    if not cell_arrays:
+    lengths = np.fromiter(map(len, cells), dtype=int)
+    n_cells = len(lengths)
+    if not n_cells:
         raise MeshError("mesh has no cells")
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    flat = np.fromiter(chain.from_iterable(cells), dtype=int, count=offsets[-1])
+    cell_of = np.repeat(np.arange(n_cells), lengths)
+    _check_cell_lists(flat, cell_of, lengths, n_vert)
 
-    edge_index: dict[tuple[int, int], int] = {}
-    edge_list: list[tuple[int, int]] = []
-    edge_cells: list[list[int]] = []
-    edge_dirs: list[list[int]] = []
-    cell_edges = []
-    cell_edge_signs = []
-    for c, ids in enumerate(cell_arrays):
-        m = len(ids)
-        eids = np.empty(m, dtype=int)
-        signs = np.empty(m, dtype=int)
-        for k in range(m):
-            a = int(ids[k])
-            b = int(ids[(k + 1) % m])
-            key = (a, b) if a < b else (b, a)
-            sign = 1 if a < b else -1
-            eid = edge_index.get(key)
-            if eid is None:
-                eid = len(edge_list)
-                edge_index[key] = eid
-                edge_list.append(key)
-                edge_cells.append([])
-                edge_dirs.append([])
-            if len(edge_cells[eid]) >= 2:
-                raise MeshError(f"edge {key} is non-manifold (3+ incident cells)")
-            edge_cells[eid].append(c)
-            edge_dirs[eid].append(sign)
-            eids[k] = eid
-            signs[k] = sign
-        cell_edges.append(eids)
-        cell_edge_signs.append(signs)
+    # Half-edge h runs from flat[h] to flat[nxt[h]], the next vertex of its cell.
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    lo = np.minimum(flat, flat[nxt])
+    hi = np.maximum(flat, flat[nxt])
+    signs = np.where(flat < flat[nxt], 1, -1)
 
-    for eid, dirs in enumerate(edge_dirs):
-        if len(dirs) == 2 and dirs[0] == dirs[1]:
-            raise MeshError(
-                f"edge {edge_list[eid]} traversed twice in the same direction: "
-                "inconsistent cell orientation"
-            )
+    # Group half-edges by edge; the stable sort keeps traversal order inside
+    # a group, so its first entry is the edge's first traversal.
+    keys = lo * n_vert + hi
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    count = np.diff(np.append(start, len(keys)))
+    if count.max() > 2:
+        # the first traversal that is some edge's third
+        third = np.arange(len(keys)) - np.repeat(start, count) >= 2
+        h = order[third].min()
+        edge = (int(lo[h]), int(hi[h]))
+        raise MeshError(f"edge {edge} is non-manifold (3+ incident cells)")
+    by_first = np.argsort(order[start])
+    edge_id = np.empty(len(start), dtype=int)
+    edge_id[by_first] = np.arange(len(start))
+    cell_edge_flat = np.empty(len(flat), dtype=int)
+    cell_edge_flat[order] = np.repeat(edge_id, count)
 
-    n_edges = len(edge_list)
-    if n_vert - n_edges + len(cell_arrays) != 1:
+    start = start[by_first]
+    first = order[start]
+    twice = np.flatnonzero(count[by_first] == 2)
+    second = order[start[twice] + 1]
+    edge_vertices = np.column_stack([lo[first], hi[first]])
+    edge_cells = np.full((len(first), 2), -1, dtype=int)
+    edge_cells[:, 0] = cell_of[first]
+    edge_cells[twice, 1] = cell_of[second]
+    same = twice[signs[first[twice]] == signs[second]]
+    if len(same):
+        edge = tuple(int(v) for v in edge_vertices[same[0]])
+        raise MeshError(
+            f"edge {edge} traversed twice in the same direction: "
+            "inconsistent cell orientation"
+        )
+
+    n_edges = len(edge_vertices)
+    if n_vert - n_edges + n_cells != 1:
         raise MeshError(
             "Euler identity V - E + F = 1 violated: mesh is not a simply "
             "connected decomposition without holes"
         )
 
-    areas = np.empty(len(cell_arrays))
-    centroids = np.empty((len(cell_arrays), 2))
-    diameters = np.empty(len(cell_arrays))
-    stars = np.empty((len(cell_arrays), 2))
-    for c, ids in enumerate(cell_arrays):
-        verts = vertices[ids]
-        area = geometry.signed_area(verts)
-        if area <= 0.0:
-            raise MeshError(f"cell {c} has non-positive signed area {area}")
-        areas[c] = area
-        centroids[c] = geometry.polygon_centroid(verts)
-        diameters[c] = geometry.polygon_diameter(verts)
-        try:
-            stars[c] = geometry.star_point(verts)
-        except ValueError as exc:
-            raise MeshError(f"cell {c}: {exc}") from exc
-
-    edge_vertices = np.array(edge_list, dtype=int)
-    edge_cells_arr = np.full((n_edges, 2), -1, dtype=int)
-    for eid, owners in enumerate(edge_cells):
-        for k, c in enumerate(owners):
-            edge_cells_arr[eid, k] = c
+    cell_rows = CellRows(flat, offsets)
+    areas, centroids, diameters, stars = _cell_geometry(vertices, cell_rows)
     boundary_vertices = np.zeros(n_vert, dtype=bool)
-    boundary_edge_mask = edge_cells_arr[:, 1] < 0
-    boundary_vertices[edge_vertices[boundary_edge_mask].ravel()] = True
-
+    boundary_vertices[edge_vertices[edge_cells[:, 1] < 0].ravel()] = True
     return PolygonMesh(
         vertices=vertices,
-        cells=CellRows(cell_arrays),
+        cells=cell_rows,
         edge_vertices=edge_vertices,
-        edge_cells=edge_cells_arr,
-        cell_edges=CellRows(cell_edges),
-        cell_edge_signs=CellRows(cell_edge_signs),
+        edge_cells=edge_cells,
+        cell_edges=CellRows(cell_edge_flat, offsets),
+        cell_edge_signs=CellRows(signs, offsets),
         areas=areas,
         centroids=centroids,
         diameters=diameters,
         stars=stars,
         boundary_vertices=boundary_vertices,
     )
+
+
+def _check_cell_lists(flat, cell_of, lengths, n_vert) -> None:
+    """Raise for the first cell that is too short, repeats a vertex or names
+    one out of range; within a cell the checks run in that order."""
+    n_cells = len(lengths)
+    order = np.lexsort((flat, cell_of))
+    owner, ids = cell_of[order], flat[order]
+    repeated = owner[1:][(owner[1:] == owner[:-1]) & (ids[1:] == ids[:-1])]
+    out_of_range = cell_of[(flat < 0) | (flat >= n_vert)]
+    checks = (
+        (lengths < 3, "has fewer than 3 vertices"),
+        (np.bincount(repeated, minlength=n_cells) > 0, "repeats a vertex"),
+        (
+            np.bincount(out_of_range, minlength=n_cells) > 0,
+            "references a vertex out of range",
+        ),
+    )
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    if failing.any():
+        c = int(np.argmax(failing))
+        problem = next(text for mask, text in checks if mask[c])
+        raise MeshError(f"cell {c} {problem}")
+
+
+def _cell_geometry(vertices: np.ndarray, cells: CellRows):
+    """Areas, centroids, diameters and star points, one stack per vertex count.
+
+    Every area is checked before any centroid divides by it.
+    """
+    lengths = cells.lengths
+    groups = [np.flatnonzero(lengths == m) for m in np.unique(lengths)]
+    stacks = [(idx, vertices[cells.stack(idx)]) for idx in groups]
+    areas = np.empty(len(cells))
+    for idx, verts in stacks:
+        areas[idx] = geometry.signed_area(verts)
+    bad = np.flatnonzero(areas <= 0.0)
+    if len(bad):
+        c = bad[0]
+        raise MeshError(f"cell {c} has non-positive signed area {areas[c]}")
+    centroids = np.empty((len(cells), 2))
+    diameters = np.empty(len(cells))
+    off_centre = []
+    for idx, verts in stacks:
+        centroids[idx] = geometry.polygon_centroid(verts)
+        diameters[idx] = geometry.polygon_diameter(verts)
+        clearance = geometry.kernel_clearance(verts, centroids[idx])
+        off_centre.append(idx[clearance <= geometry.STAR_CLEARANCE * diameters[idx]])
+    stars = centroids.copy()
+    for c in np.sort(np.concatenate(off_centre)):
+        try:
+            stars[c] = geometry.star_point(vertices[cells[c]])
+        except ValueError as exc:
+            raise MeshError(f"cell {c}: {exc}") from exc
+    return areas, centroids, diameters, stars
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ def study_results():
     return get
 
 
-@pytest.mark.slow
 def test_criterion_1_dof_counts(family_meshes):
     """Global unknown counts equal every tabulated (family, n, order) entry."""
     failures = []
@@ -76,7 +75,6 @@ def test_criterion_1_dof_counts(family_meshes):
     assert not failures, failures[:10]
 
 
-@pytest.mark.slow
 def test_criterion_2_mesh_counts(family_meshes):
     """Cell, edge, and vertex counts match the tables for n = 0..8 exactly."""
     failures = []

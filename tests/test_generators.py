@@ -110,6 +110,12 @@ def test_randomized_zero_amplitude_uniform():
     assert mesh.h == pytest.approx(np.sqrt(2.0) / 5)
 
 
+def test_randomized_gives_up_after_retries():
+    # boxes three cells wide let neighbouring nodes cross on almost every draw
+    with pytest.raises(MeshError, match="could not draw a valid randomized mesh"):
+        gen.randomized_quadrilateral_mesh(5, seed=0, box_ratio=3.0)
+
+
 def test_randomized_h_bounds_over_seeds():
     """Brute-force scan: h stays within the geometric box bounds.
 

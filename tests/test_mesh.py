@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from platevem import geometry
+from platevem.generators import FAMILIES, build_family
 from platevem.mesh import (
     MeshError,
     MeshIOError,
@@ -11,6 +13,104 @@ from platevem.mesh import (
 )
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+TWO_SQUARES = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=float)
+# A pentagon, a long L whose centroid lies outside its kernel, and a triangle,
+# in that order: three vertex counts, one cell needing the star-point program.
+RAGGED_VERTICES = np.array(
+    [[0, 0], [4, 0], [4, 1], [1, 1], [1, 2], [0, 2], [4, 2], [2.5, 2], [5, 1]],
+    dtype=float,
+)
+RAGGED_CELLS = [[3, 2, 6, 7, 4], [0, 1, 2, 3, 4, 5], [1, 8, 2]]
+# A U whose two arms cannot see each other's tips: the kernel is empty.
+U_SHAPE = np.array(
+    [[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]], dtype=float
+)
+
+
+def reference_topology(vertices: np.ndarray, cells) -> dict:
+    """Cell-by-cell topology and geometry: the oracle of ``derive_topology``.
+
+    Edges are numbered as a dict of (lower, higher) vertex pairs fills up
+    while the cells are walked in order; each cell's geometry comes from the
+    one-polygon primitives.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    edge_index: dict[tuple[int, int], int] = {}
+    edge_cells: list[list[int]] = []
+    cell_edges, cell_edge_signs = [], []
+    for c, cell in enumerate(cells):
+        ids = np.asarray(cell, dtype=int)
+        m = len(ids)
+        eids = np.empty(m, dtype=int)
+        signs = np.empty(m, dtype=int)
+        for k in range(m):
+            a, b = int(ids[k]), int(ids[(k + 1) % m])
+            key = (a, b) if a < b else (b, a)
+            eid = edge_index.setdefault(key, len(edge_index))
+            if eid == len(edge_cells):
+                edge_cells.append([])
+            edge_cells[eid].append(c)
+            eids[k] = eid
+            signs[k] = 1 if a < b else -1
+        cell_edges.append(eids)
+        cell_edge_signs.append(signs)
+    polygons = [vertices[np.asarray(cell, dtype=int)] for cell in cells]
+    edge_vertices = np.array(list(edge_index), dtype=int)
+    edge_cells_arr = np.full((len(edge_cells), 2), -1, dtype=int)
+    for eid, owners in enumerate(edge_cells):
+        edge_cells_arr[eid, : len(owners)] = owners
+    boundary_vertices = np.zeros(len(vertices), dtype=bool)
+    boundary_vertices[edge_vertices[edge_cells_arr[:, 1] < 0].ravel()] = True
+    return {
+        "edge_vertices": edge_vertices,
+        "edge_cells": edge_cells_arr,
+        "cell_edges": np.concatenate(cell_edges),
+        "cell_edge_signs": np.concatenate(cell_edge_signs),
+        "areas": np.array([float(geometry.signed_area(p)) for p in polygons]),
+        "centroids": np.array([geometry.polygon_centroid(p) for p in polygons]),
+        "diameters": np.array([float(geometry.polygon_diameter(p)) for p in polygons]),
+        "stars": np.array([geometry.star_point(p) for p in polygons]),
+        "boundary_vertices": boundary_vertices,
+    }
+
+
+def assert_matches_reference(mesh) -> None:
+    expected = reference_topology(mesh.vertices, list(mesh.cells))
+    for name, want in expected.items():
+        got = getattr(mesh, name)
+        if name.startswith("cell_"):
+            assert np.array_equal(got.offsets, mesh.cells.offsets), name
+            got = got.flat
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+ORACLE_MESHES = [(f, n, 0) for f in FAMILIES if f != "randomquad" for n in (0, 1, 2)]
+ORACLE_MESHES += [("randomquad", n, seed) for n in (0, 1, 2) for seed in range(10)]
+
+
+@pytest.mark.parametrize("family,n,seed", ORACLE_MESHES)
+def test_topology_matches_cellwise_reference(family, n, seed):
+    assert_matches_reference(build_family(family, n, seed))
+
+
+def test_topology_matches_reference_on_star_corpus(small_corpus):
+    for mesh in small_corpus:
+        assert_matches_reference(mesh)
+
+
+def test_topology_matches_reference_on_ragged_mesh():
+    mesh = derive_topology(RAGGED_VERTICES, RAGGED_CELLS)
+    assert list(mesh.cells.lengths) == [5, 6, 3]
+    lshape = mesh.vertices[mesh.cells[1]]
+    assert geometry.kernel_clearance(lshape, mesh.centroids[1]) < 0
+    assert_matches_reference(mesh)
+    # the same cells shuffled, so each vertex-count stack is scattered
+    hexagonal = build_family("hexagonal", 1)
+    order = np.random.default_rng(7).permutation(hexagonal.n_cells)
+    assert_matches_reference(
+        derive_topology(hexagonal.vertices, [hexagonal.cells[c] for c in order])
+    )
 
 
 def test_single_square_topology():
@@ -24,10 +124,7 @@ def test_single_square_topology():
 
 
 def test_two_squares_shared_edge():
-    verts = np.array(
-        [[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=float
-    )
-    mesh = derive_topology(verts, [[0, 1, 4, 5], [1, 2, 3, 4]])
+    mesh = derive_topology(TWO_SQUARES, [[0, 1, 4, 5], [1, 2, 3, 4]])
     assert mesh.n_edges == 7
     assert int((~mesh.edge_is_boundary).sum()) == 1
     interior = np.flatnonzero(~mesh.edge_is_boundary)[0]
@@ -35,10 +132,7 @@ def test_two_squares_shared_edge():
 
 
 def test_interior_edge_opposite_traversal():
-    verts = np.array(
-        [[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=float
-    )
-    mesh = derive_topology(verts, [[0, 1, 4, 5], [1, 2, 3, 4]])
+    mesh = derive_topology(TWO_SQUARES, [[0, 1, 4, 5], [1, 2, 3, 4]])
     interior = np.flatnonzero(~mesh.edge_is_boundary)[0]
     c0, c1 = mesh.edge_cells[interior]
     signs = []
@@ -66,8 +160,41 @@ def test_rejects_bad_index():
 def test_rejects_nonmanifold_edge():
     verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, -1]], dtype=float)
     cells = [[0, 1, 2], [0, 2, 3], [0, 1, 2][::-1]]
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="non-manifold"):
         derive_topology(verts, cells)
+
+
+def test_rejects_short_cell():
+    with pytest.raises(MeshError, match="cell 1 has fewer than 3 vertices"):
+        derive_topology(SQUARE, [[0, 1, 2], [2, 3]])
+
+
+def test_rejects_neighbours_traversing_edge_in_same_direction():
+    with pytest.raises(MeshError, match=r"edge \(1, 4\) traversed twice in the same"):
+        derive_topology(TWO_SQUARES, [[0, 1, 4, 5], [4, 3, 2, 1]])
+
+
+def test_rejects_unused_vertex():
+    verts = np.vstack([SQUARE, [[2.0, 2.0]]])
+    with pytest.raises(MeshError, match="Euler identity"):
+        derive_topology(verts, [[0, 1, 2, 3]])
+
+
+def test_rejects_non_finite_coordinates():
+    verts = SQUARE.copy()
+    verts[2, 1] = np.nan
+    with pytest.raises(MeshError, match="finite"):
+        derive_topology(verts, [[0, 1, 2, 3]])
+
+
+def test_rejects_vertices_not_n_by_2():
+    with pytest.raises(MeshError, match=r"\(n, 2\) array"):
+        derive_topology(np.zeros((4, 3)), [[0, 1, 2, 3]])
+
+
+def test_rejects_cell_with_empty_kernel():
+    with pytest.raises(MeshError, match="cell 0: polygon has an empty kernel"):
+        derive_topology(U_SHAPE, [list(range(8))])
 
 
 def test_frame_outward_normals_point_outward():
@@ -89,10 +216,7 @@ def test_edge_view():
 
 
 def test_regularity_uniform_square():
-    verts = np.array(
-        [[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=float
-    )
-    mesh = derive_topology(verts, [[0, 1, 4, 5], [1, 2, 3, 4]])
+    mesh = derive_topology(TWO_SQUARES, [[0, 1, 4, 5], [1, 2, 3, 4]])
     report = validate_regularity(mesh)
     assert report.min_edge_to_diameter_ratio == pytest.approx(1.0 / np.sqrt(2.0))
     assert report.passes(0.3)
