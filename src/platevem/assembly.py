@@ -8,11 +8,17 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .local import LocalKernels, build_local_kernels, compute_dofs, dof_layout, local_load
+from .local import (
+    LocalKernels,
+    build_local_kernels,
+    dof_layout,
+    edge_moments,
+    interior_moments,
+    local_load,
+)
 from .mesh import PolygonMesh
 from .plate import MaterialParams
 from .polynomials import space_dim
-from .quadrature import edge_rule
 
 
 class AssemblyError(Exception):
@@ -64,19 +70,24 @@ class GlobalDofMap:
 
         Returns a (len(cells), n_local) array, each row in local layout order.
         """
-        mesh = self.mesh
         cells = np.asarray(cells, dtype=int)
-        ids = mesh.cells.stack(cells)
-        eids = mesh.cell_edges.stack(cells)[..., None]
-        _, o_en, o_ev, o_cell = self.offsets
-        parts = [ids]
-        if self._n_en:
-            parts.append(o_en + eids * self._n_en + np.arange(self._n_en))
-        if self._n_ev:
-            parts.append(o_ev + eids * self._n_ev + np.arange(self._n_ev))
-        if self._n_cell:
-            parts.append(o_cell + cells[:, None] * self._n_cell + np.arange(self._n_cell))
+        normal, value = self.edge_dofs(self.mesh.cell_edges.stack(cells))
+        interior = self.offsets[3] + cells[:, None] * self._n_cell + np.arange(self._n_cell)
+        parts = [self.mesh.cells.stack(cells), normal, value, interior]
         return np.concatenate([p.reshape(len(cells), -1) for p in parts], axis=1)
+
+    def edge_dofs(self, edges) -> tuple[np.ndarray, np.ndarray]:
+        """Global indices of the normal and the trace moments of edges.
+
+        Returns two arrays of shape ``edges.shape + (n,)``, n the number of
+        moments of each kind per edge (none of the trace kind at order 2).
+        """
+        edges = np.asarray(edges, dtype=int)[..., None]
+        _, o_en, o_ev, _ = self.offsets
+        return (
+            o_en + edges * self._n_en + np.arange(self._n_en),
+            o_ev + edges * self._n_ev + np.arange(self._n_ev),
+        )
 
     @property
     def boundary_mask(self) -> np.ndarray:
@@ -88,12 +99,8 @@ class GlobalDofMap:
         mesh = self.mesh
         mask = np.zeros(self.n_total, dtype=bool)
         mask[: mesh.n_vertices] = mesh.boundary_vertices
-        _, o_en, o_ev, _ = self.offsets
-        bnd_edges = np.flatnonzero(mesh.edge_is_boundary)
-        for e in bnd_edges:
-            mask[o_en + e * self._n_en : o_en + (e + 1) * self._n_en] = True
-            if self._n_ev:
-                mask[o_ev + e * self._n_ev : o_ev + (e + 1) * self._n_ev] = True
+        for block in self.edge_dofs(np.flatnonzero(mesh.edge_is_boundary)):
+            mask[block] = True
         return mask
 
     def closed_form_count(self) -> int:
@@ -162,47 +169,47 @@ def assemble_load(
     kernels: list[LocalKernels],
     dofmap: GlobalDofMap,
     f,
-    quad_degree: int | None = None,
 ) -> np.ndarray:
     """Scatter the local load pairings of the source density f."""
     b = np.zeros(dofmap.n_total)
     for c, kern in enumerate(kernels):
-        np.add.at(b, dofmap.cell_dofs(c), local_load(kern, f, quad_degree))
+        np.add.at(b, dofmap.cell_dofs(c), local_load(kern, f))
     return b
+
+
+def interpolate(dofmap: GlobalDofMap, w, grad_w) -> np.ndarray:
+    """Global unknown vector of a smooth function given value and gradient.
+
+    Every unknown is computed once: vertex values, the edge moments of all
+    edges in one pass, and, from order 4, the interior moments cell by cell.
+    """
+    mesh = dofmap.mesh
+    out = np.empty(dofmap.n_total)
+    out[: mesh.n_vertices] = w(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    edges = np.arange(mesh.n_edges)
+    normal, value = dofmap.edge_dofs(edges)
+    out[normal], out[value] = edge_moments(mesh, edges, dofmap.order, w, grad_w)
+    if dofmap.order >= 4:
+        out[dofmap.offsets[3] :] = interior_moments(mesh, dofmap.order, w).ravel()
+    return out
 
 
 def boundary_values(
     mesh: PolygonMesh,
     dofmap: GlobalDofMap,
     bc: BoundarySpec,
-    quad_degree: int | None = None,
 ) -> np.ndarray:
     """Values of the constrained unknowns (zeros for the clamped plate)."""
     values = np.zeros(dofmap.n_total)
     if bc.is_clamped:
         return values
-    degree = quad_degree if quad_degree is not None else dofmap.order + 8
     verts = np.flatnonzero(mesh.boundary_vertices)
     values[verts] = bc.value(mesh.vertices[verts, 0], mesh.vertices[verts, 1])
-    _, o_en, o_ev, _ = dofmap.offsets
-    n_en, n_ev = dofmap._n_en, dofmap._n_ev
-    for e in np.flatnonzero(mesh.edge_is_boundary):
-        v0, v1 = mesh.edge_vertices[e]
-        p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
-        vec = p1 - p0
-        length = float(np.linalg.norm(vec))
-        tangent = vec / length
-        normal = np.array([tangent[1], -tangent[0]])
-        rule = edge_rule(p0, p1, degree)
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        that = 2.0 * ((rule.points - 0.5 * (p0 + p1)) @ tangent) / length
-        gx, gy = bc.gradient(x, y)
-        dn = normal[0] * gx + normal[1] * gy
-        wvals = bc.value(x, y)
-        for k in range(n_en):
-            values[o_en + e * n_en + k] = rule.weights @ (dn * that**k)
-        for k in range(n_ev):
-            values[o_ev + e * n_ev + k] = rule.weights @ (wvals * that**k) / length
+    edges = np.flatnonzero(mesh.edge_is_boundary)
+    normal, value = dofmap.edge_dofs(edges)
+    values[normal], values[value] = edge_moments(
+        mesh, edges, dofmap.order, bc.value, bc.gradient
+    )
     return values
 
 
@@ -344,12 +351,10 @@ class PlateSolver:
         """Stored entries of the factor of the free block, once factored."""
         return None if self.factor is None else int(self.factor.lu.nnz)
 
-    def solve(
-        self, f, bc: BoundarySpec, quad_degree: int | None = None
-    ) -> np.ndarray:
+    def solve(self, f, bc: BoundarySpec) -> np.ndarray:
         """Solve for the full unknown vector under the given load and data."""
-        load = assemble_load(self.mesh, self.kernels, self.dofmap, f, quad_degree)
-        values = boundary_values(self.mesh, self.dofmap, bc, quad_degree)
+        load = assemble_load(self.mesh, self.kernels, self.dofmap, f)
+        values = boundary_values(self.mesh, self.dofmap, bc)
         rhs = load[self.free]
         vals = values[self.constrained]
         if np.any(vals):
@@ -361,20 +366,6 @@ class PlateSolver:
         full[self.free] = x
         full[self.constrained] = vals
         return full
-
-    def interpolate(self, w, grad_w, quad_degree: int | None = None) -> np.ndarray:
-        """Global unknown vector of a smooth function (defined cell by cell).
-
-        Shared unknowns are written once per incident cell with identical
-        values, so the result is the plain interpolant.
-        """
-        out = np.zeros(self.dofmap.n_total)
-        for c in range(self.mesh.n_cells):
-            frame = self.kernels[c].frame
-            out[self.dofmap.cell_dofs(c)] = compute_dofs(
-                frame, self.order, w, grad_w, quad_degree
-            )
-        return out
 
 
 def dump_matrix(matrix: sp.spmatrix, path) -> None:

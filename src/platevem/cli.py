@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--poisson", type=float, default=None, help="Poisson ratio (default 0.3)")
         p.add_argument("--rigidity", type=float, default=None, help="bending rigidity (default 1.0)")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized meshes (default 0)")
-        p.add_argument("--quad-degree", type=int, default=None, help="override load/interpolation quadrature degree")
         p.add_argument("--out", help="output file or directory")
 
     p_mesh = sub.add_parser("mesh", help="generate a mesh and write it as JSON")
@@ -112,7 +111,6 @@ def _merge_config(args) -> None:
         "nmax": int,
         "order": int,
         "seed": int,
-        "quad_degree": int,
         "poisson": float,
         "rigidity": float,
         "notch": float,
@@ -188,9 +186,9 @@ def _cmd_solve(args) -> int:
     mesh = _build_mesh(args)
     solver = PlateSolver(mesh, args.order, material)
     f = manufactured.load(material)
-    solution = solver.solve(f, BoundarySpec.clamped(), args.quad_degree)
+    solution = solver.solve(f, BoundarySpec.clamped())
     proj_u = cv.project_exact(
-        mesh, solver.kernels, manufactured.displacement, manufactured.gradient, args.quad_degree
+        mesh, solver.kernels, manufactured.displacement, manufactured.gradient
     )
     proj_uh = cv.project_solution(mesh, solver.kernels, solver.dofmap, solution)
     err = cv.relative_or_absolute_error(solver.kernels, proj_u, proj_uh)
@@ -220,12 +218,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_study(args) -> int:
     _require(args, "family", "order", "nmax")
-    _check_order(args.order)
+    try:
+        cv.check_study_range(args.order, args.nmax)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     material = _material(args)
     seed = 0 if args.seed is None else args.seed
-    records = cv.convergence_study(
-        args.family, args.order, args.nmax, material, seed, args.quad_degree
-    )
+    records = cv.convergence_study(args.family, args.order, args.nmax, material, seed)
     path = _out_path(args, f"study_{args.family}_o{args.order}.csv")
     cv.write_csv(records, path)
     if args.plot_data:
@@ -245,8 +244,8 @@ def _cmd_patch(args) -> int:
     worst = 0.0
     for p, q in manufactured.monomial_exponent_pairs(args.order):
         u, grad, f = manufactured.monomial_solution(p, q, material)
-        solution = solver.solve(f, BoundarySpec.dirichlet(u, grad), args.quad_degree)
-        proj_u = cv.project_exact(mesh, solver.kernels, u, grad, args.quad_degree)
+        solution = solver.solve(f, BoundarySpec.dirichlet(u, grad))
+        proj_u = cv.project_exact(mesh, solver.kernels, u, grad)
         proj_uh = cv.project_solution(mesh, solver.kernels, solver.dofmap, solution)
         worst = max(worst, cv.relative_or_absolute_error(solver.kernels, proj_u, proj_uh))
     path = _out_path(args, f"patch_{args.family}_n{args.n}_o{args.order}.json")

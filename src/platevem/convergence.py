@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manufactured
-from .assembly import BoundarySpec, PlateSolver
+from .assembly import BoundarySpec, PlateSolver, global_dof_map, interpolate
 from .generators import build_family
-from .local import LocalKernels, compute_dofs
+from .local import LocalKernels
 from .mesh import PolygonMesh
 from .plate import DEFAULT_MATERIAL, MaterialParams
 
@@ -45,15 +45,10 @@ def project_exact(
     kernels: list[LocalKernels],
     w,
     grad_w,
-    quad_degree: int | None = None,
 ) -> ProjectedField:
     """Cellwise energy projection of a smooth function given by callbacks."""
-    order = kernels[0].layout.order
-    coeffs = np.empty((mesh.n_cells, kernels[0].basis.dim))
-    for c, kern in enumerate(kernels):
-        dofs = compute_dofs(kern.frame, order, w, grad_w, quad_degree)
-        coeffs[c] = kern.pi @ dofs
-    return ProjectedField(mesh, order, coeffs)
+    dofmap = global_dof_map(mesh, kernels[0].layout.order)
+    return project_solution(mesh, kernels, dofmap, interpolate(dofmap, w, grad_w))
 
 
 def seminorm_2h(kernels: list[LocalKernels], coefficients: np.ndarray) -> float:
@@ -175,18 +170,25 @@ def run_single(
     bc: BoundarySpec,
     exact,
     exact_grad,
-    quad_degree: int | None = None,
 ):
     """Solve one problem and measure the projected relative error.
 
     Returns (solver, solution vector, error).
     """
     solver = PlateSolver(mesh, order, material)
-    solution = solver.solve(f, bc, quad_degree)
-    proj_u = project_exact(mesh, solver.kernels, exact, exact_grad, quad_degree)
+    solution = solver.solve(f, bc)
+    proj_u = project_exact(mesh, solver.kernels, exact, exact_grad)
     proj_uh = project_solution(mesh, solver.kernels, solver.dofmap, solution)
     err = relative_or_absolute_error(solver.kernels, proj_u, proj_uh)
     return solver, solution, err
+
+
+def check_study_range(order: int, n_max: int) -> None:
+    """Raise ``ValueError`` unless ``convergence_study`` accepts the pair."""
+    if order not in (2, 3, 4, 5):
+        raise ValueError("order must be one of 2, 3, 4, 5")
+    if not 0 <= n_max <= (4 if order == 5 else 8):
+        raise ValueError("n_max out of range for this order")
 
 
 def convergence_study(
@@ -195,17 +197,13 @@ def convergence_study(
     n_max: int,
     material: MaterialParams = DEFAULT_MATERIAL,
     seed: int = 0,
-    quad_degree: int | None = None,
 ) -> list[ConvergenceRecord]:
     """Refinement study for the reference displacement on one mesh family.
 
     Runs refinement indices 0..n_max, records the relative projected error,
     and fills both pairwise rate columns.
     """
-    if order not in (2, 3, 4, 5):
-        raise ValueError("order must be one of 2, 3, 4, 5")
-    if n_max > 8 or (order == 5 and n_max > 4):
-        raise ValueError("n_max out of range for this order")
+    check_study_range(order, n_max)
     f = manufactured.load(material)
     records = []
     for n in range(n_max + 1):
@@ -218,7 +216,6 @@ def convergence_study(
             BoundarySpec.clamped(),
             manufactured.displacement,
             manufactured.gradient,
-            quad_degree,
         )
         records.append(
             ConvergenceRecord(

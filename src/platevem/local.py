@@ -21,8 +21,9 @@ The kernels of all cells with the same vertex count are built together:
 every array below carries the cells of one group on axis 0. Volume
 integrals of products of monomials are gathered from one table of exact
 cell moments, which come from edge integrals alone; no cell quadrature is
-involved. Fan quadrature serves only non-polynomial data (loads and
-interpolation).
+involved. Quadrature serves only non-polynomial data: fan rules for loads
+and interior moments, one Gauss-Legendre rule for the edge moments of an
+interpolated function.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .polynomials import (
     exponents,
     space_dim,
 )
-from .quadrature import edge_rule, gauss_legendre, polygon_rule
+from .quadrature import gauss_legendre, polygon_rule
 
 
 class ProjectorError(Exception):
@@ -500,57 +501,56 @@ def moment_operator(gb: GroupBasis, pi: np.ndarray):
     return op, cross_mass[:, :, :mid]
 
 
-def compute_dofs(
-    frame: CellFrame,
-    order: int,
-    w,
-    grad_w,
-    quad_degree: int | None = None,
-) -> np.ndarray:
-    """Local unknowns of a smooth function given value and gradient callbacks.
+def data_degree(order: int) -> int:
+    """Exactness degree of every quadrature of data (loads, interpolation).
 
-    Parameters
-    ----------
-    w : callable
-        ``w(x, y)`` -> array of values.
-    grad_w : callable
-        ``grad_w(x, y)`` -> pair of arrays (d/dx, d/dy). Only needed when the
-        layout contains normal-derivative moments (always for order >= 2).
-    quad_degree : int, optional
-        Quadrature exactness for the edge and interior moments; defaults to
-        order + 8, exact for polynomial data up to degree 8.
+    order + 8 integrates the moments of polynomial data up to degree 8
+    exactly, which covers every problem the command line sets up.
     """
-    layout = dof_layout(frame.n_vertices, order)
-    degree = quad_degree if quad_degree is not None else order + 8
-    out = np.empty(layout.n_total)
-    out[: layout.n_vertices] = w(frame.vertices[:, 0], frame.vertices[:, 1])
-    for i in range(frame.n_vertices):
-        p0, p1 = frame.edge_endpoints_global(i)
-        rule = edge_rule(p0, p1, degree)
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        mid = 0.5 * (p0 + p1)
-        that = 2.0 * ((rule.points - mid) @ frame.tangents[i]) / frame.edge_lengths[i]
-        gx, gy = grad_w(x, y)
-        dn = frame.normals[i][0] * gx + frame.normals[i][1] * gy
-        wvals = w(x, y)
-        for k in range(layout.n_edge_normal):
-            out[layout.edge_normal_slice(i)][k] = rule.weights @ (dn * that**k)
-        for k in range(layout.n_edge_value):
-            out[layout.edge_value_slice(i)][k] = (
-                rule.weights @ (wvals * that**k) / frame.edge_lengths[i]
-            )
-    if layout.n_cell:
-        rule = polygon_rule(frame.vertices, frame.star, degree)
-        low = ScaledMonomialBasis(frame.centroid, frame.diameter, order - 4)
-        vals_low = low.eval(rule.points)
+    return order + 8
+
+
+def edge_moments(mesh, edges: np.ndarray, order: int, w, grad_w):
+    """Edge unknowns of a smooth function on an array of global edges.
+
+    Returns the normal-derivative moments (len(edges), order - 1) and the
+    length-averaged trace moments (len(edges), n_edge_value), both in the
+    global edge orientation: the edge runs from its lower to its higher
+    vertex id, with normal (t_y, -t_x). One Gauss-Legendre rule serves every
+    edge, and its nodes are the centered edge variable t itself.
+    """
+    layout = dof_layout(3, order)
+    nodes, weights = gauss_legendre(data_degree(order) // 2 + 1)
+    p0, p1 = (mesh.vertices[mesh.edge_vertices[edges, k]] for k in (0, 1))
+    half = 0.5 * (p1 - p0)
+    points = 0.5 * (p0 + p1)[:, None, :] + nodes[:, None] * half[:, None, :]
+    x, y = points[..., 0], points[..., 1]
+    half_length = np.sqrt((half**2).sum(axis=-1))
+    normals = np.stack([half[:, 1], -half[:, 0]], axis=-1) / half_length[:, None]
+    gx, gy = grad_w(x, y)
+    dn = normals[:, 0, None] * gx + normals[:, 1, None] * gy
+    powers = weights[:, None] * nodes[:, None] ** np.arange(layout.n_edge_normal)
+    normal = half_length[:, None] * (dn @ powers)
+    value = 0.5 * (w(x, y) @ powers[:, : layout.n_edge_value])
+    return normal, value
+
+
+def interior_moments(mesh, order: int, w) -> np.ndarray:
+    """Area-averaged moments of w against the scaled monomials up to order - 4.
+
+    Returns (n_cells, dim_{order-4}), one fan rule per cell.
+    """
+    degree = data_degree(order)
+    out = np.empty((mesh.n_cells, space_dim(order - 4)))
+    for c, ids in enumerate(mesh.cells):
+        rule = polygon_rule(mesh.vertices[ids], mesh.stars[c], degree)
+        low = ScaledMonomialBasis(mesh.centroids[c], mesh.diameters[c], order - 4)
         wvals = w(rule.points[:, 0], rule.points[:, 1])
-        out[layout.cell_slice] = vals_low.T @ (rule.weights * wvals) / frame.area
+        out[c] = low.eval(rule.points).T @ (rule.weights * wvals) / mesh.areas[c]
     return out
 
 
-def local_load(
-    kern: LocalKernels, f, quad_degree: int | None = None
-) -> np.ndarray:
+def local_load(kern: LocalKernels, f) -> np.ndarray:
     """Load pairings of a source density against the local unknowns.
 
     Implements the pairing of f with the degree order - 2 moment
@@ -558,8 +558,7 @@ def local_load(
     ``load = moment_op^T mass^{-1} (integrals of f against the monomials)``.
     """
     frame = kern.frame
-    degree = quad_degree if quad_degree is not None else kern.layout.order + 8
-    rule = polygon_rule(frame.vertices, frame.star, degree)
+    rule = polygon_rule(frame.vertices, frame.star, data_degree(kern.layout.order))
     basis_mid = ScaledMonomialBasis(frame.centroid, frame.diameter, kern.layout.order - 2)
     vals_mid = basis_mid.eval(rule.points)
     fvals = f(rule.points[:, 0], rule.points[:, 1])

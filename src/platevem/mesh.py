@@ -64,12 +64,6 @@ class CellFrame:
     def traversal_tangent(self, i: int) -> np.ndarray:
         return self.edge_signs[i] * self.tangents[i]
 
-    def edge_endpoints_global(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints ordered by the global (lower id first) orientation."""
-        a = self.vertices[i]
-        b = self.vertices[(i + 1) % self.n_vertices]
-        return (a, b) if self.edge_signs[i] > 0 else (b, a)
-
 
 class CellRows(Sequence):
     """Integer rows of varying length, one per cell, stored in one flat array.

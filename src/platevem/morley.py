@@ -13,13 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (
-    BoundarySpec,
-    GlobalDofMap,
-    boundary_values,
-    factor_spd,
-    global_dof_map,
-)
+from .assembly import BoundarySpec, boundary_values, factor_spd, global_dof_map
 from .mesh import PolygonMesh
 from .plate import MaterialParams
 
@@ -62,35 +56,14 @@ def _monomial_gradients(points: np.ndarray, center: np.ndarray):
     return gx, gy
 
 
-def morley_dof_matrix(vertices: np.ndarray) -> np.ndarray:
+def morley_dof_matrix(vertices: np.ndarray, vertex_ids=(0, 1, 2)) -> np.ndarray:
     """6x6 matrix of the monomial unknowns: vertex values, then edge integrals.
 
     Edge i joins vertices i and i+1; its normal derivative integral uses the
-    normal induced by the lower-to-higher traversal of the pair, evaluated at
-    the edge midpoint (exact: gradients of quadratics are linear).
+    normal induced by the traversal of the pair from the lower to the higher
+    of their ``vertex_ids``, evaluated at the edge midpoint (exact: gradients
+    of quadratics are linear).
     """
-    center = vertices.mean(axis=0)
-    mat = np.empty((6, 6))
-    mat[:3] = _monomial_values(vertices, center)
-    for i in range(3):
-        a, b = vertices[i], vertices[(i + 1) % 3]
-        if not _global_order(i, (i + 1) % 3):
-            a, b = b, a
-        vec = b - a
-        length = float(np.linalg.norm(vec))
-        normal = np.array([vec[1], -vec[0]]) / length
-        mid = 0.5 * (a + b)[None, :]
-        gx, gy = _monomial_gradients(mid, center)
-        mat[3 + i] = length * (normal[0] * gx[0] + normal[1] * gy[0])
-    return mat
-
-
-def _global_order(i: int, j: int) -> bool:
-    return i < j
-
-
-def _triangle_dof_matrix(vertices: np.ndarray, vertex_ids: np.ndarray) -> np.ndarray:
-    """As :func:`morley_dof_matrix` but ordering edge normals by global ids."""
     center = vertices.mean(axis=0)
     mat = np.empty((6, 6))
     mat[:3] = _monomial_values(vertices, center)
@@ -116,7 +89,7 @@ def _triangle_area(vertices: np.ndarray) -> float:
 
 
 def morley_local_stiffness(
-    vertices: np.ndarray, material: MaterialParams, vertex_ids=None
+    vertices: np.ndarray, material: MaterialParams, vertex_ids=(0, 1, 2)
 ) -> np.ndarray:
     """Exact plate energy of the Morley basis functions on one triangle."""
     area = _triangle_area(vertices)
@@ -134,12 +107,8 @@ def morley_local_stiffness(
             + np.outer(hess[:, 2], hess[:, 2])
         )
     )
-    if vertex_ids is None:
-        dof = morley_dof_matrix(vertices)
-    else:
-        dof = _triangle_dof_matrix(vertices, vertex_ids)
     try:
-        inv = np.linalg.inv(dof)
+        inv = np.linalg.inv(morley_dof_matrix(vertices, vertex_ids))
     except np.linalg.LinAlgError as exc:
         raise MorleyError("singular unknown matrix: degenerate triangle") from exc
     stiff = inv.T @ energy @ inv
@@ -175,7 +144,7 @@ def _interior_monomial_integrals(vertices: np.ndarray, center: np.ndarray) -> np
     return area * vals.mean(axis=0)
 
 
-def morley_local_load(vertices: np.ndarray, f, vertex_ids=None) -> np.ndarray:
+def morley_local_load(vertices: np.ndarray, f, vertex_ids=(0, 1, 2)) -> np.ndarray:
     """Load pairings against the cell average of f (matching the order-2 pairing).
 
     Uses ``(mean of f) * (integral of each basis function)`` so the oracle
@@ -184,13 +153,8 @@ def morley_local_load(vertices: np.ndarray, f, vertex_ids=None) -> np.ndarray:
     area = _triangle_area(vertices)
     points, weights = _degree5_rule(vertices)
     favg = float(weights @ f(points[:, 0], points[:, 1])) / area
-    center = vertices.mean(axis=0)
-    if vertex_ids is None:
-        dof = morley_dof_matrix(vertices)
-    else:
-        dof = _triangle_dof_matrix(vertices, vertex_ids)
-    integrals = _interior_monomial_integrals(vertices, center)
-    return favg * np.linalg.solve(dof.T, integrals)
+    integrals = _interior_monomial_integrals(vertices, vertices.mean(axis=0))
+    return favg * np.linalg.solve(morley_dof_matrix(vertices, vertex_ids).T, integrals)
 
 
 def morley_interpolation_dofs(vertices: np.ndarray, vertex_ids, w, grad_w) -> np.ndarray:
@@ -268,19 +232,6 @@ def morley_solve(
     return solution, dofmap
 
 
-def morley_cell_coefficients(
-    mesh: PolygonMesh, dofmap: GlobalDofMap, solution: np.ndarray
-) -> list[np.ndarray]:
-    """Centered quadratic monomial coefficients of the solution per triangle."""
-    coeffs = []
-    for c in range(mesh.n_cells):
-        ids = mesh.cells[c]
-        verts = mesh.vertices[ids]
-        dof = _triangle_dof_matrix(verts, ids)
-        coeffs.append(np.linalg.solve(dof, solution[dofmap.cell_dofs(c)]))
-    return coeffs
-
-
 def morley_error_2h(mesh: PolygonMesh, dofmap, solution, exact, exact_grad) -> float:
     """Relative broken H2 error against the interpolated exact solution.
 
@@ -293,7 +244,7 @@ def morley_error_2h(mesh: PolygonMesh, dofmap, solution, exact, exact_grad) -> f
     for c in range(mesh.n_cells):
         ids = mesh.cells[c]
         verts = mesh.vertices[ids]
-        dof = _triangle_dof_matrix(verts, ids)
+        dof = morley_dof_matrix(verts, ids)
         sol_c = np.linalg.solve(dof, solution[dofmap.cell_dofs(c)])
         exact_dofs = morley_interpolation_dofs(verts, ids, exact, exact_grad)
         exa_c = np.linalg.solve(dof, exact_dofs)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from platevem import local
+from platevem import assembly, local
 from platevem.mesh import PolygonMesh, derive_topology, validate_regularity
 from platevem.plate import DEFAULT_MATERIAL
+from platevem.polynomials import ScaledMonomialBasis
+from platevem.quadrature import edge_rule, polygon_rule
 
 
 def random_star_polygon(rng: np.random.Generator, n_vertices: int) -> np.ndarray:
@@ -48,6 +50,53 @@ def cell_group_basis(mesh: PolygonMesh, order: int):
 def cell_dof_matrix(mesh: PolygonMesh, order: int) -> np.ndarray:
     """Unknowns of the basis monomials of the only cell of a one-cell mesh."""
     return local.dof_matrix(cell_group_basis(mesh, order))[0]
+
+
+def cell_interpolant(mesh: PolygonMesh, order: int, w, grad_w) -> np.ndarray:
+    """Unknowns of a smooth function on a one-cell mesh, in local layout order.
+
+    A one-cell mesh numbers its unknowns exactly as the local layout does,
+    which ``test_one_cell_numbering_is_local_layout`` checks.
+    """
+    return assembly.interpolate(assembly.global_dof_map(mesh, order), w, grad_w)
+
+
+def reference_cell_dofs(frame, order: int, w, grad_w) -> np.ndarray:
+    """Local unknowns of a smooth function on one cell, edge by edge.
+
+    Independent route to the interpolant: one edge rule per local edge, laid
+    in the global orientation, with the centered edge variable recomputed
+    from the quadrature points; the interior moments use the cell's fan rule.
+    """
+    layout = local.dof_layout(frame.n_vertices, order)
+    degree = order + 8
+    out = np.empty(layout.n_total)
+    out[: layout.n_vertices] = w(frame.vertices[:, 0], frame.vertices[:, 1])
+    for i in range(frame.n_vertices):
+        p0 = frame.vertices[i]
+        p1 = frame.vertices[(i + 1) % frame.n_vertices]
+        if frame.edge_signs[i] < 0:
+            p0, p1 = p1, p0
+        rule = edge_rule(p0, p1, degree)
+        x, y = rule.points[:, 0], rule.points[:, 1]
+        mid = 0.5 * (p0 + p1)
+        that = 2.0 * ((rule.points - mid) @ frame.tangents[i]) / frame.edge_lengths[i]
+        gx, gy = grad_w(x, y)
+        dn = frame.normals[i][0] * gx + frame.normals[i][1] * gy
+        wvals = w(x, y)
+        for k in range(layout.n_edge_normal):
+            out[layout.edge_normal_slice(i)][k] = rule.weights @ (dn * that**k)
+        for k in range(layout.n_edge_value):
+            out[layout.edge_value_slice(i)][k] = (
+                rule.weights @ (wvals * that**k) / frame.edge_lengths[i]
+            )
+    if layout.n_cell:
+        rule = polygon_rule(frame.vertices, frame.star, degree)
+        low = ScaledMonomialBasis(frame.centroid, frame.diameter, order - 4)
+        vals_low = low.eval(rule.points)
+        wvals = w(rule.points[:, 0], rule.points[:, 1])
+        out[layout.cell_slice] = vals_low.T @ (rule.weights * wvals) / frame.area
+    return out
 
 
 def polygon_corpus(seed: int, count: int) -> list[PolygonMesh]:
@@ -101,7 +150,6 @@ def boundary_identity_expansion(frame, basis, material, rule):
     all evaluated by quadrature on the cell traversal.
     """
     from platevem.plate import normal_moment_matrix, shear_matrix, twist_matrix
-    from platevem.quadrature import edge_rule
 
     bilap = basis.bilaplacian_matrix()
     vals = basis.eval(rule.points)
@@ -131,7 +179,6 @@ def boundary_identity_expansion(frame, basis, material, rule):
 
 def divergence_theorem_integrals(frame, basis):
     """Closed-form polygon integrals of the basis via boundary quadrature."""
-    from platevem.quadrature import edge_rule
 
     total = np.zeros(basis.dim)
     m = frame.n_vertices

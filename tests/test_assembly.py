@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from platevem import assembly, manufactured
+from platevem import convergence as cv
 from platevem.assembly import (
     AssemblyError,
     BoundarySpec,
@@ -14,11 +15,13 @@ from platevem.assembly import (
     dump_matrix,
     factor_spd,
     global_dof_map,
+    interpolate,
 )
-from platevem.local import build_local_kernels, compute_dofs
+from platevem.local import build_local_kernels
 from platevem.mesh import derive_topology
 from platevem.plate import DEFAULT_MATERIAL
 
+from conftest import reference_cell_dofs
 from reference_counts import BY_FAMILY
 
 
@@ -191,7 +194,7 @@ def test_patch_solution_matches_interpolant(family, order, mesh_cache):
     solver = PlateSolver(mesh, order, DEFAULT_MATERIAL)
     u, grad, f = manufactured.monomial_solution(order, 0, DEFAULT_MATERIAL)
     solution = solver.solve(f, BoundarySpec.dirichlet(u, grad))
-    expected = solver.interpolate(u, grad)
+    expected = interpolate(solver.dofmap, u, grad)
     scale = np.abs(expected).max()
     assert np.abs(solution - expected).max() <= 1e-9 * scale
 
@@ -201,23 +204,83 @@ def test_shared_edge_normal_moments_opposite(mesh_cache):
 
     Evaluating int_e (grad w . n) t^k with each cell's own outward normal
     must produce opposite values, the discrete form of the jump condition.
+    The one global value, turned to each cell's outward normal by the cell's
+    edge sign, must match that cell's own edge-by-edge reference.
     """
     mesh = mesh_cache("randomquad", 0)
     interior = np.flatnonzero(~mesh.edge_is_boundary)[0]
     c0, c1 = mesh.edge_cells[interior]
     w = manufactured.displacement
     gw = manufactured.gradient
+    dofmap = global_dof_map(mesh, 3)
+    normal, _ = dofmap.edge_dofs([interior])
+    shared = interpolate(dofmap, w, gw)[normal[0]]
     vals = []
     for c in (c0, c1):
         frame = mesh.frame(c)
         local_edge = list(frame.edge_ids).index(interior)
-        dofs = compute_dofs(frame, 3, w, gw)
+        dofs = reference_cell_dofs(frame, 3, w, gw)
         layout_slice = assembly.dof_layout(frame.n_vertices, 3).edge_normal_slice(
             local_edge
         )
         sign = frame.edge_signs[local_edge]
         vals.append(sign * dofs[layout_slice])
+        assert np.allclose(sign * shared, vals[-1], rtol=1e-12, atol=1e-14)
     assert np.allclose(vals[0], -vals[1], rtol=1e-12, atol=1e-14)
+
+
+def _relative(got, ref) -> float:
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+@pytest.mark.parametrize(
+    "family", ["crisscross", "hexagonal", "octagonal", "randomquad", "corpus"]
+)
+def test_interpolation_matches_cellwise_reference(family, mesh_cache, small_corpus):
+    """Each unknown computed once agrees with the cell-by-cell reference.
+
+    Interpolant of the reference displacement, strong boundary data of a
+    monomial and the projected exact solution, on the families at n = 0, 1
+    and on the one-cell corpus, orders 2 to 5.
+    """
+    if family == "corpus":
+        meshes = small_corpus
+    else:
+        meshes = [mesh_cache(family, n) for n in (0, 1)]
+    w, gw = manufactured.displacement, manufactured.gradient
+    for mesh in meshes:
+        for order in (2, 3, 4, 5):
+            kernels = build_local_kernels(mesh, order, DEFAULT_MATERIAL)
+            dofmap = global_dof_map(mesh, order)
+            cellwise = [reference_cell_dofs(k.frame, order, w, gw) for k in kernels]
+            ref = np.empty(dofmap.n_total)
+            for c, dofs in enumerate(cellwise):
+                ref[dofmap.cell_dofs(c)] = dofs
+            assert _relative(interpolate(dofmap, w, gw), ref) <= 1e-14, (mesh.n_cells, order)
+
+            coeffs = cv.project_exact(mesh, kernels, w, gw).coefficients
+            ref_coeffs = np.array([k.pi @ d for k, d in zip(kernels, cellwise)])
+            assert _relative(coeffs, ref_coeffs) <= 1e-10, (mesh.n_cells, order)
+
+            u, gu, _ = manufactured.monomial_solution(order, 1, DEFAULT_MATERIAL)
+            bc = BoundarySpec.dirichlet(u, gu)
+            mask = dofmap.boundary_mask
+            ref_u = np.empty(dofmap.n_total)
+            for c, kern in enumerate(kernels):
+                ref_u[dofmap.cell_dofs(c)] = reference_cell_dofs(kern.frame, order, u, gu)
+            values = boundary_values(mesh, dofmap, bc)
+            assert np.abs(values[~mask]).max(initial=0.0) == 0.0
+            assert _relative(values[mask], ref_u[mask]) <= 1e-14, (mesh.n_cells, order)
+
+
+def test_one_cell_numbering_is_local_layout(small_corpus):
+    """On a one-cell mesh the global unknowns are the local layout."""
+    for mesh in small_corpus:
+        for order in (2, 3, 4, 5):
+            n_local = assembly.dof_layout(mesh.frame(0).n_vertices, order).n_total
+            dofmap = global_dof_map(mesh, order)
+            assert dofmap.n_total == n_local
+            assert np.array_equal(dofmap.cell_dofs(0), np.arange(n_local))
 
 
 def test_boundary_values_clamped_are_zero(mesh_cache):

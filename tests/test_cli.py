@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from platevem.cli import (
     EXIT_CONFIG,
     EXIT_MESH,
@@ -112,6 +114,33 @@ def test_study_command_rates(tmp_path):
     assert len(lines) == 4
     last_rate = float(lines[-1].split(",")[5])
     assert 0.6 <= last_rate <= 1.4
+
+
+@pytest.mark.parametrize(
+    "order, nmax", [("2", "9"), ("5", "5"), ("2", "-1")], ids=["nmax9", "order5-nmax5", "nmax-1"]
+)
+def test_study_range_is_config_error(tmp_path, capsys, order, nmax):
+    out = tmp_path / "study.csv"
+    argv = ["study", "--family", "crisscross", "--order", order, "--nmax", nmax]
+    code = main(argv + ["--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "n_max out of range" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quad_degree_option_rejected(tmp_path, capsys):
+    argv = ["solve", "--family", "hexagonal", "--n", "0", "--order", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--quad-degree", "-3", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--quad-degree" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("quad_degree = 12\n")
+    code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.json")])
+    assert code == EXIT_CONFIG
+    assert "unknown config key 'quad_degree'" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_patch_command(tmp_path):

@@ -6,7 +6,13 @@ from platevem.plate import DEFAULT_MATERIAL, MaterialParams, energy_gram, hessia
 from platevem.polynomials import ScaledMonomialBasis, space_dim
 from platevem.quadrature import polygon_rule
 
-from conftest import cell_dof_matrix, cell_group_basis, cell_kernels, single_cell_mesh
+from conftest import (
+    cell_dof_matrix,
+    cell_group_basis,
+    cell_interpolant,
+    cell_kernels,
+    single_cell_mesh,
+)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 PENTAGON = np.array(
@@ -39,10 +45,9 @@ def test_layout_block_slices_partition():
 
 def test_compute_dofs_constant():
     mesh = single_cell_mesh(SQUARE)
-    frame = mesh.frame(0)
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     zero2 = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
-    dofs = local.compute_dofs(frame, 2, one, zero2)
+    dofs = cell_interpolant(mesh, 2, one, zero2)
     layout = local.dof_layout(4, 2)
     assert np.allclose(dofs[:4], 1.0)
     assert np.abs(dofs[4:]).max() == 0.0
@@ -55,7 +60,7 @@ def test_compute_dofs_normal_derivative_sign():
     frame = mesh.frame(0)
     w = lambda x, y: np.asarray(x, dtype=float)
     gw = lambda x, y: (np.ones_like(x), np.zeros_like(x))
-    dofs = local.compute_dofs(frame, 2, w, gw)
+    dofs = cell_interpolant(mesh, 2, w, gw)
     layout = local.dof_layout(4, 2)
     left = 3  # local edge 3 joins vertices (0,1) and (0,0)
     normal = frame.normals[left]
@@ -66,10 +71,9 @@ def test_compute_dofs_normal_derivative_sign():
 
 def test_compute_dofs_interior_moment():
     mesh = single_cell_mesh(SQUARE)
-    frame = mesh.frame(0)
     w = lambda x, y: x**2 * y**2
     gw = lambda x, y: (2 * x * y**2, 2 * x**2 * y)
-    dofs = local.compute_dofs(frame, 4, w, gw)
+    dofs = cell_interpolant(mesh, 4, w, gw)
     layout = local.dof_layout(4, 4)
     assert dofs[layout.cell_slice][0] == pytest.approx(1.0 / 9.0, rel=1e-13)
 
@@ -100,10 +104,9 @@ def test_projector_is_idempotent(small_corpus):
 
 def test_projector_linear_exact():
     mesh = single_cell_mesh(PENTAGON)
-    frame = mesh.frame(0)
     w = lambda x, y: 2.0 + 3.0 * x - y
     gw = lambda x, y: (3.0 * np.ones_like(x), -np.ones_like(x))
-    dofs = local.compute_dofs(frame, 2, w, gw)
+    dofs = cell_interpolant(mesh, 2, w, gw)
     kern = cell_kernels(mesh, 2)
     coeffs = kern.pi @ dofs
     pts = np.random.default_rng(0).uniform(0, 1, (5, 2))
@@ -156,11 +159,10 @@ def test_stiffness_kernel_dimension(small_corpus):
 
 def test_stiffness_annihilates_linears():
     mesh = single_cell_mesh(PENTAGON)
-    frame = mesh.frame(0)
     kern = cell_kernels(mesh, 3)
     w = lambda x, y: 1.0 - 2.0 * x + 0.5 * y
     gw = lambda x, y: (-2.0 * np.ones_like(x), 0.5 * np.ones_like(x))
-    dofs = local.compute_dofs(frame, 3, w, gw)
+    dofs = cell_interpolant(mesh, 3, w, gw)
     out = kern.stiffness @ dofs
     assert np.abs(out).max() <= 1e-12 * np.abs(kern.stiffness).max()
 
@@ -210,7 +212,7 @@ def test_moment_operator_order2_is_projected_average(unit_square_mesh):
     # single moment row: integral of the projected function
     w = lambda x, y: x**2
     gw = lambda x, y: (2 * x, np.zeros_like(x))
-    dofs = local.compute_dofs(frame, 2, w, gw)
+    dofs = cell_interpolant(unit_square_mesh, 2, w, gw)
     coeffs = kern.pi @ dofs
     rule = polygon_rule(frame.vertices, frame.star, 4)
     expected = rule.weights @ (kern.basis.eval(rule.points) @ coeffs)
@@ -232,7 +234,7 @@ def test_local_load_constant_source_pairs_to_area(unit_square_mesh):
         one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
         zero2 = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
         load = local.local_load(kern, one)
-        dofs_one = local.compute_dofs(frame, order, one, zero2)
+        dofs_one = cell_interpolant(unit_square_mesh, order, one, zero2)
         assert dofs_one @ load == pytest.approx(frame.area, rel=1e-12)
 
 
@@ -246,7 +248,7 @@ def test_local_load_polynomial_exact():
     v = lambda x, y: x**2 * y**2
     gv = lambda x, y: (2 * x * y**2, 2 * x**2 * y)
     load = local.local_load(kern, f)
-    dofs_v = local.compute_dofs(frame, order, v, gv)
+    dofs_v = cell_interpolant(mesh, order, v, gv)
     rule = polygon_rule(frame.vertices, frame.star, 3 * order)
     x, y = rule.points[:, 0], rule.points[:, 1]
     exact = rule.weights @ (f(x, y) * v(x, y))

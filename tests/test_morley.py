@@ -35,7 +35,7 @@ def test_stiffness_matches_quadrature_oracle():
     """Closed-form element energy against a dense quadrature assembly."""
     ids = np.array([0, 1, 2])
     stiff = morley.morley_local_stiffness(REF_TRIANGLE, DEFAULT_MATERIAL, ids)
-    dof = morley._triangle_dof_matrix(REF_TRIANGLE, ids)
+    dof = morley.morley_dof_matrix(REF_TRIANGLE, ids)
     inv = np.linalg.inv(dof)
     center = REF_TRIANGLE.mean(axis=0)
     rule = polygon_rule(REF_TRIANGLE, center, 4)
