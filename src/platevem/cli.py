@@ -126,6 +126,25 @@ def _merge_config(args) -> None:
                 raise ConfigError(f"config key {key}: {exc}") from exc
 
 
+# Admissible values of the numeric options, checked before any work starts.
+# NaN fails every comparison and so every range. A notch ratio of 0.5 or
+# more is finite and positive but folds the octagon; the generator rejects
+# it as a mesh construction error.
+_RANGES = {
+    "seed": (lambda v: v >= 0, "a nonnegative integer"),
+    "poisson": (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
+    "rigidity": (lambda v: 0.0 < v < np.inf, "positive and finite"),
+    "notch": (lambda v: 0.0 < v < np.inf, "positive and finite"),
+}
+
+
+def _check_ranges(args) -> None:
+    for name, (admissible, what) in _RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not admissible(value):
+            raise ConfigError(f"--{name} must be {what}, got {value}")
+
+
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) is None:
@@ -135,11 +154,10 @@ def _require(args, *names) -> None:
 def _material(args) -> MaterialParams:
     poisson = 0.3 if args.poisson is None else args.poisson
     rigidity = 1.0 if args.rigidity is None else args.rigidity
-    if not 0.0 <= poisson < 0.5:
-        raise ConfigError("poisson ratio must lie in [0, 0.5)")
-    if rigidity <= 0.0:
-        raise ConfigError("rigidity must be positive")
-    return MaterialParams.from_rigidity(rigidity, poisson)
+    try:
+        return MaterialParams.from_rigidity(rigidity, poisson)
+    except ValueError as exc:  # a rigidity so large that the modulus overflows
+        raise ConfigError(f"--rigidity {rigidity} with --poisson {poisson}: {exc}") from exc
 
 
 def _out_path(args, default_name: str) -> Path:
@@ -288,6 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args)
+        _check_ranges(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -47,7 +47,15 @@ from .quadrature import gauss_legendre, polygon_rule
 
 
 class ProjectorError(Exception):
-    """Singular local projector system (degenerate cell)."""
+    """Singular local projector system, or a projector that fails to
+    reproduce polynomials (degenerate or badly shaped cell)."""
+
+
+# Largest exact polynomial-reproduction residual max |I - pi D| a cell's
+# projector may keep. Shape-regular cells of the mesh families stay below
+# about 2e-10 at order 5; a badly shaped cell whose conditioning has
+# destroyed its projector lands many orders of magnitude above.
+REPRODUCTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -405,6 +413,51 @@ def _saddle_system(gb: GroupBasis, material: MaterialParams, gram: np.ndarray):
     return saddle, rhs
 
 
+def split_on_grid(x: np.ndarray, axis: int, bits: int):
+    """Exact split ``x = hi + lo`` with hi on a power-of-two grid per row or column.
+
+    Along ``axis`` (-1: per row, -2: per column) the largest magnitude is
+    bounded by 2^tau, and hi rounds every entry to a multiple of
+    2^(tau - bits), so hi / 2^(tau - bits) is an integer of magnitude at most
+    2^bits. lo = x - hi is exact: hi lies within half a grid step of x, on a
+    grid no finer than the last bit of x.
+    """
+    _, tau = np.frexp(np.abs(x).max(axis=axis, keepdims=True))
+    grid = np.ldexp(1.0, tau - bits)
+    hi = np.rint(x / grid) * grid
+    return hi, x - hi
+
+
+def split_bits(n_inner: int) -> int:
+    """Grid bits for which every partial sum of ``hi @ hi`` is exact.
+
+    Each product of two hi entries is an integer of at most 2^(2 bits) on
+    the grid of its row and column, so ``n_inner`` of them sum to below
+    2^51 and never round in float64 whatever order the matmul adds them in.
+    """
+    return (51 - (n_inner - 1).bit_length()) // 2
+
+
+def reproduction_residual(pi_split, dofs_split) -> np.ndarray:
+    """I - pi D from the splits of pi by rows and of D by columns.
+
+    The product of the hi parts is exact, and so is subtracting it from I
+    wherever it is within a factor two of I (Sterbenz); only the three
+    products with a lo factor round, at 2^-bits of the size of |pi| |D|
+    (Ozaki, Ogita, Oishi and Rump, "Error-free transformations of matrix
+    multiplication by using fast routines of matrix multiplication",
+    Numer. Algorithms 2012).
+    """
+    (p_hi, p_lo), (d_hi, d_lo) = pi_split, dofs_split
+    residual = p_hi @ d_hi
+    residual *= -1.0
+    diag = np.arange(residual.shape[1])
+    residual[:, diag, diag] += 1.0
+    residual -= p_hi @ d_lo + p_lo @ d_hi
+    residual -= p_lo @ d_lo
+    return residual
+
+
 def elliptic_projector(
     gb: GroupBasis,
     material: MaterialParams,
@@ -414,18 +467,29 @@ def elliptic_projector(
     """Energy projector onto polynomials, computable from the unknowns.
 
     Returns pi (G, dim, n_total): coefficients of the projected polynomial
-    per unit unknown, satisfying ``pi @ dofs_of_basis = identity``.
+    per unit unknown, satisfying ``pi @ dofs_of_basis = identity`` to
+    within ``REPRODUCTION_TOL``; a cell that misses it raises
+    :class:`ProjectorError`.
     """
     n = gram.shape[1]
-    pi = _solve_saddle(*_saddle_system(gb, material, gram), gb.group.index)[:, :n]
+    cells = gb.group.index
+    pi = _solve_saddle(*_saddle_system(gb, material, gram), cells)[:, :n]
     # One Newton-Schulz step squares the polynomial-reproduction residual,
     # which the monomial conditioning would otherwise amplify at high order.
-    # The correction runs in extended precision: in double it would bottom
-    # out at the rounding floor of the large-coefficient products.
-    pi_l = pi.astype(np.longdouble)
-    residual = np.eye(n, dtype=np.longdouble) - pi_l @ dofs_of_basis.astype(np.longdouble)
-    pi_l += residual @ pi_l
-    return pi_l.astype(float)
+    # A float64 residual would bottom out at the rounding floor of the
+    # large-coefficient products pi D, so it is formed from exact splits.
+    bits = split_bits(dofs_of_basis.shape[1])
+    dofs_split = split_on_grid(dofs_of_basis, -2, bits)
+    pi = pi + reproduction_residual(split_on_grid(pi, -1, bits), dofs_split) @ pi
+    worst = np.abs(reproduction_residual(split_on_grid(pi, -1, bits), dofs_split)).max(axis=(1, 2))
+    bad = ~(worst <= REPRODUCTION_TOL)  # NaN fails too
+    if bad.any():
+        k = np.argmax(bad)
+        raise ProjectorError(
+            f"cell {cells[k]}: polynomial reproduction residual {worst[k]:.2e} "
+            f"exceeds {REPRODUCTION_TOL:g}"
+        )
+    return pi
 
 
 @dataclass
@@ -440,7 +504,6 @@ class LocalKernels:
     basis: ScaledMonomialBasis
     pi: np.ndarray  # (dim x n_total) projector coefficients
     stiffness: np.ndarray  # (n_total x n_total) consistency + stabilization
-    stabilization: np.ndarray
     moment_op: np.ndarray  # (dim_{order-2} x n_total) interior moments
     moment_mass: np.ndarray  # (dim_{order-2} x dim_{order-2})
     seminorm_gram: np.ndarray  # (dim x dim) broken H2 metric
@@ -578,7 +641,7 @@ def group_kernels(group: CellGroup, order: int, material: MaterialParams) -> lis
     gram, seminorm = energy_grams(gb, material)
     dofs = dof_matrix(gb)
     pi = elliptic_projector(gb, material, gram, dofs)
-    stiff, stab = local_stiffness(gb, material, gram, pi, dofs)
+    stiff = local_stiffness(gb, material, gram, pi, dofs)[0]
     mom_op, mass = moment_operator(gb, pi)
     return [
         build_cell_kernels(
@@ -586,7 +649,6 @@ def group_kernels(group: CellGroup, order: int, material: MaterialParams) -> lis
             gb.layout,
             pi=pi[k],
             stiffness=stiff[k],
-            stabilization=stab[k],
             moment_op=mom_op[k],
             moment_mass=mass[k],
             seminorm_gram=seminorm[k],

@@ -31,8 +31,8 @@ class MaterialParams:
     def __post_init__(self):
         if not 0.0 <= self.poisson < 0.5:
             raise ValueError("Poisson ratio must lie in [0, 0.5)")
-        if self.rigidity <= 0.0:
-            raise ValueError("bending rigidity must be positive")
+        if not 0.0 < self.rigidity < np.inf:
+            raise ValueError("bending rigidity must be positive and finite")
 
     @property
     def rigidity(self) -> float:

@@ -41,6 +41,15 @@ def cell_kernels(mesh: PolygonMesh, order: int):
     return local.build_local_kernels(mesh, order, DEFAULT_MATERIAL)[0]
 
 
+def group_stabilization(group, order: int) -> np.ndarray:
+    """Stabilization stack of a group, recomputed through ``local_stiffness``."""
+    gb = local.group_basis(group, order)
+    gram, _ = local.energy_grams(gb, DEFAULT_MATERIAL)
+    dofs = local.dof_matrix(gb)
+    pi = local.elliptic_projector(gb, DEFAULT_MATERIAL, gram, dofs)
+    return local.local_stiffness(gb, DEFAULT_MATERIAL, gram, pi, dofs)[1]
+
+
 def cell_group_basis(mesh: PolygonMesh, order: int):
     """Batched basis data of a one-cell mesh (a group of one cell)."""
     (group,) = mesh.cell_groups()

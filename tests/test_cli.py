@@ -129,6 +129,35 @@ def test_study_range_is_config_error(tmp_path, capsys, order, nmax):
     assert list(tmp_path.iterdir()) == []
 
 
+NUMERIC_FLAGS = [
+    (flag, value)
+    for flag in ("seed", "rigidity", "poisson", "notch")
+    for value in ("-1", "0", "nan", "inf")
+] + [("rigidity", "1e308")]  # finite, but the Young modulus overflows
+
+
+@pytest.mark.parametrize("flag, value", NUMERIC_FLAGS, ids=[f"{f}={v}" for f, v in NUMERIC_FLAGS])
+def test_numeric_flag_range(tmp_path, capsys, flag, value):
+    """Each numeric flag is rejected before any mesh is built (exit 2, no
+    file) unless its value is admissible; a seed or Poisson ratio of 0 is."""
+    if flag == "notch":
+        argv = ["mesh", "--family", "octagonal", "--n", "0"]
+    else:
+        argv = ["solve", "--family", "randomquad", "--n", "0", "--order", "2"]
+    out = tmp_path / "out.json"
+    try:
+        code = main(argv + [f"--{flag}", value, "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects a seed that is no integer
+        code = exc.code
+    if (flag, value) in {("seed", "0"), ("poisson", "0")}:
+        assert code == 0
+        assert out.exists()
+    else:
+        assert code == EXIT_CONFIG
+        assert f"--{flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_quad_degree_option_rejected(tmp_path, capsys):
     argv = ["solve", "--family", "hexagonal", "--n", "0", "--order", "3"]
     with pytest.raises(SystemExit) as exc:

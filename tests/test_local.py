@@ -1,7 +1,13 @@
+import re
+from fractions import Fraction
+from operator import mul
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from platevem import local
+from platevem.mesh import MeshError
 from platevem.plate import DEFAULT_MATERIAL, MaterialParams, energy_gram, hessian_seminorm_gram
 from platevem.polynomials import ScaledMonomialBasis, space_dim
 from platevem.quadrature import polygon_rule
@@ -11,6 +17,7 @@ from conftest import (
     cell_group_basis,
     cell_interpolant,
     cell_kernels,
+    group_stabilization,
     single_cell_mesh,
 )
 
@@ -185,9 +192,9 @@ def test_rayleigh_quotient_one_on_polynomials(small_corpus):
 
 def test_stabilization_vanishes_on_polynomials(small_corpus):
     mesh = small_corpus[0]
-    kern = cell_kernels(mesh, 4)
+    (stabilization,) = group_stabilization(mesh.cell_groups()[0], 4)
     dm = cell_dof_matrix(mesh, 4)
-    assert np.abs(kern.stabilization @ dm).max() <= 1e-10
+    assert np.abs(stabilization @ dm).max() <= 1e-10
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -317,16 +324,21 @@ def test_exact_moments_match_fan_quadrature(order, small_corpus, mesh_cache):
 def test_group_kernels_match_single_cell(mesh_cache):
     """A cell's kernels do not depend on the group it is built in."""
     mesh = mesh_cache("hexagonal", 1)
-    names = ("pi", "stiffness", "stabilization", "moment_op", "moment_mass", "seminorm_gram")
+    names = ("pi", "stiffness", "moment_op", "moment_mass", "seminorm_gram")
     for order in (2, 3, 4, 5):
         kernels = local.build_local_kernels(mesh, order, DEFAULT_MATERIAL)
         for group in mesh.cell_groups():
-            c = int(group.index[len(group.index) // 2])
+            k = len(group.index) // 2
+            c = int(group.index[k])
             (alone,) = local.group_kernels(mesh.cell_group([c]), order, DEFAULT_MATERIAL)
             assert alone.frame.index == kernels[c].frame.index == c
-            for name in names:
-                ref = getattr(kernels[c], name)
-                err = np.abs(getattr(alone, name) - ref).max()
+            pairs = {name: (getattr(alone, name), getattr(kernels[c], name)) for name in names}
+            pairs["stabilization"] = (
+                group_stabilization(mesh.cell_group([c]), order)[0],
+                group_stabilization(group, order)[k],
+            )
+            for name, (got, ref) in pairs.items():
+                err = np.abs(got - ref).max()
                 assert err <= 1e-14 * max(np.abs(ref).max(), 1.0), (order, c, name)
 
 
@@ -349,3 +361,133 @@ def test_projector_error_names_non_finite_cell(mesh_cache):
     gram[2] = np.nan
     with pytest.raises(local.ProjectorError, match=f"cell {group.index[2]}: .*non-finite"):
         local.elliptic_projector(gb, DEFAULT_MATERIAL, gram, dofs)
+
+
+def exact_residual(pi: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """I - pi D of one cell in rational arithmetic, rounded once to float64."""
+    rows = [[Fraction(x) for x in row] for row in pi.tolist()]
+    cols = [[Fraction(x) for x in col] for col in dofs.T.tolist()]
+    return np.array(
+        [[float((i == j) - sum(map(mul, p, d))) for j, d in enumerate(cols)]
+         for i, p in enumerate(rows)]
+    )
+
+
+def longdouble_projector(pi: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """The Newton-Schulz correction pi + (I - pi D) pi carried out in
+    ``np.longdouble``, as an oracle where that type is wider than float64."""
+    pi_l = pi.astype(np.longdouble)
+    eye = np.eye(pi.shape[1], dtype=np.longdouble)
+    pi_l += (eye - pi_l @ dofs.astype(np.longdouble)) @ pi_l
+    return pi_l.astype(float)
+
+
+def test_split_on_grid_is_exact():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 21, 67)) * np.exp2(rng.integers(-40, 40, (3, 21, 67)))
+    x[0, 4] = 0.0
+    x[1, :, 7] = 0.0
+    for axis in (-1, -2):
+        for bits in (1, 22, 26):
+            hi, lo = local.split_on_grid(x, axis, bits)
+            assert np.array_equal(hi + lo, x)
+            _, tau = np.frexp(np.abs(x).max(axis=axis, keepdims=True))
+            units = np.ldexp(hi, bits - tau)
+            assert np.array_equal(units, np.rint(units))
+            assert np.abs(units).max() <= 2.0**bits
+    # Worst case for the exact product: entries near their row and column
+    # maxima, all of one sign, summed over the largest inner size.
+    bits = local.split_bits(67)
+    a_hi, _ = local.split_on_grid(rng.uniform(0.5, 1.0, (1, 21, 67)), -1, bits)
+    b_hi, _ = local.split_on_grid(rng.uniform(0.5, 1.0, (1, 67, 21)), -2, bits)
+    assert np.array_equal(np.eye(21) - a_hi[0] @ b_hi[0], exact_residual(a_hi[0], b_hi[0]))
+
+
+def test_split_residual_matches_exact_product(mesh_cache):
+    """On an order-5 octagon the hi product is exact and the residual is
+    within one ulp of the identity it corrects, where a plain float64
+    product misses by far more."""
+    mesh = mesh_cache("octagonal", 0)
+    (octagons,) = [g for g in mesh.cell_groups() if g.n_vertices == 8]
+    gb = local.group_basis(mesh.cell_group(octagons.index[:1]), 5)
+    gram, _ = local.energy_grams(gb, DEFAULT_MATERIAL)
+    dofs = local.dof_matrix(gb)
+    pi = local.elliptic_projector(gb, DEFAULT_MATERIAL, gram, dofs)
+    bits = local.split_bits(dofs.shape[1])
+    assert bits == 22
+    pi_split = local.split_on_grid(pi, -1, bits)
+    dofs_split = local.split_on_grid(dofs, -2, bits)
+    (p_hi, _), (d_hi, _) = pi_split, dofs_split
+    eye = np.eye(pi.shape[1])
+    assert np.array_equal(eye - p_hi[0] @ d_hi[0], exact_residual(p_hi[0], d_hi[0]))
+    exact = exact_residual(pi[0], dofs[0])
+    got = local.reproduction_residual(pi_split, dofs_split)[0]
+    eps = np.finfo(float).eps
+    assert np.abs(got - exact).max() <= eps
+    assert np.abs(eye - pi[0] @ dofs[0] - exact).max() > 10 * eps
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= 52, reason="np.longdouble is no wider than float64 here"
+)
+@pytest.mark.parametrize("family", ["crisscross", "hexagonal", "octagonal", "randomquad"])
+def test_projector_matches_longdouble_correction(family, mesh_cache):
+    mesh = mesh_cache(family, 0)
+    worst = 0.0
+    for order in (2, 3, 4, 5):
+        for group in mesh.cell_groups():
+            gb = local.group_basis(group, order)
+            gram, _ = local.energy_grams(gb, DEFAULT_MATERIAL)
+            dofs = local.dof_matrix(gb)
+            saddle, rhs = local._saddle_system(gb, DEFAULT_MATERIAL, gram)
+            raw = np.linalg.solve(saddle, rhs)[:, : gram.shape[1]]
+            ref = longdouble_projector(raw, dofs)
+            got = local.elliptic_projector(gb, DEFAULT_MATERIAL, gram, dofs)
+            worst = max(worst, np.abs(got - ref).max() / np.abs(ref).max())
+    assert worst <= 1e-15
+
+
+BAD_CELLS = {
+    "aspect-1e-2": [[0, 0], [1, 0], [1, 1e-2], [0, 1e-2]],
+    "aspect-1e-4": [[0, 0], [1, 0], [1, 1e-4], [0, 1e-4]],
+    "edge-1e-6": [[0, 0], [1, 0], [1, 1], [1e-6, 1], [0, 1 - 1e-6]],
+    "edge-1e-10": [[0, 0], [1, 0], [1, 1], [1e-10, 1], [0, 1 - 1e-10]],
+    "nearly-collinear": [[0, 0], [0.5, -1e-8], [1, 0], [1, 1], [0, 1]],
+    "collinear": [[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]],
+    "collinear-triangle": [[0, 0], [1, 0], [2, 0]],
+    "sliver-triangle": [[0, 0], [1, 0], [0.5, 1e-6]],
+}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(BAD_CELLS))
+def test_bad_cell_is_classified_or_reproduces(name, order):
+    """A badly shaped cell either raises a classified error or gets a
+    projector whose exact reproduction residual meets the tolerance."""
+    try:
+        mesh = single_cell_mesh(np.array(BAD_CELLS[name], dtype=float))
+        pi = cell_kernels(mesh, order).pi
+    except (local.ProjectorError, MeshError):
+        return
+    residual = np.abs(exact_residual(pi, cell_dof_matrix(mesh, order))).max()
+    assert residual <= local.REPRODUCTION_TOL
+
+
+def test_projector_error_names_unreproducing_cell():
+    mesh = single_cell_mesh(np.array(BAD_CELLS["sliver-triangle"], dtype=float))
+    with pytest.raises(local.ProjectorError, match="cell 0: polynomial reproduction residual"):
+        cell_kernels(mesh, 5)
+
+
+def test_src_uses_no_extended_precision_types():
+    """Numerics must not depend on the width of a platform's long double
+    (the pattern also matches ``clongdouble``)."""
+    pattern = re.compile(r"longdouble|float128")
+    src = Path(local.__file__).parent
+    hits = [
+        f"{path.name}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not hits

@@ -49,6 +49,12 @@ def test_material_validation():
         MaterialParams(-1.0, 1.0, 0.3)
 
 
+def test_material_rejects_non_finite_rigidity():
+    for rigidity in (np.inf, np.nan, 1e308):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MaterialParams.from_rigidity(rigidity, 0.3)
+
+
 def test_bilinear_kills_linears(unit_square_mesh):
     frame = unit_square_mesh.frame(0)
     basis = ScaledMonomialBasis(frame.centroid, frame.diameter, 3)
