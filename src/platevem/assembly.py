@@ -145,23 +145,47 @@ def assemble_stiffness(
 ) -> sp.csr_matrix:
     """Scatter the local stiffness matrices into the full symmetric matrix.
 
-    Cells are scattered one vertex-count group at a time, from the stacked
-    stiffness blocks and unknown indices of the group.
+    The rows of every cell's block, one per local unknown and placed in the
+    cell's global columns, form a matrix L, filled one vertex-count group
+    at a time with int32 indices. The CSR form of its transpose lists, in
+    global row i, the block column of every local unknown numbered i; by
+    the exact symmetry of the blocks that is the block row, so renaming
+    each column (cell, local unknown) to its global unknown and summing the
+    duplicates gives the matrix. Entries that cancel stay stored: the
+    pattern is the union of the cells' patterns, whatever the values. Cells
+    meet along single edges, so two distinct unknowns share at most two
+    cells; every off-diagonal entry sums at most two terms, the same in
+    either order, and the matrix is exactly symmetric.
     """
-    counts = np.array([kern.layout.n_vertices for kern in kernels])
-    rows, cols, vals = [], [], []
-    for m in np.unique(counts):
-        cells = np.flatnonzero(counts == m)
-        idx = dofmap.group_dofs(cells)
-        n = idx.shape[1]
-        rows.append(np.repeat(idx, n, axis=1).ravel())
-        cols.append(np.tile(idx, n).ravel())
-        vals.append(np.stack([kernels[c].stiffness for c in cells]).ravel())
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.n_total, dofmap.n_total),
+    shape = (dofmap.n_total, dofmap.n_total)
+    groups = mesh.group_index()
+    unknowns = [dofmap.group_dofs(cells) for cells in groups]
+    n_rows = sum(idx.size for idx in unknowns)
+    n_entries = sum(idx.size * idx.shape[1] for idx in unknowns)
+    renamed = np.empty(n_rows, dtype=np.int32)
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    values = np.empty(n_entries)
+    columns = np.empty(n_entries, dtype=np.int32)
+    row = entry = 0
+    for cells, idx in zip(groups, unknowns):
+        g, n = idx.shape
+        renamed[row : row + g * n] = idx.ravel()
+        indptr[row + 1 : row + g * n + 1] = n
+        blocks = values[entry : entry + g * n * n].reshape(g, n, n)
+        for k, c in enumerate(cells):
+            blocks[k] = kernels[c].stiffness
+        columns[entry : entry + g * n * n].reshape(g, n, n)[:] = idx[:, None, :]
+        row, entry = row + g * n, entry + g * n * n
+    np.cumsum(indptr, out=indptr)
+    local_rows = sp.csr_matrix((values, columns, indptr), shape=(len(renamed), shape[1]))
+    del values, columns
+    by_column = local_rows.T.tocsr()
+    del local_rows
+    matrix = sp.csr_matrix(
+        (by_column.data, renamed[by_column.indices], by_column.indptr), shape=shape
     )
-    return mat.tocsr()
+    matrix.sum_duplicates()
+    return matrix
 
 
 def assemble_load(

@@ -40,10 +40,12 @@ from .polynomials import (
     _derivative_factors,
     centered_power_moments,
     derivative_map,
-    exponents,
+    exponent_table,
+    monomials,
+    power_table,
     space_dim,
 )
-from .quadrature import gauss_legendre, polygon_rule
+from .quadrature import FanPointError, fan_rules, gauss_legendre, polygon_rule
 
 
 class ProjectorError(Exception):
@@ -143,7 +145,7 @@ def _moment_degree(order: int) -> int:
 def _order_tables(order: int) -> _OrderTables:
     degree = _moment_degree(order)
     width = degree + 1
-    exps = np.array(exponents(order))
+    exps = exponent_table(order)
     a = exps[:, 0, None] + exps[None, :, 0]
     b = exps[:, 1, None] + exps[None, :, 1]
 
@@ -225,9 +227,8 @@ def _cell_moments(scaled: np.ndarray, diameters: np.ndarray, degree: int) -> np.
     nodes, weights = gauss_legendre(degree // 2 + 1)
     tau = 0.5 * (nodes + 1.0)
     points = scaled[:, :, None, :] + tau[:, None] * (nxt - scaled)[:, :, None, :]
-    powers = np.arange(degree + 1)
-    px = points[..., 0, None] ** powers  # (G, m, n_gauss, degree + 1)
-    py = points[..., 1, None] ** powers
+    px = power_table(points[..., 0], degree)  # (G, m, n_gauss, degree + 1)
+    py = power_table(points[..., 1], degree)
     table = np.einsum("cmg,cmga,cmgb->cab", cross[..., None] * (0.5 * weights), px, py)
     a, b = np.indices(table.shape[1:])
     table = np.where(a + b <= degree, table / (a + b + 2), 0.0)
@@ -240,10 +241,10 @@ def _cell_moments(scaled: np.ndarray, diameters: np.ndarray, degree: int) -> np.
 def group_basis(group: CellGroup, order: int) -> GroupBasis:
     """Moments, vertex values and edge restrictions of a group's cell bases."""
     layout = dof_layout(group.n_vertices, order)
-    exps = np.array(exponents(order))
+    exps = exponent_table(order)
     h = group.diameters[:, None, None]
     scaled = (group.vertices - group.centroids[:, None, :]) / h
-    vertex_values = scaled[..., 0, None] ** exps[:, 0] * scaled[..., 1, None] ** exps[:, 1]
+    vertex_values = monomials(scaled[..., 0], scaled[..., 1], order)
 
     # Edge i in the global orientation runs p0 -> p1, x(s) = mid + s (p1 - p0)
     # for s in [-1/2, 1/2]; each scaled coordinate is c0 + c1 s along it.
@@ -592,24 +593,42 @@ def edge_moments(mesh, edges: np.ndarray, order: int, w, grad_w):
     normals = np.stack([half[:, 1], -half[:, 0]], axis=-1) / half_length[:, None]
     gx, gy = grad_w(x, y)
     dn = normals[:, 0, None] * gx + normals[:, 1, None] * gy
-    powers = weights[:, None] * nodes[:, None] ** np.arange(layout.n_edge_normal)
+    powers = weights[:, None] * power_table(nodes, layout.n_edge_normal - 1)
     normal = half_length[:, None] * (dn @ powers)
     value = 0.5 * (w(x, y) @ powers[:, : layout.n_edge_value])
     return normal, value
 
 
+# Cells per stacked fan rule of interior_moments: bounds its transient
+# arrays (one chunk of fan points and their monomials) on any mesh.
+MOMENT_CHUNK = 64
+
+
 def interior_moments(mesh, order: int, w) -> np.ndarray:
     """Area-averaged moments of w against the scaled monomials up to order - 4.
 
-    Returns (n_cells, dim_{order-4}), one fan rule per cell.
+    Returns (n_cells, dim_{order-4}). The cells of one vertex count are
+    taken MOMENT_CHUNK at a time: one stacked fan rule, one call of w on
+    all its points and one contraction per chunk. A cell whose star point
+    is not interior raises ``ValueError`` naming the cell.
     """
     degree = data_degree(order)
     out = np.empty((mesh.n_cells, space_dim(order - 4)))
-    for c, ids in enumerate(mesh.cells):
-        rule = polygon_rule(mesh.vertices[ids], mesh.stars[c], degree)
-        low = ScaledMonomialBasis(mesh.centroids[c], mesh.diameters[c], order - 4)
-        wvals = w(rule.points[:, 0], rule.points[:, 1])
-        out[c] = low.eval(rule.points).T @ (rule.weights * wvals) / mesh.areas[c]
+    for group in mesh.group_index():
+        for start in range(0, len(group), MOMENT_CHUNK):
+            cells = group[start : start + MOMENT_CHUNK]
+            try:
+                points, weights = fan_rules(
+                    mesh.vertices[mesh.cells.stack(cells)], mesh.stars[cells], degree
+                )
+            except FanPointError as exc:
+                raise ValueError(f"cell {cells[exc.position]}: {exc}") from exc
+            x, y = points[..., 0], points[..., 1]
+            weighted = weights * w(x.ravel(), y.ravel()).reshape(weights.shape)
+            h = mesh.diameters[cells, None]
+            xc, yc = mesh.centroids[cells].T[..., None]
+            low = monomials((x - xc) / h, (y - yc) / h, order - 4)
+            out[cells] = np.einsum("cp,cpk->ck", weighted, low) / mesh.areas[cells, None]
     return out
 
 

@@ -224,10 +224,14 @@ class PolygonMesh:
             stars=self.stars[cells],
         )
 
+    def group_index(self) -> list[np.ndarray]:
+        """Cell ids of each vertex count, in increasing count order."""
+        counts = self.cells.lengths
+        return [np.flatnonzero(counts == m) for m in np.unique(counts)]
+
     def cell_groups(self) -> list[CellGroup]:
         """One group per vertex count, in increasing count order."""
-        counts = self.cells.lengths
-        return [self.cell_group(np.flatnonzero(counts == m)) for m in np.unique(counts)]
+        return [self.cell_group(cells) for cells in self.group_index()]
 
 
 def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:

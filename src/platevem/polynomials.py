@@ -32,14 +32,47 @@ def exponents(degree: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def exponent_table(degree: int) -> np.ndarray:
+    """Exponent pairs of the basis as a (dim, 2) integer array (shared, read-only)."""
+    table = np.array(exponents(degree), dtype=int)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
 def _exponent_index(degree: int) -> dict[tuple[int, int], int]:
     return {ab: k for k, ab in enumerate(exponents(degree))}
+
+
+def power_table(x: np.ndarray, degree: int) -> np.ndarray:
+    """Powers x^0, ..., x^degree along a new last axis.
+
+    Built by repeated multiplication, so power k carries at most k - 1
+    roundings, against one call of libm ``pow`` per entry otherwise.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape + (degree + 1,))
+    out[..., 0] = 1.0
+    if degree >= 1:
+        out[..., 1] = x
+    for k in range(2, degree + 1):
+        np.multiply(out[..., k - 1], x, out=out[..., k])
+    return out
+
+
+def monomials(xi: np.ndarray, eta: np.ndarray, degree: int) -> np.ndarray:
+    """Values xi^a eta^b of the basis exponents (a, b) of ``degree``, on a last axis.
+
+    ``xi`` and ``eta`` are scaled coordinates of any one shape.
+    """
+    exps = exponent_table(degree)
+    return power_table(xi, degree)[..., exps[:, 0]] * power_table(eta, degree)[..., exps[:, 1]]
 
 
 @lru_cache(maxsize=None)
 def _derivative_factors(order: int, i: int, j: int) -> np.ndarray:
     """Falling-factorial prefactors of d^{i+j}/dx^i dy^j per basis function."""
-    exps = np.array(exponents(order), dtype=int)
+    exps = exponent_table(order)
     fac = np.ones(len(exps))
     for t in range(i):
         fac *= np.maximum(exps[:, 0] - t, 0)
@@ -56,7 +89,7 @@ def derivative_map(order: int, i: int, j: int) -> np.ndarray:
     Column k holds the derivative of basis function k; divide by h^(i+j)
     for a basis scaled by h. The cached array is shared: do not modify it.
     """
-    exps = np.array(exponents(order), dtype=int)
+    exps = exponent_table(order)
     fac = _derivative_factors(order, i, j)
     idx = _exponent_index(order)
     mat = np.zeros((len(exps), len(exps)))
@@ -96,7 +129,7 @@ class ScaledMonomialBasis:
         self.center = np.asarray(center, dtype=float)
         self.h = float(h)
         self.order = order
-        self.exponents = np.array(exponents(order), dtype=int)
+        self.exponents = exponent_table(order)
         self.dim = space_dim(order)
         self._derivative_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -120,8 +153,10 @@ class ScaledMonomialBasis:
         fac = _derivative_factors(self.order, i, j) / self.h ** (i + j)
         ax = np.maximum(self.exponents[:, 0] - i, 0)
         by = np.maximum(self.exponents[:, 1] - j, 0)
-        vals = xi[:, None] ** ax[None, :] * eta[:, None] ** by[None, :]
-        return vals * fac[None, :]
+        vals = power_table(xi, self.order)[:, ax]
+        vals *= power_table(eta, self.order)[:, by]
+        vals *= fac
+        return vals
 
     def derivative_matrix(self, i: int, j: int) -> np.ndarray:
         """Coefficient map of d^{i+j}/dx^i dy^j on the basis (dim x dim)."""

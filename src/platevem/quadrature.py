@@ -59,32 +59,75 @@ def _reference_triangle(degree: int):
     return rule
 
 
-def _fan_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int) -> QuadratureRule:
-    """The reference rule mapped onto triangles (a_i, b_i, c_i), rows of (T, 2).
+def _mapped(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int):
+    """The reference rule mapped onto triangles (a, b, c), arrays (..., 2).
 
-    Points and weights are listed triangle by triangle.
+    Returns points (..., q, 2) and weights (..., q), q the points of the
+    reference rule.
     """
     xi, eta, ww = _reference_triangle(degree)
     area2 = np.abs(
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+        (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+        - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
     )
     points = (
-        a[:, None, :]
-        + xi[None, :, None] * (b - a)[:, None, :]
-        + eta[None, :, None] * (c - a)[:, None, :]
+        a[..., None, :]
+        + xi[:, None] * (b - a)[..., None, :]
+        + eta[:, None] * (c - a)[..., None, :]
     )
-    weights = ww[None, :] * area2[:, None]
-    return QuadratureRule(points.reshape(-1, 2), weights.ravel(), degree)
+    return points, ww * area2[..., None]
 
 
 def triangle_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int) -> QuadratureRule:
     """Product Gauss rule on a triangle, exact for polynomials up to ``degree``."""
-    corners = (np.asarray(p, dtype=float)[None, :] for p in (a, b, c))
-    return _fan_rule(*corners, degree)
+    points, weights = _mapped(*(np.asarray(p, dtype=float) for p in (a, b, c)), degree)
+    return QuadratureRule(points, weights, degree)
+
+
+class FanPointError(ValueError):
+    """A fan point that is not interior: some fan sub-triangle is not positive.
+
+    ``position`` is the stack position of the first polygon at fault.
+    """
+
+    def __init__(self, position: int):
+        super().__init__("fan point is not interior: non-positive sub-triangle")
+        self.position = position
+
+
+def fan_rules(vertices: np.ndarray, centers: np.ndarray, degree: int):
+    """Quadrature on a stack of star-shaped polygons via their fan sub-triangulations.
+
+    Parameters
+    ----------
+    vertices : array, shape (G, m, 2)
+        Vertices of G polygons with m vertices each, counterclockwise.
+    centers : array, shape (G, 2)
+        Interior fan point of each polygon; every fan triangle must be
+        positively oriented, else :class:`FanPointError` names the first
+        polygon that fails.
+    degree : int
+        Polynomial exactness degree of every rule.
+
+    Returns
+    -------
+    points (G, m q, 2) and weights (G, m q), listed triangle by triangle.
+    """
+    center = centers[:, None, :]
+    nxt = np.roll(vertices, -1, axis=1)
+    cross = (vertices[..., 0] - center[..., 0]) * (nxt[..., 1] - center[..., 1]) - (
+        vertices[..., 1] - center[..., 1]
+    ) * (nxt[..., 0] - center[..., 0])
+    bad = ~(cross > 0.0).all(axis=1)
+    if bad.any():
+        raise FanPointError(int(np.argmax(bad)))
+    points, weights = _mapped(center, vertices, nxt, degree)
+    g = len(vertices)
+    return points.reshape(g, -1, 2), weights.reshape(g, -1)
 
 
 def polygon_rule(vertices: np.ndarray, center: np.ndarray, degree: int) -> QuadratureRule:
-    """Quadrature on a star-shaped polygon via its fan sub-triangulation.
+    """Quadrature on one star-shaped polygon: :func:`fan_rules` for a stack of one.
 
     Parameters
     ----------
@@ -95,12 +138,7 @@ def polygon_rule(vertices: np.ndarray, center: np.ndarray, degree: int) -> Quadr
     degree : int
         Polynomial exactness degree of the aggregated rule.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    center = np.asarray(center, dtype=float)
-    nxt = np.roll(vertices, -1, axis=0)
-    cross = (vertices[:, 0] - center[0]) * (nxt[:, 1] - center[1]) - (
-        vertices[:, 1] - center[1]
-    ) * (nxt[:, 0] - center[0])
-    if np.any(cross <= 0.0):
-        raise ValueError("fan point is not interior: non-positive sub-triangle")
-    return _fan_rule(np.broadcast_to(center, vertices.shape), vertices, nxt, degree)
+    vertices = np.asarray(vertices, dtype=float)[None]
+    center = np.asarray(center, dtype=float)[None]
+    points, weights = fan_rules(vertices, center, degree)
+    return QuadratureRule(points[0], weights[0], degree)

@@ -127,6 +127,24 @@ def test_assembly_order_independent(mesh_cache):
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-15 * scale
 
 
+def test_stiffness_pattern_is_union_of_cell_patterns(mesh_cache):
+    """Entries whose cell contributions cancel stay stored: the pattern is
+    structural. At order 3 on crisscross n = 1, 202 entries sum to 0.0."""
+    mesh = mesh_cache("crisscross", 1)
+    kernels = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
+    dofmap = global_dof_map(mesh, 3)
+    full = assemble_stiffness(mesh, kernels, dofmap)
+    dofs = [dofmap.cell_dofs(c) for c in range(mesh.n_cells)]
+    cells = np.repeat(np.arange(mesh.n_cells), [len(d) for d in dofs])
+    incidence = sp.csr_matrix((np.ones(len(cells)), (np.concatenate(dofs), cells)))
+    pattern = (incidence @ incidence.T).tocsr()
+    pattern.sort_indices()
+    full.sort_indices()
+    assert np.count_nonzero(full.data == 0.0) > 0
+    assert np.array_equal(full.indptr, pattern.indptr)
+    assert np.array_equal(full.indices, pattern.indices)
+
+
 def test_zero_load_gives_zero_solution(mesh_cache):
     solver = PlateSolver(mesh_cache("hexagonal", 0), 2, DEFAULT_MATERIAL)
     solution = solver.solve(zero_f, BoundarySpec.clamped())

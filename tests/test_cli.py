@@ -158,6 +158,32 @@ def test_numeric_flag_range(tmp_path, capsys, flag, value):
         assert list(tmp_path.iterdir()) == []
 
 
+NEGATIVE_N = [
+    ["mesh", "--family", "crisscross"],
+    ["solve", "--family", "crisscross", "--order", "2"],
+    ["patch", "--family", "crisscross", "--order", "2"],
+    ["morley-compare"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_N, ids=[a[0] for a in NEGATIVE_N])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_n_is_config_error(tmp_path, capsys, argv, source):
+    """A negative refinement index, as a flag or a config key, exits 2
+    before any mesh is built and writes no output file."""
+    out = tmp_path / "out" / "x.json"
+    if source == "flag":
+        extra = ["--n", "-2"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = -2\n")
+        extra = ["--config", str(cfg)]
+    code = main(argv + extra + ["--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "--n must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_quad_degree_option_rejected(tmp_path, capsys):
     argv = ["solve", "--family", "hexagonal", "--n", "0", "--order", "3"]
     with pytest.raises(SystemExit) as exc:

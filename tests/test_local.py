@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 from operator import mul
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from platevem import local
+from platevem import local, manufactured
 from platevem.mesh import MeshError
 from platevem.plate import DEFAULT_MATERIAL, MaterialParams, energy_gram, hessian_seminorm_gram
 from platevem.polynomials import ScaledMonomialBasis, space_dim
@@ -18,6 +19,7 @@ from conftest import (
     cell_interpolant,
     cell_kernels,
     group_stabilization,
+    reference_cell_dofs,
     single_cell_mesh,
 )
 
@@ -260,6 +262,39 @@ def test_local_load_polynomial_exact():
     x, y = rule.points[:, 0], rule.points[:, 1]
     exact = rule.weights @ (f(x, y) * v(x, y))
     assert dofs_v @ load == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_interior_moments_span_chunks(order, mesh_cache):
+    """Groups of every size, one larger than a chunk and not a multiple of
+    it, match the cell-by-cell fan rule."""
+    mesh = mesh_cache("hexagonal", 1)
+    sizes = np.bincount(mesh.cells.lengths)
+    assert sizes.max() > local.MOMENT_CHUNK and sizes.max() % local.MOMENT_CHUNK
+    assert np.count_nonzero(sizes) > 1
+    w, gw = manufactured.displacement, manufactured.gradient
+    got = local.interior_moments(mesh, order, w)
+    layout = local.dof_layout(3, order)
+    for c in range(mesh.n_cells):
+        frame = mesh.frame(c)
+        ref = reference_cell_dofs(frame, order, w, gw)[
+            local.dof_layout(frame.n_vertices, order).cell_slice
+        ]
+        assert got[c].shape == (layout.n_cell,)
+        assert np.abs(got[c] - ref).max() <= 1e-14 * np.abs(ref).max(), c
+
+
+def test_interior_moments_name_cell_with_exterior_star(mesh_cache):
+    """A star point moved outside its cell fails with the cell's id, also
+    in a chunk after the first."""
+    mesh = mesh_cache("hexagonal", 1)
+    cell = int(np.flatnonzero(mesh.cells.lengths == 6)[local.MOMENT_CHUNK + 3])
+    stars = mesh.stars.copy()
+    corner = mesh.vertices[mesh.cells[cell][0]]
+    stars[cell] = corner + (corner - mesh.centroids[cell])
+    bad = dataclasses.replace(mesh, stars=stars)
+    with pytest.raises(ValueError, match=rf"^cell {cell}: fan point is not interior"):
+        local.interior_moments(bad, 4, manufactured.displacement)
 
 
 def test_projector_material_independent_rates_data():

@@ -1,12 +1,29 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from platevem.polynomials import (
     ScaledMonomialBasis,
+    _derivative_factors,
     centered_power_moments,
+    exponent_table,
     exponents,
+    power_table,
     space_dim,
 )
+
+
+def pow_eval(basis, points, derivative=(0, 0)):
+    """Basis values by elementwise ``pow``, the formula the power tables replaced."""
+    xi = (points[:, 0] - basis.center[0]) / basis.h
+    eta = (points[:, 1] - basis.center[1]) / basis.h
+    i, j = derivative
+    fac = _derivative_factors(basis.order, i, j) / basis.h ** (i + j)
+    ax = np.maximum(basis.exponents[:, 0] - i, 0)
+    by = np.maximum(basis.exponents[:, 1] - j, 0)
+    vals = xi[:, None] ** ax[None, :] * eta[:, None] ** by[None, :]
+    return vals * fac[None, :]
 
 
 def test_space_dim():
@@ -19,6 +36,46 @@ def test_space_dim():
 
 def test_exponent_order():
     assert exponents(2) == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def test_exponent_table_is_shared_and_read_only():
+    table = exponent_table(3)
+    assert table is exponent_table(3)
+    assert ScaledMonomialBasis(np.zeros(2), 1.0, 3).exponents is table
+    assert table.tolist() == [list(ab) for ab in exponents(3)]
+    assert not table.flags.writeable
+    assert exponent_table(0).shape == (1, 2)
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_power_table_matches_exact_powers(degree):
+    """Power k is within k - 1 ulps of the exact rational power; the test
+    allows ``degree`` ulps on every entry, up to degree 8 (the moment degree
+    of order 5)."""
+    x = np.random.default_rng(degree).uniform(-1.0, 1.0, (40, 3))
+    table = power_table(x, degree)
+    assert table.shape == x.shape + (degree + 1,)
+    assert np.all(table[..., 0] == 1.0)
+    for value, row in zip(x.ravel(), table.reshape(-1, degree + 1)):
+        for k in range(degree + 1):
+            exact = Fraction(float(value)) ** k
+            ulp = np.spacing(abs(float(exact)))
+            assert abs(Fraction(float(row[k])) - exact) <= degree * Fraction(ulp), (value, k)
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_eval_matches_pow_formula(order):
+    """Every derivative (i, j), vanishing ones included, agrees with the
+    elementwise ``pow`` formula to 1e-15 relative, entry by entry."""
+    rng = np.random.default_rng(order)
+    basis = ScaledMonomialBasis(rng.uniform(0.2, 0.8, 2), 0.37, order)
+    points = basis.center + basis.h * rng.uniform(-1.0, 1.0, (50, 2))
+    for i in range(order + 2):
+        for j in range(order + 2):
+            got = basis.eval(points, (i, j))
+            ref = pow_eval(basis, points, (i, j))
+            assert got.shape == ref.shape == (50, basis.dim)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), (i, j)
 
 
 def test_constant_monomial_is_one():

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from platevem.polynomials import ScaledMonomialBasis, exponents
-from platevem.quadrature import edge_rule, gauss_legendre, polygon_rule, triangle_rule
+from platevem.quadrature import (
+    FanPointError,
+    edge_rule,
+    fan_rules,
+    gauss_legendre,
+    polygon_rule,
+    triangle_rule,
+)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -96,3 +103,25 @@ def test_polygon_rule_matches_triangle_loop(degree, small_corpus):
         points, weights = fan_rule_loop(frame.vertices, frame.star, degree)
         assert np.array_equal(rule.points, points)
         assert np.array_equal(rule.weights, weights)
+
+
+def test_fan_rules_stack_is_polygon_rule_per_polygon(small_corpus):
+    """Each polygon of a stack gets exactly its one-polygon rule."""
+    frames = [mesh.frame(0) for mesh in small_corpus if mesh.frame(0).n_vertices == 5]
+    assert len(frames) > 1
+    vertices = np.stack([f.vertices for f in frames])
+    points, weights = fan_rules(vertices, np.stack([f.star for f in frames]), 7)
+    for k, frame in enumerate(frames):
+        rule = polygon_rule(frame.vertices, frame.star, 7)
+        assert np.array_equal(points[k], rule.points)
+        assert np.array_equal(weights[k], rule.weights)
+
+
+def test_fan_rules_name_first_bad_polygon():
+    stack = np.stack([SQUARE, SQUARE + 1.0, SQUARE])
+    centers = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.2]])
+    with pytest.raises(FanPointError) as exc:
+        fan_rules(stack, centers, 2)
+    assert exc.value.position == 1
+    centers[1] = [1.5, 1.5]
+    assert fan_rules(stack, centers, 2)[0].shape == (3, 4 * 4, 2)
