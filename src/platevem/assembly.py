@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .local import (
-    LocalKernels,
+    KernelGroup,
     build_local_kernels,
     dof_layout,
     edge_moments,
@@ -60,10 +60,6 @@ class GlobalDofMap:
         o_cell = o_ev + mesh.n_edges * self._n_ev
         self.offsets = (o_vertex, o_en, o_ev, o_cell)
         self.n_total = o_cell + mesh.n_cells * self._n_cell
-
-    def cell_dofs(self, c: int) -> np.ndarray:
-        """Global indices of cell c's unknowns, in local layout order."""
-        return self.group_dofs([c])[0]
 
     def group_dofs(self, cells) -> np.ndarray:
         """Global indices of the unknowns of cells sharing one vertex count.
@@ -141,9 +137,9 @@ class BoundarySpec:
 
 
 def assemble_stiffness(
-    mesh: PolygonMesh, kernels: list[LocalKernels], dofmap: GlobalDofMap
+    kernels: list[KernelGroup], stiffness: list[np.ndarray], dofmap: GlobalDofMap
 ) -> sp.csr_matrix:
-    """Scatter the local stiffness matrices into the full symmetric matrix.
+    """Scatter the stiffness stacks of the kernel groups into the full matrix.
 
     The rows of every cell's block, one per local unknown and placed in the
     cell's global columns, form a matrix L, filled one vertex-count group
@@ -158,25 +154,21 @@ def assemble_stiffness(
     either order, and the matrix is exactly symmetric.
     """
     shape = (dofmap.n_total, dofmap.n_total)
-    groups = mesh.group_index()
-    unknowns = [dofmap.group_dofs(cells) for cells in groups]
+    unknowns = [dofmap.group_dofs(group.index) for group in kernels]
     n_rows = sum(idx.size for idx in unknowns)
     n_entries = sum(idx.size * idx.shape[1] for idx in unknowns)
     renamed = np.empty(n_rows, dtype=np.int32)
     indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    values = np.empty(n_entries)
     columns = np.empty(n_entries, dtype=np.int32)
     row = entry = 0
-    for cells, idx in zip(groups, unknowns):
+    for idx in unknowns:
         g, n = idx.shape
         renamed[row : row + g * n] = idx.ravel()
         indptr[row + 1 : row + g * n + 1] = n
-        blocks = values[entry : entry + g * n * n].reshape(g, n, n)
-        for k, c in enumerate(cells):
-            blocks[k] = kernels[c].stiffness
         columns[entry : entry + g * n * n].reshape(g, n, n)[:] = idx[:, None, :]
         row, entry = row + g * n, entry + g * n * n
     np.cumsum(indptr, out=indptr)
+    values = np.concatenate([blocks.ravel() for blocks in stiffness])
     local_rows = sp.csr_matrix((values, columns, indptr), shape=(len(renamed), shape[1]))
     del values, columns
     by_column = local_rows.T.tocsr()
@@ -190,14 +182,21 @@ def assemble_stiffness(
 
 def assemble_load(
     mesh: PolygonMesh,
-    kernels: list[LocalKernels],
+    kernels: list[KernelGroup],
     dofmap: GlobalDofMap,
     f,
 ) -> np.ndarray:
-    """Scatter the local load pairings of the source density f."""
+    """Scatter the local load pairings of the source density f.
+
+    The pairings are computed cell by cell and scattered one group at a
+    time, in cell order within the group.
+    """
     b = np.zeros(dofmap.n_total)
-    for c, kern in enumerate(kernels):
-        np.add.at(b, dofmap.cell_dofs(c), local_load(kern, f))
+    for group in kernels:
+        loads = np.stack([local_load(kern, f) for kern in group.cells])
+        b += np.bincount(
+            dofmap.group_dofs(group.index).ravel(), weights=loads.ravel(), minlength=b.size
+        )
     return b
 
 
@@ -337,15 +336,27 @@ def factor_spd(matrix: sp.spmatrix) -> SpdFactor:
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     _check_pivots(lu)
-    return SpdFactor(a, lu, float(spla.norm(a, 1)))
+    return SpdFactor(a, lu, _norm_1(a))
+
+
+def _norm_1(a: sp.csc_matrix) -> float:
+    """Largest column sum of absolute values, read off the CSC arrays.
+
+    The same value as ``scipy.sparse.linalg.norm(a, 1)`` for a matrix
+    without duplicate entries, without building a copy of the matrix.
+    """
+    n_cols = a.shape[1]
+    column = np.repeat(np.arange(n_cols), np.diff(a.indptr))
+    return float(np.bincount(column, weights=np.abs(a.data), minlength=n_cols).max(initial=0.0))
 
 
 class PlateSolver:
     """Reusable discrete plate problem on a fixed mesh, order, and material.
 
-    Builds the per-cell kernels, the global numbering, and the stiffness
-    matrix once; each :meth:`solve` call assembles a load, applies boundary
-    data, and solves with the factor of the free block, made by
+    Builds the kernel groups, the global numbering, and the stiffness
+    matrix once, and drops the local stiffness stacks after the scatter;
+    each :meth:`solve` call assembles a load, applies boundary data, and
+    solves with the factor of the free block, made by
     :func:`factor_spd` on the first solve and kept in :attr:`factor`.
     :attr:`refine_steps` holds the refinement steps of the last solve.
     """
@@ -354,14 +365,17 @@ class PlateSolver:
         self.mesh = mesh
         self.order = order
         self.material = material
-        self.kernels = build_local_kernels(mesh, order, material)
+        self.kernels, stiffness = build_local_kernels(mesh, order, material)
         self.dofmap = global_dof_map(mesh, order)
-        self.matrix = assemble_stiffness(mesh, self.kernels, self.dofmap)
+        self.matrix = assemble_stiffness(self.kernels, stiffness, self.dofmap)
+        del stiffness
         mask = self.dofmap.boundary_mask
         self.free = np.flatnonzero(~mask)
         self.constrained = np.flatnonzero(mask)
         rows = self.matrix[self.free]
-        self._a_ff = rows[:, self.free].tocsc()
+        # The matrix is exactly symmetric, so the transpose of the free
+        # block's CSR rows is its CSC form, with no copy.
+        self._a_ff = rows[:, self.free].T
         self._a_fc = rows[:, self.constrained].tocsr()
         self.factor: SpdFactor | None = None
         self.refine_steps: int | None = None

@@ -131,7 +131,10 @@ def _merge_config(args) -> None:
 # more is finite and positive but folds the octagon; the generator rejects
 # it as a mesh construction error.
 _RANGES = {
-    "n": (lambda v: v >= 0, "a nonnegative integer"),
+    "n": (
+        lambda v: 0 <= v <= cv.MAX_REFINEMENT,
+        f"a nonnegative integer at most {cv.MAX_REFINEMENT}",
+    ),
     "seed": (lambda v: v >= 0, "a nonnegative integer"),
     "poisson": (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
     "rigidity": (lambda v: 0.0 < v < np.inf, "positive and finite"),

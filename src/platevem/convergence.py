@@ -9,7 +9,7 @@ import numpy as np
 from . import manufactured
 from .assembly import BoundarySpec, PlateSolver, global_dof_map, interpolate
 from .generators import build_family
-from .local import LocalKernels
+from .local import KernelGroup
 from .mesh import PolygonMesh
 from .plate import DEFAULT_MATERIAL, MaterialParams
 
@@ -29,20 +29,21 @@ class ProjectedField:
 
 def project_solution(
     mesh: PolygonMesh,
-    kernels: list[LocalKernels],
+    kernels: list[KernelGroup],
     dofmap,
     solution: np.ndarray,
 ) -> ProjectedField:
     """Cellwise energy projection of a discrete solution vector."""
-    coeffs = np.empty((mesh.n_cells, kernels[0].basis.dim))
-    for c, kern in enumerate(kernels):
-        coeffs[c] = kern.pi @ solution[dofmap.cell_dofs(c)]
+    coeffs = np.empty((mesh.n_cells, kernels[0].dim))
+    for group in kernels:
+        unknowns = solution[dofmap.group_dofs(group.index)]
+        coeffs[group.index] = np.einsum("gdn,gn->gd", group.pi, unknowns)
     return ProjectedField(mesh, kernels[0].layout.order, coeffs)
 
 
 def project_exact(
     mesh: PolygonMesh,
-    kernels: list[LocalKernels],
+    kernels: list[KernelGroup],
     w,
     grad_w,
 ) -> ProjectedField:
@@ -51,29 +52,30 @@ def project_exact(
     return project_solution(mesh, kernels, dofmap, interpolate(dofmap, w, grad_w))
 
 
-def seminorm_2h(kernels: list[LocalKernels], coefficients: np.ndarray) -> float:
+def seminorm_2h(kernels: list[KernelGroup], coefficients: np.ndarray) -> float:
     """Broken H2 seminorm of a cellwise polynomial field."""
     total = 0.0
-    for c, kern in enumerate(kernels):
-        v = coefficients[c]
-        total += float(v @ kern.seminorm_gram @ v)
+    for group in kernels:
+        v = coefficients[group.index]
+        total += float((np.einsum("gij,gj->gi", group.seminorm_gram, v) * v).sum())
     return float(np.sqrt(max(total, 0.0)))
 
 
-def _seminorm_scale(kernels: list[LocalKernels], coefficients: np.ndarray) -> float:
+def _seminorm_scale(kernels: list[KernelGroup], coefficients: np.ndarray) -> float:
     """Magnitude a generic field with these coefficients would have.
 
     Used to detect reference fields whose seminorm is pure rounding noise
     (projections of globally linear functions).
     """
     total = 0.0
-    for c, kern in enumerate(kernels):
-        total += float(np.abs(kern.seminorm_gram).max() * (coefficients[c] ** 2).sum())
+    for group in kernels:
+        gram_max = np.abs(group.seminorm_gram).max(axis=(1, 2))
+        total += float(gram_max @ (coefficients[group.index] ** 2).sum(axis=1))
     return float(np.sqrt(total))
 
 
 def error_2h(
-    kernels: list[LocalKernels],
+    kernels: list[KernelGroup],
     exact: ProjectedField,
     discrete: ProjectedField,
 ) -> float:
@@ -93,7 +95,7 @@ def error_2h(
 
 
 def relative_or_absolute_error(
-    kernels: list[LocalKernels],
+    kernels: list[KernelGroup],
     exact: ProjectedField,
     discrete: ProjectedField,
 ) -> float:
@@ -183,11 +185,15 @@ def run_single(
     return solver, solution, err
 
 
+# Largest refinement index of any mesh a study or a command builds.
+MAX_REFINEMENT = 8
+
+
 def check_study_range(order: int, n_max: int) -> None:
     """Raise ``ValueError`` unless ``convergence_study`` accepts the pair."""
     if order not in (2, 3, 4, 5):
         raise ValueError("order must be one of 2, 3, 4, 5")
-    if not 0 <= n_max <= (4 if order == 5 else 8):
+    if not 0 <= n_max <= (4 if order == 5 else MAX_REFINEMENT):
         raise ValueError("n_max out of range for this order")
 
 

@@ -495,19 +495,33 @@ def elliptic_projector(
 
 @dataclass
 class LocalKernels:
-    """All per-cell matrices needed for assembly and error evaluation.
-
-    The arrays are views into the stacks of the cell's vertex-count group.
-    """
+    """What the per-cell load reads: one cell's rows of its group stacks (views)."""
 
     frame: CellFrame
     layout: DofLayout
-    basis: ScaledMonomialBasis
-    pi: np.ndarray  # (dim x n_total) projector coefficients
-    stiffness: np.ndarray  # (n_total x n_total) consistency + stabilization
     moment_op: np.ndarray  # (dim_{order-2} x n_total) interior moments
     moment_mass: np.ndarray  # (dim_{order-2} x dim_{order-2})
-    seminorm_gram: np.ndarray  # (dim x dim) broken H2 metric
+
+
+@dataclass(frozen=True)
+class KernelGroup:
+    """Kernels of the cells of one vertex count, stacked along axis 0.
+
+    Row k of every stack belongs to mesh cell ``index[k]``; ``cells[k]`` is
+    that cell's :class:`LocalKernels` view for the per-cell load.
+    """
+
+    index: np.ndarray  # (G,) mesh cell ids
+    layout: DofLayout
+    pi: np.ndarray  # (G, dim, n_total) projector coefficients
+    moment_op: np.ndarray  # (G, dim_{order-2}, n_total)
+    moment_mass: np.ndarray  # (G, dim_{order-2}, dim_{order-2})
+    seminorm_gram: np.ndarray  # (G, dim, dim) broken H2 metric
+    cells: list[LocalKernels]
+
+    @property
+    def dim(self) -> int:
+        return self.pi.shape[1]
 
 
 def _symmetrized(stack: np.ndarray) -> np.ndarray:
@@ -650,36 +664,34 @@ def local_load(kern: LocalKernels, f) -> np.ndarray:
 
 def build_cell_kernels(frame: CellFrame, layout: DofLayout, **rows) -> LocalKernels:
     """Kernels of one cell from its rows of the group stacks (views, not copies)."""
-    basis = ScaledMonomialBasis(frame.centroid, frame.diameter, layout.order)
-    return LocalKernels(frame=frame, layout=layout, basis=basis, **rows)
+    return LocalKernels(frame=frame, layout=layout, **rows)
 
 
-def group_kernels(group: CellGroup, order: int, material: MaterialParams) -> list[LocalKernels]:
-    """Kernels of the cells of one group, in group order, from one stacked pass."""
+def group_kernels(
+    group: CellGroup, order: int, material: MaterialParams
+) -> tuple[KernelGroup, np.ndarray]:
+    """Kernels of one group from one stacked pass, and its stiffness stack.
+
+    The stiffness stack (G, n_total, n_total) is returned apart: only the
+    global scatter reads it, so it need not outlive the assembly.
+    """
     gb = group_basis(group, order)
     gram, seminorm = energy_grams(gb, material)
     dofs = dof_matrix(gb)
     pi = elliptic_projector(gb, material, gram, dofs)
     stiff = local_stiffness(gb, material, gram, pi, dofs)[0]
     mom_op, mass = moment_operator(gb, pi)
-    return [
-        build_cell_kernels(
-            group.frame(k),
-            gb.layout,
-            pi=pi[k],
-            stiffness=stiff[k],
-            moment_op=mom_op[k],
-            moment_mass=mass[k],
-            seminorm_gram=seminorm[k],
-        )
+    cells = [
+        build_cell_kernels(group.frame(k), gb.layout, moment_op=mom_op[k], moment_mass=mass[k])
         for k in range(group.n_cells)
     ]
+    return KernelGroup(group.index, gb.layout, pi, mom_op, mass, seminorm, cells), stiff
 
 
-def build_local_kernels(mesh, order: int, material: MaterialParams) -> list[LocalKernels]:
-    """Kernels for every cell of a mesh, one stacked pass per vertex count."""
-    kernels: list = [None] * mesh.n_cells
-    for group in mesh.cell_groups():
-        for c, kern in zip(group.index, group_kernels(group, order, material)):
-            kernels[c] = kern
-    return kernels
+def build_local_kernels(
+    mesh, order: int, material: MaterialParams
+) -> tuple[list[KernelGroup], list[np.ndarray]]:
+    """Kernel groups of a mesh, one per vertex count in increasing count
+    order, and the matching stiffness stacks."""
+    built = [group_kernels(group, order, material) for group in mesh.cell_groups()]
+    return [k for k, _ in built], [s for _, s in built]

@@ -200,22 +200,20 @@ def morley_solve(
     """
     _check_triangular(mesh)
     dofmap = global_dof_map(mesh, 2)
-    rows, cols, vals = [], [], []
-    load = np.zeros(dofmap.n_total)
+    unknowns = dofmap.group_dofs(np.arange(mesh.n_cells))  # (n_cells, 6)
+    stiff, loads = [], []
     for c in range(mesh.n_cells):
         ids = mesh.cells[c]
         verts = mesh.vertices[ids]
-        stiff = morley_local_stiffness(verts, material, ids)
-        gidx = dofmap.cell_dofs(c)
-        grid = np.meshgrid(gidx, gidx, indexing="ij")
-        rows.append(grid[0].ravel())
-        cols.append(grid[1].ravel())
-        vals.append(stiff.ravel())
-        np.add.at(load, gidx, morley_local_load(verts, f, ids))
+        stiff.append(morley_local_stiffness(verts, material, ids))
+        loads.append(morley_local_load(verts, f, ids))
+    rows = np.broadcast_to(unknowns[:, :, None], (mesh.n_cells, 6, 6))
+    cols = np.broadcast_to(unknowns[:, None, :], (mesh.n_cells, 6, 6))
     full = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.ravel(stiff), (rows.ravel(), cols.ravel())),
         shape=(dofmap.n_total, dofmap.n_total),
     ).tocsr()
+    load = np.bincount(unknowns.ravel(), weights=np.ravel(loads), minlength=dofmap.n_total)
     mask = dofmap.boundary_mask
     free = np.flatnonzero(~mask)
     constrained = np.flatnonzero(mask)
@@ -239,13 +237,14 @@ def morley_error_2h(mesh: PolygonMesh, dofmap, solution, exact, exact_grad) -> f
     is a closed form in the coefficients.
     """
     hess = _hessians()
+    unknowns = dofmap.group_dofs(np.arange(mesh.n_cells))
     num = 0.0
     den = 0.0
     for c in range(mesh.n_cells):
         ids = mesh.cells[c]
         verts = mesh.vertices[ids]
         dof = morley_dof_matrix(verts, ids)
-        sol_c = np.linalg.solve(dof, solution[dofmap.cell_dofs(c)])
+        sol_c = np.linalg.solve(dof, solution[unknowns[c]])
         exact_dofs = morley_interpolation_dofs(verts, ids, exact, exact_grad)
         exa_c = np.linalg.solve(dof, exact_dofs)
         area = _triangle_area(verts)

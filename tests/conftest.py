@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -36,9 +38,81 @@ def single_cell_mesh(vertices: np.ndarray) -> PolygonMesh:
     return derive_topology(vertices, [list(range(len(vertices)))])
 
 
-def cell_kernels(mesh: PolygonMesh, order: int):
+@dataclass
+class CellView:
+    """One cell's rows of the kernel group stacks, with its global unknowns.
+
+    Carries what a ``LocalKernels`` view carries, so ``local.local_load``
+    accepts it, plus the cell's stiffness block, its projector and seminorm
+    rows and its scaled monomial basis.
+    """
+
+    frame: object
+    layout: local.DofLayout
+    basis: ScaledMonomialBasis
+    dofs: np.ndarray  # global indices of the cell's unknowns, layout order
+    pi: np.ndarray
+    stiffness: np.ndarray
+    moment_op: np.ndarray
+    moment_mass: np.ndarray
+    seminorm_gram: np.ndarray
+
+
+def cell_views(mesh: PolygonMesh, order: int, material=DEFAULT_MATERIAL) -> list[CellView]:
+    """Per-cell views of a mesh's kernel groups, in mesh cell order."""
+    kernels, stiffness = local.build_local_kernels(mesh, order, material)
+    dofmap = assembly.global_dof_map(mesh, order)
+    views: list = [None] * mesh.n_cells
+    for group, stiff in zip(kernels, stiffness):
+        dofs = dofmap.group_dofs(group.index)
+        for k, c in enumerate(group.index):
+            frame = group.cells[k].frame
+            views[c] = CellView(
+                frame=frame,
+                layout=group.layout,
+                basis=ScaledMonomialBasis(frame.centroid, frame.diameter, order),
+                dofs=dofs[k],
+                pi=group.pi[k],
+                stiffness=stiff[k],
+                moment_op=group.moment_op[k],
+                moment_mass=group.moment_mass[k],
+                seminorm_gram=group.seminorm_gram[k],
+            )
+    return views
+
+
+def cell_kernels(mesh: PolygonMesh, order: int) -> CellView:
     """Kernels of the only cell of a one-cell mesh."""
-    return local.build_local_kernels(mesh, order, DEFAULT_MATERIAL)[0]
+    return cell_views(mesh, order)[0]
+
+
+def reference_project_solution(views: list[CellView], solution: np.ndarray) -> np.ndarray:
+    """Cell-by-cell projection coefficients: one matvec per cell."""
+    return np.array([v.pi @ solution[v.dofs] for v in views])
+
+
+def reference_seminorm_2h(views: list[CellView], coefficients: np.ndarray) -> float:
+    """Cell-by-cell broken H2 seminorm: one quadratic form per cell."""
+    total = 0.0
+    for v, c in zip(views, coefficients):
+        total += float(c @ v.seminorm_gram @ c)
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def reference_seminorm_scale(views: list[CellView], coefficients: np.ndarray) -> float:
+    """Cell-by-cell form of ``convergence._seminorm_scale``."""
+    total = 0.0
+    for v, c in zip(views, coefficients):
+        total += float(np.abs(v.seminorm_gram).max() * (c**2).sum())
+    return float(np.sqrt(total))
+
+
+def reference_load(views: list[CellView], n_total: int, f) -> np.ndarray:
+    """Cell-by-cell load: each cell's pairings added in cell order."""
+    b = np.zeros(n_total)
+    for v in views:
+        np.add.at(b, v.dofs, local.local_load(v, f))
+    return b
 
 
 def group_stabilization(group, order: int) -> np.ndarray:

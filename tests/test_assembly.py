@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from platevem import assembly, manufactured
+from platevem import assembly, local, manufactured
 from platevem import convergence as cv
 from platevem.assembly import (
     AssemblyError,
@@ -18,10 +20,10 @@ from platevem.assembly import (
     interpolate,
 )
 from platevem.local import build_local_kernels
-from platevem.mesh import derive_topology
+from platevem.mesh import CellFrame, derive_topology
 from platevem.plate import DEFAULT_MATERIAL
 
-from conftest import reference_cell_dofs
+from conftest import cell_views, reference_cell_dofs
 from reference_counts import BY_FAMILY
 
 
@@ -58,8 +60,7 @@ def test_cell_dofs_disjoint_blocks(mesh_cache):
     mesh = mesh_cache("crisscross", 0)
     dofmap = global_dof_map(mesh, 4)
     seen = np.zeros(dofmap.n_total, dtype=int)
-    for c in range(mesh.n_cells):
-        idx = dofmap.cell_dofs(c)
+    for idx in dofmap.group_dofs(np.arange(mesh.n_cells)):
         assert len(set(idx.tolist())) == len(idx)
         seen[idx] += 1
     assert seen.min() >= 1  # every unknown touched by at least one cell
@@ -96,9 +97,9 @@ def test_reduced_matrix_spd(mesh_cache):
 
 def test_assembled_matrix_symmetric(mesh_cache):
     mesh = mesh_cache("octagonal", 0)
-    kernels = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
+    kernels, stiffness = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 3)
-    full = assemble_stiffness(mesh, kernels, dofmap)
+    full = assemble_stiffness(kernels, stiffness, dofmap)
     asym = (full - full.T).tocoo()
     max_asym = np.abs(asym.data).max() if asym.nnz else 0.0
     assert max_asym == 0.0
@@ -106,18 +107,19 @@ def test_assembled_matrix_symmetric(mesh_cache):
 
 def test_assembly_order_independent(mesh_cache):
     mesh = mesh_cache("randomquad", 0)
-    kernels = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
+    kernels, stiffness = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 3)
-    a1 = assemble_stiffness(mesh, kernels, dofmap)
+    a1 = assemble_stiffness(kernels, stiffness, dofmap)
 
+    views = cell_views(mesh, 3)
     order = np.random.default_rng(0).permutation(mesh.n_cells)
     rows, cols, vals = [], [], []
     for c in order:
-        idx = dofmap.cell_dofs(int(c))
+        idx = views[c].dofs
         grid = np.meshgrid(idx, idx, indexing="ij")
         rows.append(grid[0].ravel())
         cols.append(grid[1].ravel())
-        vals.append(kernels[int(c)].stiffness.ravel())
+        vals.append(views[c].stiffness.ravel())
     a2 = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dofmap.n_total, dofmap.n_total),
@@ -131,10 +133,10 @@ def test_stiffness_pattern_is_union_of_cell_patterns(mesh_cache):
     """Entries whose cell contributions cancel stay stored: the pattern is
     structural. At order 3 on crisscross n = 1, 202 entries sum to 0.0."""
     mesh = mesh_cache("crisscross", 1)
-    kernels = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
+    kernels, stiffness = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 3)
-    full = assemble_stiffness(mesh, kernels, dofmap)
-    dofs = [dofmap.cell_dofs(c) for c in range(mesh.n_cells)]
+    full = assemble_stiffness(kernels, stiffness, dofmap)
+    dofs = [view.dofs for view in cell_views(mesh, 3)]
     cells = np.repeat(np.arange(mesh.n_cells), [len(d) for d in dofs])
     incidence = sp.csr_matrix((np.ones(len(cells)), (np.concatenate(dofs), cells)))
     pattern = (incidence @ incidence.T).tocsr()
@@ -143,6 +145,68 @@ def test_stiffness_pattern_is_union_of_cell_patterns(mesh_cache):
     assert np.count_nonzero(full.data == 0.0) > 0
     assert np.array_equal(full.indptr, pattern.indptr)
     assert np.array_equal(full.indices, pattern.indices)
+
+
+def test_solver_builds_and_loads_each_cell_once(mesh_cache, monkeypatch):
+    """The benchmark's traced pass counts cells by vertex count through
+    ``local.build_cell_kernels``, reading the frame from the first
+    positional argument, and per-cell loads through ``assembly.local_load``:
+    a solver calls the first once per cell, and each load the second."""
+    mesh = mesh_cache("hexagonal", 1)
+    frames, loaded = [], []
+    build, load = local.build_cell_kernels, assembly.local_load
+
+    def counting_build(*args, **kwargs):
+        frames.append(args[0])
+        return build(*args, **kwargs)
+
+    def counting_load(kern, f):
+        loaded.append(kern.frame.index)
+        return load(kern, f)
+
+    monkeypatch.setattr(local, "build_cell_kernels", counting_build)
+    monkeypatch.setattr(assembly, "local_load", counting_load)
+    solver = PlateSolver(mesh, 3, DEFAULT_MATERIAL)
+    assert all(isinstance(frame, CellFrame) for frame in frames)
+    assert sorted(frame.index for frame in frames) == list(range(mesh.n_cells))
+    by_nverts = Counter(frame.n_vertices for frame in frames)
+    assert by_nverts == Counter(mesh.cells.lengths.tolist())
+    assert len(by_nverts) > 1
+    for _ in range(2):
+        loaded.clear()
+        solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
+        assert sorted(loaded) == list(range(mesh.n_cells))
+
+
+@pytest.mark.parametrize("family", ["crisscross", "hexagonal", "octagonal", "randomquad"])
+def test_free_block_is_its_own_transpose(family, mesh_cache):
+    """The solver factors the transpose of the free block's CSR rows as its
+    CSC form; that is the block itself, entry for entry."""
+    mesh = mesh_cache(family, 0)
+    for order in (2, 3, 4, 5):
+        solver = PlateSolver(mesh, order, DEFAULT_MATERIAL)
+        block = free_block(solver)
+        assert (block != block.T).nnz == 0, order
+        solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
+        factored = solver.factor.matrix
+        assert factored.format == "csc"
+        assert (factored != block).nnz == 0, order
+        assert solver.factor.norm_1 == pytest.approx(spla.norm(block, 1), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "family, n, order, seed",
+    [("randomquad", 4, 2, 1), ("octagonal", 2, 5, 0), ("hexagonal", 2, 3, 0)],
+)
+def test_factor_of_transposed_block_matches_copy(family, n, order, seed, mesh_cache):
+    """On the benchmark's meshes, factoring the transposed CSR rows gives
+    the ordering and fill of factoring a CSC copy of the free block."""
+    solver = PlateSolver(mesh_cache(family, n, seed), order, DEFAULT_MATERIAL)
+    solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
+    copy = factor_spd(free_block(solver).tocsc())
+    assert solver.nnz_factor == copy.lu.nnz
+    assert np.array_equal(solver.factor.lu.perm_c, copy.lu.perm_c)
+    assert solver.factor.norm_1 == copy.norm_1
 
 
 def test_zero_load_gives_zero_solution(mesh_cache):
@@ -163,9 +227,9 @@ def test_unconstrained_system_rejected(mesh_cache):
     # without boundary elimination the matrix keeps its 3-dim kernel,
     # which the solver must report as a distinct failure
     mesh = mesh_cache("crisscross", 0)
-    kernels = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
+    kernels, stiffness = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 2)
-    full = assemble_stiffness(mesh, kernels, dofmap).tocsr()
+    full = assemble_stiffness(kernels, stiffness, dofmap).tocsr()
     rng = np.random.default_rng(1)
     with pytest.raises(SolverError):
         factor_spd(full).solve(rng.uniform(-1, 1, dofmap.n_total))
@@ -268,24 +332,25 @@ def test_interpolation_matches_cellwise_reference(family, mesh_cache, small_corp
     w, gw = manufactured.displacement, manufactured.gradient
     for mesh in meshes:
         for order in (2, 3, 4, 5):
-            kernels = build_local_kernels(mesh, order, DEFAULT_MATERIAL)
+            kernels, _ = build_local_kernels(mesh, order, DEFAULT_MATERIAL)
+            views = cell_views(mesh, order)
             dofmap = global_dof_map(mesh, order)
-            cellwise = [reference_cell_dofs(k.frame, order, w, gw) for k in kernels]
+            cellwise = [reference_cell_dofs(v.frame, order, w, gw) for v in views]
             ref = np.empty(dofmap.n_total)
-            for c, dofs in enumerate(cellwise):
-                ref[dofmap.cell_dofs(c)] = dofs
+            for view, dofs in zip(views, cellwise):
+                ref[view.dofs] = dofs
             assert _relative(interpolate(dofmap, w, gw), ref) <= 1e-14, (mesh.n_cells, order)
 
             coeffs = cv.project_exact(mesh, kernels, w, gw).coefficients
-            ref_coeffs = np.array([k.pi @ d for k, d in zip(kernels, cellwise)])
+            ref_coeffs = np.array([v.pi @ d for v, d in zip(views, cellwise)])
             assert _relative(coeffs, ref_coeffs) <= 1e-10, (mesh.n_cells, order)
 
             u, gu, _ = manufactured.monomial_solution(order, 1, DEFAULT_MATERIAL)
             bc = BoundarySpec.dirichlet(u, gu)
             mask = dofmap.boundary_mask
             ref_u = np.empty(dofmap.n_total)
-            for c, kern in enumerate(kernels):
-                ref_u[dofmap.cell_dofs(c)] = reference_cell_dofs(kern.frame, order, u, gu)
+            for view in views:
+                ref_u[view.dofs] = reference_cell_dofs(view.frame, order, u, gu)
             values = boundary_values(mesh, dofmap, bc)
             assert np.abs(values[~mask]).max(initial=0.0) == 0.0
             assert _relative(values[mask], ref_u[mask]) <= 1e-14, (mesh.n_cells, order)
@@ -298,7 +363,7 @@ def test_one_cell_numbering_is_local_layout(small_corpus):
             n_local = assembly.dof_layout(mesh.frame(0).n_vertices, order).n_total
             dofmap = global_dof_map(mesh, order)
             assert dofmap.n_total == n_local
-            assert np.array_equal(dofmap.cell_dofs(0), np.arange(n_local))
+            assert np.array_equal(dofmap.group_dofs([0])[0], np.arange(n_local))
 
 
 def test_boundary_values_clamped_are_zero(mesh_cache):
@@ -315,9 +380,9 @@ def test_boundary_spec_validation():
 
 def test_dump_matrix_roundtrip(tmp_path, mesh_cache):
     mesh = mesh_cache("randomquad", 0)
-    kernels = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
+    kernels, stiffness = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 2)
-    full = assemble_stiffness(mesh, kernels, dofmap)
+    full = assemble_stiffness(kernels, stiffness, dofmap)
     path = tmp_path / "matrix.txt"
     dump_matrix(full, path)
     rows, cols, vals = [], [], []

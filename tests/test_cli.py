@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from platevem import generators
 from platevem.cli import (
     EXIT_CONFIG,
     EXIT_MESH,
@@ -181,6 +182,34 @@ def test_negative_n_is_config_error(tmp_path, capsys, argv, source):
     code = main(argv + extra + ["--out", str(out)])
     assert code == EXIT_CONFIG
     assert "--n must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_N, ids=[a[0] for a in NEGATIVE_N])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["9", str(10**9)])
+def test_n_above_largest_refinement_is_config_error(
+    tmp_path, capsys, monkeypatch, argv, source, value
+):
+    """A refinement index above 8, the largest a study accepts, exits 2
+    before any mesh is built. Mesh generation is replaced by a failure,
+    so a missing check cannot start building a huge mesh."""
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built for a rejected --n")
+
+    for name in ("build_family", "build_criss_cross", "nonconvex_octagonal_mesh"):
+        monkeypatch.setattr(generators, name, no_mesh)
+    out = tmp_path / "out" / "x.json"
+    if source == "flag":
+        extra = ["--n", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = {value}\n")
+        extra = ["--config", str(cfg)]
+    code = main(argv + extra + ["--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"--n must be a nonnegative integer at most 8, got {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

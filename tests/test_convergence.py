@@ -3,19 +3,33 @@ import pytest
 
 from platevem import convergence as cv
 from platevem import manufactured
-from platevem.assembly import BoundarySpec, PlateSolver
+from platevem.assembly import (
+    BoundarySpec,
+    PlateSolver,
+    assemble_load,
+    global_dof_map,
+    interpolate,
+)
 from platevem.local import build_local_kernels
 from platevem.plate import DEFAULT_MATERIAL
 from platevem.quadrature import polygon_rule
 
+from conftest import (
+    cell_views,
+    reference_load,
+    reference_project_solution,
+    reference_seminorm_2h,
+    reference_seminorm_scale,
+)
+
 
 def test_projection_reproduces_polynomials(mesh_cache):
     mesh = mesh_cache("randomquad", 0)
-    kernels = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
+    kernels, _ = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
     u = lambda x, y: x**3 - 2 * x * y**2 + 0.5
     gu = lambda x, y: (3 * x**2 - 2 * y**2, -4 * x * y)
     field = cv.project_exact(mesh, kernels, u, gu)
-    for c, kern in enumerate(kernels):
+    for c, kern in enumerate(cell_views(mesh, 3)):
         pts = kern.frame.vertices * 0.5 + kern.frame.centroid * 0.5
         got = kern.basis.eval(pts) @ field.coefficients[c]
         assert np.allclose(got, u(pts[:, 0], pts[:, 1]), atol=1e-11)
@@ -23,7 +37,7 @@ def test_projection_reproduces_polynomials(mesh_cache):
 
 def test_identical_fields_zero_error(mesh_cache):
     mesh = mesh_cache("crisscross", 0)
-    kernels = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
+    kernels, _ = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
     field = cv.project_exact(
         mesh, kernels, manufactured.displacement, manufactured.gradient
     )
@@ -34,7 +48,7 @@ def test_scaled_field_ratio_one(mesh_cache):
     # doubling the discrete field makes the difference equal to -u, so the
     # relative error is exactly one
     mesh = mesh_cache("crisscross", 0)
-    kernels = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
+    kernels, _ = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
     field = cv.project_exact(
         mesh, kernels, manufactured.displacement, manufactured.gradient
     )
@@ -44,7 +58,7 @@ def test_scaled_field_ratio_one(mesh_cache):
 
 def test_linear_reference_raises(mesh_cache):
     mesh = mesh_cache("crisscross", 0)
-    kernels = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
+    kernels, _ = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
     u = lambda x, y: 1.0 + x - 2.0 * y
     gu = lambda x, y: (np.ones_like(x), -2.0 * np.ones_like(x))
     field = cv.project_exact(mesh, kernels, u, gu)
@@ -55,7 +69,7 @@ def test_linear_reference_raises(mesh_cache):
 
 def test_error_invariant_under_global_linear_shift(mesh_cache):
     mesh = mesh_cache("octagonal", 0)
-    kernels = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
+    kernels, _ = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
     u = cv.project_exact(
         mesh, kernels, manufactured.displacement, manufactured.gradient
     )
@@ -76,8 +90,8 @@ def test_error_invariant_under_global_linear_shift(mesh_cache):
 
 def test_piecewise_linear_seminorm_zero(mesh_cache):
     mesh = mesh_cache("crisscross", 0)
-    kernels = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
-    coeffs = np.zeros((mesh.n_cells, kernels[0].basis.dim))
+    kernels, _ = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
+    coeffs = np.zeros((mesh.n_cells, kernels[0].dim))
     rng = np.random.default_rng(1)
     coeffs[:, :3] = rng.uniform(-1, 1, (mesh.n_cells, 3))
     assert cv.seminorm_2h(kernels, coeffs) <= 1e-13
@@ -92,14 +106,15 @@ def test_projection_matches_dense_oracle(mesh_cache):
     """
     mesh = mesh_cache("crisscross", 0)
     order = 4
-    kernels = build_local_kernels(mesh, order, DEFAULT_MATERIAL)
+    kernels, _ = build_local_kernels(mesh, order, DEFAULT_MATERIAL)
     field = cv.project_exact(
         mesh, kernels, manufactured.displacement, manufactured.gradient
     )
     nu = DEFAULT_MATERIAL.poisson
     rigidity = DEFAULT_MATERIAL.rigidity
+    views = cell_views(mesh, order)
     for c in (0, 37, 71):
-        kern = kernels[c]
+        kern = views[c]
         frame = kern.frame
         basis = kern.basis
         rule = polygon_rule(frame.vertices, frame.star, order + 8)
@@ -133,6 +148,43 @@ def test_projection_matches_dense_oracle(mesh_cache):
         saddle[n:, :n] = constraints
         oracle = np.linalg.solve(saddle, np.concatenate([rhs, d]))[:n]
         assert np.abs(oracle - field.coefficients[c]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["crisscross", "hexagonal", "octagonal", "randomquad"])
+def test_batched_consumers_match_cellwise_reference(family, mesh_cache):
+    """Projection, seminorms and load scatter, one vertex-count group at a
+    time, match their cell-by-cell references at orders 2 to 5; hexagonal
+    n = 1 groups 4- to 7-gons.
+
+    Projections differ only in summation order, so they are held to the
+    rounding scale sum |pi| |u| of each cell. The smooth interpolant's
+    high-order coefficients are far smaller than that scale (cancellation),
+    so the bound against the largest coefficient applies to random unknowns.
+    """
+    mesh = mesh_cache(family, 1)
+    f = manufactured.load(DEFAULT_MATERIAL)
+    rng = np.random.default_rng(3)
+    for order in (2, 3, 4, 5):
+        kernels, _ = build_local_kernels(mesh, order, DEFAULT_MATERIAL)
+        assert len(kernels) == len(np.unique(mesh.cells.lengths))
+        views = cell_views(mesh, order)
+        dofmap = global_dof_map(mesh, order)
+        smooth = interpolate(dofmap, manufactured.displacement, manufactured.gradient)
+        for unknowns in (smooth, rng.standard_normal(dofmap.n_total)):
+            got = cv.project_solution(mesh, kernels, dofmap, unknowns).coefficients
+            ref = reference_project_solution(views, unknowns)
+            rounding = max((np.abs(v.pi) @ np.abs(unknowns[v.dofs])).max() for v in views)
+            assert np.abs(got - ref).max() <= 1e-14 * rounding, order
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), order
+        exact = reference_project_solution(views, smooth)
+        for coeffs in (exact, exact + 1e-3 * rng.standard_normal(exact.shape)):
+            semi = reference_seminorm_2h(views, coeffs)
+            assert abs(cv.seminorm_2h(kernels, coeffs) - semi) <= 1e-14 * semi, order
+            scale = reference_seminorm_scale(views, coeffs)
+            assert abs(cv._seminorm_scale(kernels, coeffs) - scale) <= 1e-14 * scale, order
+        load = assemble_load(mesh, kernels, dofmap, f)
+        ref_load = reference_load(views, dofmap.n_total, f)
+        assert np.abs(load - ref_load).max() <= 1e-14 * np.abs(ref_load).max(), order
 
 
 def test_pairwise_and_windowed_rates():

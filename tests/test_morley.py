@@ -3,11 +3,10 @@ import pytest
 
 from platevem import assembly, manufactured, morley
 from platevem.assembly import BoundarySpec, PlateSolver, SolverError
-from platevem.local import build_local_kernels
 from platevem.plate import DEFAULT_MATERIAL
 from platevem.quadrature import polygon_rule
 
-from conftest import group_stabilization
+from conftest import cell_views, group_stabilization
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -63,7 +62,7 @@ def test_morley_equals_order2_kernels(mesh_cache):
     """The polygonal order-2 stiffness on triangles is the Morley stiffness."""
     mesh = mesh_cache("crisscross", 0)
     worst = 0.0
-    for c, kern in enumerate(build_local_kernels(mesh, 2, DEFAULT_MATERIAL)):
+    for c, kern in enumerate(cell_views(mesh, 2)):
         oracle = morley.morley_local_stiffness(
             mesh.vertices[mesh.cells[c]], DEFAULT_MATERIAL, mesh.cells[c]
         )
