@@ -177,22 +177,27 @@ def remapped_hexagonal_mesh(r: int) -> PolygonMesh:
     if r < 1:
         raise MeshError("resolution must be at least 1")
     primal = _remap(_grid_vertices(r))
-    triangles = []
-    for j in range(r):
-        for i in range(r):
-            v00 = _gid(i, j, r)
-            v10 = _gid(i + 1, j, r)
-            v11 = _gid(i + 1, j + 1, r)
-            v01 = _gid(i, j + 1, r)
-            d_main = np.linalg.norm(primal[v00] - primal[v11])
-            d_anti = np.linalg.norm(primal[v10] - primal[v01])
-            if d_main <= d_anti:
-                triangles.append((v00, v10, v11))
-                triangles.append((v00, v11, v01))
-            else:
-                triangles.append((v00, v10, v01))
-                triangles.append((v10, v11, v01))
-    return _barycentric_dual(primal, triangles)
+    return _barycentric_dual(primal, _shorter_diagonal_triangles(primal, r).tolist())
+
+
+def _shorter_diagonal_triangles(points: np.ndarray, r: int) -> np.ndarray:
+    """Split each square of an r x r grid along its shorter diagonal.
+
+    Returns (2 r^2, 3) vertex ids, counterclockwise, two rows per square in
+    row-major square order; a tie takes the main diagonal (lower left to
+    upper right). The lengths are stacked vector-vector products, which sum
+    the squares as ``np.linalg.norm`` does for one vector, so ties resolve
+    the same way.
+    """
+    v00, v10, v11, v01 = _grid_quads(r).T
+
+    def length(d):
+        return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+    on_main = (length(points[v00] - points[v11]) <= length(points[v10] - points[v01]))[:, None]
+    first = np.where(on_main, np.stack([v00, v10, v11], 1), np.stack([v00, v10, v01], 1))
+    second = np.where(on_main, np.stack([v00, v11, v01], 1), np.stack([v10, v11, v01], 1))
+    return np.stack([first, second], axis=1).reshape(-1, 3)
 
 
 def _barycentric_dual(points: np.ndarray, triangles) -> PolygonMesh:

@@ -18,7 +18,11 @@ the doubled variable keeps high-order moment columns of the local systems
 away from underflow-like scales.
 
 The kernels of all cells with the same vertex count are built together:
-every array below carries the cells of one group on axis 0. Volume
+every array below carries the cells of one group on axis 0. A group too
+large for one pass is taken in chunks of consecutive cells, each chunk
+holding as many cells as keep its stiffness stack within
+``KERNEL_CHUNK_BYTES``, so that the temporaries of a high-order build stay
+cache-sized; every chunk writes its rows into the group's stacks. Volume
 integrals of products of monomials are gathered from one table of exact
 cell moments, which come from edge integrals alone; no cell quadrature is
 involved. Quadrature serves only non-polynomial data: fan rules for loads
@@ -517,6 +521,7 @@ class KernelGroup:
     moment_op: np.ndarray  # (G, dim_{order-2}, n_total)
     moment_mass: np.ndarray  # (G, dim_{order-2}, dim_{order-2})
     seminorm_gram: np.ndarray  # (G, dim, dim) broken H2 metric
+    seminorm_max: np.ndarray  # (G,) largest |seminorm_gram| entry per cell
     cells: list[LocalKernels]
 
     @property
@@ -667,31 +672,69 @@ def build_cell_kernels(frame: CellFrame, layout: DofLayout, **rows) -> LocalKern
     return LocalKernels(frame=frame, layout=layout, **rows)
 
 
-def group_kernels(
-    group: CellGroup, order: int, material: MaterialParams
-) -> tuple[KernelGroup, np.ndarray]:
-    """Kernels of one group from one stacked pass, and its stiffness stack.
+# Bytes of one chunk's stiffness stack in group_kernels: a chunk of cells
+# with n_total local unknowns holds KERNEL_CHUNK_BYTES // (8 n_total^2)
+# cells (at least one), so that each of its dense temporaries fits a
+# per-core cache.
+KERNEL_CHUNK_BYTES = 1 << 20
 
-    The stiffness stack (G, n_total, n_total) is returned apart: only the
-    global scatter reads it, so it need not outlive the assembly.
-    """
+
+def _chunk_stacks(group: CellGroup, order: int, material: MaterialParams):
+    """One stacked pass over ``group``: pi, moment_op, moment_mass,
+    seminorm_gram, seminorm_max and stiffness stacks of its cells."""
     gb = group_basis(group, order)
     gram, seminorm = energy_grams(gb, material)
     dofs = dof_matrix(gb)
     pi = elliptic_projector(gb, material, gram, dofs)
     stiff = local_stiffness(gb, material, gram, pi, dofs)[0]
     mom_op, mass = moment_operator(gb, pi)
+    return pi, mom_op, mass, seminorm, np.abs(seminorm).max(axis=(1, 2)), stiff
+
+
+def group_kernels(
+    group: CellGroup, order: int, material: MaterialParams
+) -> tuple[KernelGroup, np.ndarray]:
+    """Kernels of one group, and its stiffness stack.
+
+    A group of at most ``KERNEL_CHUNK_BYTES // (8 n_total^2)`` cells is
+    built in one stacked pass; a larger one in chunks of that many cells,
+    in cell order, each written into preallocated group stacks. Chunks of
+    two or more cells give bitwise the stacks of one pass; a one-cell chunk
+    may differ in the last bit of the order-2 moment operator, whose single
+    row numpy hands to BLAS as a unit-stride vector. The stiffness stack
+    (G, n_total, n_total) is returned apart: only the global scatter reads
+    it, so it need not outlive the assembly.
+    """
+    layout = dof_layout(group.n_vertices, order)
+    size = max(1, KERNEL_CHUNK_BYTES // (8 * layout.n_total**2))
+    if group.n_cells <= size:
+        stacks = _chunk_stacks(group, order, material)
+    else:
+        stacks = None
+        for start in range(0, group.n_cells, size):
+            part = _chunk_stacks(group.rows(start, start + size), order, material)
+            if stacks is None:
+                stacks = [np.empty((group.n_cells,) + a.shape[1:]) for a in part]
+            for stack, rows in zip(stacks, part):
+                stack[start : start + size] = rows
+            del part, rows  # this chunk's arrays go before the next is built
+    pi, mom_op, mass, seminorm, seminorm_max, stiff = stacks
     cells = [
-        build_cell_kernels(group.frame(k), gb.layout, moment_op=mom_op[k], moment_mass=mass[k])
+        build_cell_kernels(group.frame(k), layout, moment_op=mom_op[k], moment_mass=mass[k])
         for k in range(group.n_cells)
     ]
-    return KernelGroup(group.index, gb.layout, pi, mom_op, mass, seminorm, cells), stiff
+    kernels = KernelGroup(group.index, layout, pi, mom_op, mass, seminorm, seminorm_max, cells)
+    return kernels, stiff
 
 
 def build_local_kernels(
     mesh, order: int, material: MaterialParams
 ) -> tuple[list[KernelGroup], list[np.ndarray]]:
     """Kernel groups of a mesh, one per vertex count in increasing count
-    order, and the matching stiffness stacks."""
+    order, and the matching stiffness stacks.
+
+    Each group is built by :func:`group_kernels`, one stacked pass per
+    chunk of cells whose stiffness stack fits ``KERNEL_CHUNK_BYTES``.
+    """
     built = [group_kernels(group, order, material) for group in mesh.cell_groups()]
     return [k for k, _ in built], [s for _, s in built]

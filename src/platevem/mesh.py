@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -126,6 +126,10 @@ class CellGroup:
     @property
     def n_vertices(self) -> int:
         return self.vertex_ids.shape[1]
+
+    def rows(self, start: int, stop: int) -> CellGroup:
+        """Cells ``start`` to ``stop - 1`` of the group, as views into its stacks."""
+        return CellGroup(**{f.name: getattr(self, f.name)[start:stop] for f in fields(self)})
 
     def frame(self, k: int) -> CellFrame:
         return CellFrame(

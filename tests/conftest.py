@@ -100,7 +100,7 @@ def reference_seminorm_2h(views: list[CellView], coefficients: np.ndarray) -> fl
 
 
 def reference_seminorm_scale(views: list[CellView], coefficients: np.ndarray) -> float:
-    """Cell-by-cell form of ``convergence._seminorm_scale``."""
+    """Cell-by-cell form of the scale of ``convergence.seminorm_terms``."""
     total = 0.0
     for v, c in zip(views, coefficients):
         total += float(np.abs(v.seminorm_gram).max() * (c**2).sum())

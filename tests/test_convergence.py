@@ -177,11 +177,17 @@ def test_batched_consumers_match_cellwise_reference(family, mesh_cache):
             assert np.abs(got - ref).max() <= 1e-14 * rounding, order
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), order
         exact = reference_project_solution(views, smooth)
-        for coeffs in (exact, exact + 1e-3 * rng.standard_normal(exact.shape)):
+        noisy = exact + 1e-3 * rng.standard_normal(exact.shape)
+        for coeffs, other in ((exact, noisy - exact), (noisy, exact)):
             semi = reference_seminorm_2h(views, coeffs)
             assert abs(cv.seminorm_2h(kernels, coeffs) - semi) <= 1e-14 * semi, order
-            scale = reference_seminorm_scale(views, coeffs)
-            assert abs(cv._seminorm_scale(kernels, coeffs) - scale) <= 1e-14 * scale, order
+            refs = (
+                semi,
+                reference_seminorm_2h(views, other),
+                reference_seminorm_scale(views, coeffs),
+            )
+            for got, ref in zip(cv.seminorm_terms(kernels, coeffs, other), refs):
+                assert abs(got - ref) <= 1e-14 * ref, order
         load = assemble_load(mesh, kernels, dofmap, f)
         ref_load = reference_load(views, dofmap.n_total, f)
         assert np.abs(load - ref_load).max() <= 1e-14 * np.abs(ref_load).max(), order

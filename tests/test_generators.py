@@ -47,6 +47,34 @@ def test_hexagonal_one_cell_per_primal_vertex():
         assert mesh.n_cells == (r + 1) ** 2
 
 
+def reference_shorter_diagonal_triangles(points: np.ndarray, r: int) -> list:
+    """Square-by-square split along the shorter diagonal, with one
+    ``np.linalg.norm`` per diagonal: the oracle of the vectorized split."""
+    triangles = []
+    for j in range(r):
+        for i in range(r):
+            v00 = j * (r + 1) + i
+            v10, v11, v01 = v00 + 1, v00 + r + 2, v00 + r + 1
+            d_main = np.linalg.norm(points[v00] - points[v11])
+            d_anti = np.linalg.norm(points[v10] - points[v01])
+            if d_main <= d_anti:
+                triangles += [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                triangles += [(v00, v10, v01), (v10, v11, v01)]
+    return triangles
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 7, 10, 20, 30, 40, 50, 80])
+def test_shorter_diagonal_split_matches_loop(r):
+    """Identical triangle lists, on remapped grids whose near-symmetric
+    squares tie or almost tie, and on an unmapped grid, where every square
+    ties exactly (lengths are compared after rounding)."""
+    for points in (gen._remap(gen._grid_vertices(r)), gen._grid_vertices(r)):
+        got = gen._shorter_diagonal_triangles(points, r)
+        assert got.shape == (2 * r * r, 3)
+        assert list(map(tuple, got.tolist())) == reference_shorter_diagonal_triangles(points, r)
+
+
 def test_octagonal_vertex_formula():
     for r in (3, 5, 7):
         mesh = gen.nonconvex_octagonal_mesh(r)

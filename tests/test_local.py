@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from platevem import local, manufactured
-from platevem.mesh import MeshError
+from platevem.mesh import CellGroup, MeshError
 from platevem.plate import DEFAULT_MATERIAL, MaterialParams, energy_gram, hessian_seminorm_gram
 from platevem.polynomials import ScaledMonomialBasis, space_dim
 from platevem.quadrature import polygon_rule
@@ -514,6 +515,104 @@ def test_projector_error_names_unreproducing_cell():
     mesh = single_cell_mesh(np.array(BAD_CELLS["sliver-triangle"], dtype=float))
     with pytest.raises(local.ProjectorError, match="cell 0: polynomial reproduction residual"):
         cell_kernels(mesh, 5)
+
+
+def chunked_kernels(monkeypatch, group, order: int, cells_per_chunk: int):
+    """``group_kernels`` with chunks of ``cells_per_chunk`` cells."""
+    n_total = local.dof_layout(group.n_vertices, order).n_total
+    monkeypatch.setattr(local, "KERNEL_CHUNK_BYTES", 8 * n_total**2 * cells_per_chunk)
+    return local.group_kernels(group, order, DEFAULT_MATERIAL)
+
+
+def split_size(n_cells: int):
+    """Smallest chunk size of two or more cells that splits ``n_cells`` into
+    several chunks plus a partial one of two or more cells, if any does."""
+    return next((s for s in range(2, n_cells // 2 + 1) if n_cells % s >= 2), None)
+
+
+@pytest.mark.parametrize("family", ["crisscross", "hexagonal", "octagonal", "randomquad"])
+def test_chunked_build_equals_one_pass(family, mesh_cache, monkeypatch):
+    """A group built in several chunks plus a partial one has bitwise the
+    stacks of one pass over it, and its per-cell views are rows of them.
+
+    Groups of 10 to 100 cells split as 4 + 4 + 2 up to 16 x 6 + 4. One cell
+    per chunk, the floor of the chunk rule, is bitwise too except for the
+    order-2 moment operator: numpy hands a lone cell's moment row to BLAS
+    as a unit-stride vector, and a stack's with the stack's stride, which
+    round differently in the last bit.
+    """
+    names = ("pi", "moment_op", "moment_mass", "seminorm_gram", "seminorm_max")
+    split = 0
+    for order in (2, 3, 4, 5):
+        for group in mesh_cache(family, 0).cell_groups():
+            whole, whole_stiffness = chunked_kernels(monkeypatch, group, order, group.n_cells)
+            size = split_size(group.n_cells)
+            for cells_per_chunk in (size, 1) if size else (1,):
+                parts, stiffness = chunked_kernels(monkeypatch, group, order, cells_per_chunk)
+                assert np.array_equal(parts.index, group.index)
+                assert np.array_equal(stiffness, whole_stiffness), order
+                for name in names:
+                    got, ref = getattr(parts, name), getattr(whole, name)
+                    if cells_per_chunk == 1 and order == 2 and name == "moment_op":
+                        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+                    else:
+                        assert np.array_equal(got, ref), (order, cells_per_chunk, name)
+                for k, view in enumerate(parts.cells):
+                    assert view.frame.index == group.index[k]
+                    assert np.shares_memory(view.moment_op, parts.moment_op)
+                    assert np.shares_memory(view.moment_mass, parts.moment_mass)
+            split += size is not None
+    assert split >= 4
+
+
+def with_cell(group: CellGroup, one: CellGroup, position: int, index: int) -> CellGroup:
+    """``group`` with the only cell of ``one`` inserted at ``position`` as mesh cell ``index``."""
+
+    def rows(name):
+        inserted = np.array([index]) if name == "index" else getattr(one, name)
+        stack = getattr(group, name)
+        return np.concatenate([stack[:position], inserted, stack[position:]])
+
+    return CellGroup(**{f.name: rows(f.name) for f in dataclasses.fields(group)})
+
+
+@pytest.mark.parametrize("position", [11, 100])
+def test_projector_error_names_cell_in_later_chunk(position, mesh_cache, monkeypatch):
+    """The sliver triangle among 100 good triangles, in the second chunk of
+    eight cells or in the partial last one, is named by its mesh id."""
+    (triangles,) = mesh_cache("crisscross", 0).cell_groups()
+    (sliver,) = single_cell_mesh(np.array(BAD_CELLS["sliver-triangle"], dtype=float)).cell_groups()
+    group = with_cell(triangles, sliver, position, 4242)
+    with pytest.raises(local.ProjectorError, match="cell 4242: polynomial reproduction residual"):
+        chunked_kernels(monkeypatch, group, 5, 8)
+
+
+def build_excess_mib(mesh, order: int) -> float:
+    """Traced peak of ``build_local_kernels`` above the memory it keeps, in MiB.
+
+    A first, untraced build fills the per-order caches, so the traced one
+    keeps only its kernel groups and stiffness stacks.
+    """
+    local.build_local_kernels(mesh, order, DEFAULT_MATERIAL)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        built = local.build_local_kernels(mesh, order, DEFAULT_MATERIAL)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    del built
+    return (peak - kept) / 2**20
+
+
+def test_kernel_build_peak_stays_near_its_output(mesh_cache):
+    """Order 5 on 400 octagons is built in 29-cell chunks: the whole-group
+    build's temporaries reached 34 MiB above its 23 MiB of output. The
+    1600 order-2 quadrilaterals are one chunk, which reads 2.8 MiB over."""
+    assert build_excess_mib(mesh_cache("octagonal", 2), 5) <= 8.0
+    assert build_excess_mib(mesh_cache("randomquad", 4), 2) <= 2.8 + 0.5
 
 
 def test_src_uses_no_extended_precision_types():
