@@ -269,15 +269,31 @@ def _check_pivots(lu) -> None:
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Sparse factor of a symmetric positive definite matrix.
+    """Sparse factor of a symmetric positive definite matrix or of one block.
 
-    Keeps the matrix and its 1-norm next to the factor: every solve refines
-    against them.
+    Keeps the matrix the caller passed, the indices ``free`` of the factored
+    block (None: the whole matrix) and the block's 1-norm: every solve
+    refines against them. The block itself is not kept; :meth:`product`
+    reads its products off the matrix.
     """
 
-    matrix: sp.csc_matrix
+    matrix: sp.spmatrix
+    free: np.ndarray | None
     lu: object  # scipy.sparse.linalg.SuperLU
     norm_1: float
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """The factored block times x, as ``(matrix @ x_full)[free]``.
+
+        ``x_full`` is x on the free unknowns and zero elsewhere. The other
+        columns then add only exact zeros, so every entry is bitwise the
+        block's own product.
+        """
+        if self.free is None:
+            return self.matrix @ x
+        x_full = np.zeros(self.matrix.shape[1])
+        x_full[self.free] = x
+        return (self.matrix @ x_full)[self.free]
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve with iterative refinement down to ``BACKWARD_ERROR_TOL``.
@@ -288,7 +304,7 @@ class SpdFactor:
         drives the condition number past the inverse tolerance. Returns the
         solution and the number of refinement steps taken.
         """
-        a, lu = self.matrix, self.lu
+        lu = self.lu
         x = lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError("solver produced non-finite values (singular matrix?)")
@@ -297,13 +313,13 @@ class SpdFactor:
             return np.zeros_like(rhs), 0
 
         def backward_error(vec):
-            res = float(np.linalg.norm(rhs - a @ vec))
+            res = float(np.linalg.norm(rhs - self.product(vec)))
             return res / (self.norm_1 * float(np.linalg.norm(vec)) + rhs_norm)
 
         for step in range(3):
             if backward_error(x) <= BACKWARD_ERROR_TOL:
                 return x, step
-            x = x + lu.solve(rhs - a @ x)
+            x = x + lu.solve(rhs - self.product(x))
         err = backward_error(x)
         if err > BACKWARD_ERROR_TOL:
             raise SolverError(
@@ -313,8 +329,15 @@ class SpdFactor:
         return x, 3
 
 
-def factor_spd(matrix: sp.spmatrix) -> SpdFactor:
+def factor_spd(matrix: sp.spmatrix, free: np.ndarray | None = None) -> SpdFactor:
     """Factor a symmetric positive definite matrix; the one factorization site.
+
+    With ``free`` given, the factored matrix is the block
+    ``matrix[free][:, free]`` of an exactly symmetric CSR ``matrix``. The
+    block is built here, as the transpose of its CSR rows (by the symmetry,
+    its CSC form with no copy), and released before the pivot check makes
+    SuperLU cache its CSC copies of L and U, so the block and those copies
+    are never alive together. Only ``matrix`` is kept, for the refinement.
 
     Multiple minimum degree on ``A + A^T`` with diagonal pivots: the ordering
     sees the symmetric pattern, and an SPD matrix needs no row interchanges.
@@ -325,18 +348,20 @@ def factor_spd(matrix: sp.spmatrix) -> SpdFactor:
         When the factorization breaks down or its pivots show the matrix is
         singular or not symmetric positive definite.
     """
-    a = matrix.tocsc()
+    block = matrix.tocsc() if free is None else matrix[free][:, free].T
+    norm_1 = _norm_1(block)
     try:
         lu = spla.splu(
-            a,
+            block,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+    del block
     _check_pivots(lu)
-    return SpdFactor(a, lu, _norm_1(a))
+    return SpdFactor(matrix, free, lu, norm_1)
 
 
 def _norm_1(a: sp.csc_matrix) -> float:
@@ -359,6 +384,9 @@ class PlateSolver:
     solves with the factor of the free block, made by
     :func:`factor_spd` on the first solve and kept in :attr:`factor`.
     :attr:`refine_steps` holds the refinement steps of the last solve.
+    :attr:`matrix` is the only sparse matrix the solver and its factor keep:
+    the free block exists only inside :func:`factor_spd`, and the coupling
+    to strong boundary data is read off :attr:`matrix` at each solve.
     """
 
     def __init__(self, mesh: PolygonMesh, order: int, material: MaterialParams):
@@ -372,11 +400,6 @@ class PlateSolver:
         mask = self.dofmap.boundary_mask
         self.free = np.flatnonzero(~mask)
         self.constrained = np.flatnonzero(mask)
-        rows = self.matrix[self.free]
-        # The matrix is exactly symmetric, so the transpose of the free
-        # block's CSR rows is its CSC form, with no copy.
-        self._a_ff = rows[:, self.free].T
-        self._a_fc = rows[:, self.constrained].tocsr()
         self.factor: SpdFactor | None = None
         self.refine_steps: int | None = None
 
@@ -396,9 +419,11 @@ class PlateSolver:
         rhs = load[self.free]
         vals = values[self.constrained]
         if np.any(vals):
-            rhs = rhs - self._a_fc @ vals
+            # values is zero on the free unknowns: the product is the
+            # constrained columns' alone, summed in the same order.
+            rhs = rhs - (self.matrix @ values)[self.free]
         if self.factor is None:
-            self.factor = factor_spd(self._a_ff)
+            self.factor = factor_spd(self.matrix, self.free)
         x, self.refine_steps = self.factor.solve(rhs)
         full = np.zeros(self.dofmap.n_total)
         full[self.free] = x

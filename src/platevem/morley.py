@@ -222,8 +222,8 @@ def morley_solve(
         values = boundary_values(
             mesh, dofmap, BoundarySpec.dirichlet(boundary_value, boundary_gradient)
         )
-    rhs = load[free] - full[free][:, constrained] @ values[constrained]
-    x, _ = factor_spd(full[free][:, free]).solve(rhs)
+    rhs = load[free] - (full @ values)[free]
+    x, _ = factor_spd(full, free).solve(rhs)
     solution = np.zeros(dofmap.n_total)
     solution[free] = x
     solution[constrained] = values[constrained]

@@ -92,6 +92,28 @@ def test_morley_singular_system_rejected(mesh_cache, monkeypatch):
         morley.morley_solve(mesh_cache("crisscross", 0), DEFAULT_MATERIAL, f)
 
 
+def test_oracle_free_block_is_exactly_symmetric(mesh_cache, monkeypatch):
+    """``factor_spd`` takes the oracle's free block as the transpose of its
+    CSR rows, which is the block only where it is exactly symmetric: so it
+    is on the criss-cross meshes, the one triangular family."""
+    seen = []
+    factor_spd = morley.factor_spd
+
+    def capturing(matrix, free=None):
+        seen.append((matrix, free))
+        return factor_spd(matrix, free)
+
+    monkeypatch.setattr(morley, "factor_spd", capturing)
+    f = manufactured.load(DEFAULT_MATERIAL)
+    for n in (0, 1, 2):
+        seen.clear()
+        morley.morley_solve(mesh_cache("crisscross", n), DEFAULT_MATERIAL, f)
+        ((matrix, free),) = seen
+        block = matrix[free][:, free]
+        assert block.nnz > 0
+        assert (block != block.T).nnz == 0, n
+
+
 def test_quadratic_patch():
     from platevem.generators import build_criss_cross
 
