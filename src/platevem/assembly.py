@@ -18,7 +18,6 @@ from .local import (
 )
 from .mesh import PolygonMesh
 from .plate import MaterialParams
-from .polynomials import space_dim
 
 
 class AssemblyError(Exception):
@@ -98,15 +97,6 @@ class GlobalDofMap:
         for block in self.edge_dofs(np.flatnonzero(mesh.edge_is_boundary)):
             mask[block] = True
         return mask
-
-    def closed_form_count(self) -> int:
-        mesh = self.mesh
-        n = mesh.n_vertices + (self.order - 1) * mesh.n_edges
-        if self.order >= 3:
-            n += (self.order - 2) * mesh.n_edges
-        if self.order >= 4:
-            n += space_dim(self.order - 4) * mesh.n_cells
-        return n
 
 
 def global_dof_map(mesh: PolygonMesh, order: int) -> GlobalDofMap:
@@ -367,12 +357,14 @@ def factor_spd(matrix: sp.spmatrix, free: np.ndarray | None = None) -> SpdFactor
 def _norm_1(a: sp.csc_matrix) -> float:
     """Largest column sum of absolute values, read off the CSC arrays.
 
-    The same value as ``scipy.sparse.linalg.norm(a, 1)`` for a matrix
-    without duplicate entries, without building a copy of the matrix.
+    The value of ``scipy.sparse.linalg.norm(a, 1)`` for a matrix without
+    duplicate entries, to the last bit or two (``reduceat`` may sum a
+    column pairwise), without building a copy of the matrix. The segments
+    start at the non-empty columns only: an empty column adds nothing, and
+    ``reduceat`` would give it its successor's first entry.
     """
-    n_cols = a.shape[1]
-    column = np.repeat(np.arange(n_cols), np.diff(a.indptr))
-    return float(np.bincount(column, weights=np.abs(a.data), minlength=n_cols).max(initial=0.0))
+    starts = a.indptr[:-1][np.diff(a.indptr) > 0]
+    return float(np.add.reduceat(np.abs(a.data), starts).max(initial=0.0))
 
 
 class PlateSolver:

@@ -20,7 +20,9 @@ class ZeroSeminormError(Exception):
 
 @dataclass
 class ProjectedField:
-    """Cellwise polynomial coefficients (scaled cell bases) of a projection."""
+    """Cellwise polynomial coefficients of a projection, each in its cell's
+    element basis (see :mod:`platevem.local`), the basis of the kernel
+    groups' seminorm Grams."""
 
     mesh: PolygonMesh
     order: int

@@ -28,6 +28,17 @@ cell moments, which come from edge integrals alone; no cell quadrature is
 involved. Quadrature serves only non-polynomial data: fan rules for loads
 and interior moments, one Gauss-Legendre rule for the edge moments of an
 interpolated function.
+
+Every cell carries its own element basis q = T m, L2-orthonormal on the cell
+(Mascotto, "Ill-conditioning in the virtual element method: stabilizations
+and bases", Numer. Methods PDEs 2018; Berrone and Borio, "Orthogonal
+polynomials in badly shaped polygonal elements for the Virtual Element
+Method", Finite Elem. Anal. Des. 2017): T is the inverse of the Cholesky
+factor L of the area-normalized Gram matrix of the scaled monomials m. T is
+lower triangular, so q_0, q_1, q_2 span the linear polynomials and every
+other q_k is orthogonal to them. The projector, the energy and seminorm
+Grams and the projected coefficients are all in this basis, where the
+projector's entries stay of order one at every order.
 """
 
 from __future__ import annotations
@@ -57,10 +68,11 @@ class ProjectorError(Exception):
     reproduce polynomials (degenerate or badly shaped cell)."""
 
 
-# Largest exact polynomial-reproduction residual max |I - pi D| a cell's
-# projector may keep. Shape-regular cells of the mesh families stay below
-# about 2e-10 at order 5; a badly shaped cell whose conditioning has
-# destroyed its projector lands many orders of magnitude above.
+# Largest float64 polynomial-reproduction residual max |I - pi D| a cell's
+# projector may keep, in its element basis. Shape-regular cells of the mesh
+# families stay below about 1e-11 at order 5; a badly shaped cell whose
+# conditioning has destroyed its projector lands many orders of magnitude
+# above.
 REPRODUCTION_TOL = 1e-8
 
 
@@ -86,9 +98,6 @@ class DofLayout:
     @property
     def n_total(self) -> int:
         return self.n_vertices * (1 + self.n_edge_normal + self.n_edge_value) + self.n_cell
-
-    def vertex_index(self, i: int) -> int:
-        return i
 
     def edge_normal_slice(self, i: int) -> slice:
         start = self.n_vertices + i * self.n_edge_normal
@@ -124,7 +133,7 @@ class _OrderTables:
     products of derivative factors.
     """
 
-    mass: np.ndarray  # (dim_{order-2}, dim)
+    mass: np.ndarray  # (dim, dim)
     xx: np.ndarray  # (dim, dim)
     yy: np.ndarray
     mixed: np.ndarray
@@ -141,8 +150,8 @@ class _OrderTables:
 
 
 def _moment_degree(order: int) -> int:
-    """Highest total degree of a moment any kernel reads: order + (order - 2)."""
-    return 2 * order - 2
+    """Highest total degree of a moment any kernel reads: the L2 Gram's 2 order."""
+    return 2 * order
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +180,7 @@ def _order_tables(order: int) -> _OrderTables:
         return np.stack([derivative_map(order, i, j) for i, j in pairs])
 
     tables = _OrderTables(
-        mass=flat(0, 0)[: space_dim(order - 2)],
+        mass=flat(0, 0),
         xx=flat(4, 0),
         yy=flat(0, 4),
         mixed=flat(2, 2),
@@ -196,15 +205,20 @@ class GroupBasis:
     """Scaled cell monomials of one order on every cell of a group.
 
     Holds the closed-form data every local operator is built from: the
-    exact cell moments, the basis values at the vertices, and the exact
-    restrictions of the basis to the edges in the global edge orientation.
+    exact cell moments, the monomial values at the vertices, and the exact
+    restrictions of the monomials to the edges in the global edge
+    orientation; and the element basis q = T m of each cell, with ``factor``
+    the Cholesky factor L of the area-normalized monomial Gram and
+    ``transform`` its inverse T, both lower triangular.
     """
 
     group: CellGroup
     layout: DofLayout
-    moments: np.ndarray  # (G, (2 order - 1)^2 + 1), see _cell_moments
+    moments: np.ndarray  # (G, (2 order + 1)^2 + 1), see _cell_moments
     vertex_values: np.ndarray  # (G, m, dim)
     restrictions: np.ndarray  # (G, m, order + 1, dim): s-coefficients per edge
+    factor: np.ndarray  # (G, dim, dim) L
+    transform: np.ndarray  # (G, dim, dim) T = L^-1
 
     @property
     def order(self) -> int:
@@ -233,7 +247,9 @@ def _cell_moments(scaled: np.ndarray, diameters: np.ndarray, degree: int) -> np.
     points = scaled[:, :, None, :] + tau[:, None] * (nxt - scaled)[:, :, None, :]
     px = power_table(points[..., 0], degree)  # (G, m, n_gauss, degree + 1)
     py = power_table(points[..., 1], degree)
-    table = np.einsum("cmg,cmga,cmgb->cab", cross[..., None] * (0.5 * weights), px, py)
+    px *= (cross[..., None] * (0.5 * weights))[..., None]
+    g, width = len(scaled), degree + 1
+    table = np.swapaxes(px.reshape(g, -1, width), 1, 2) @ py.reshape(g, -1, width)
     a, b = np.indices(table.shape[1:])
     table = np.where(a + b <= degree, table / (a + b + 2), 0.0)
     table *= diameters[:, None, None] ** 2  # back from scaled to physical area
@@ -242,38 +258,75 @@ def _cell_moments(scaled: np.ndarray, diameters: np.ndarray, degree: int) -> np.
     return flat
 
 
-def group_basis(group: CellGroup, order: int) -> GroupBasis:
-    """Moments, vertex values and edge restrictions of a group's cell bases."""
-    layout = dof_layout(group.n_vertices, order)
-    exps = exponent_table(order)
-    h = group.diameters[:, None, None]
-    scaled = (group.vertices - group.centroids[:, None, :]) / h
-    vertex_values = monomials(scaled[..., 0], scaled[..., 1], order)
+def _per_cell(solver, stack: np.ndarray, cells: np.ndarray, what: str) -> np.ndarray:
+    """``solver`` on a stack of matrices; a failure is blamed on the first
+    cell that fails alone."""
+    try:
+        return solver(stack)
+    except np.linalg.LinAlgError as exc:
+        for k in range(len(stack)):
+            try:
+                solver(stack[k])
+            except np.linalg.LinAlgError:
+                raise ProjectorError(f"cell {cells[k]}: {what}") from exc
+        raise ProjectorError(f"{len(cells)}-cell group from cell {cells[0]}: {what}") from exc
 
-    # Edge i in the global orientation runs p0 -> p1, x(s) = mid + s (p1 - p0)
-    # for s in [-1/2, 1/2]; each scaled coordinate is c0 + c1 s along it.
+
+def _lower_inverse(factor: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower triangular matrices, by forward
+    substitution: lower triangular too, with exact zeros above the diagonal."""
+    inverse = np.zeros_like(factor)
+    for i in range(factor.shape[1]):
+        row = -(factor[:, i : i + 1, :i] @ inverse[:, :i])[:, 0]
+        row[:, i] += 1.0
+        inverse[:, i] = row / factor[:, i, i, None]
+    return inverse
+
+
+def group_basis(group: CellGroup, order: int) -> GroupBasis:
+    """Moments, vertex values, edge restrictions and element bases of a group.
+
+    A cell whose monomial Gram fails its Cholesky factorization raises
+    :class:`ProjectorError` naming the cell.
+    """
+    layout = dof_layout(group.n_vertices, order)
+    scaled = (group.vertices - group.centroids[:, None, :]) / group.diameters[:, None, None]
+    vertex_values = monomials(scaled[..., 0], scaled[..., 1], order)
+    restrictions = _edge_restrictions(group, order)
+    moments = _cell_moments(scaled, group.diameters, _moment_degree(order))
+    mass = moments[:, _order_tables(order).mass] / group.areas[:, None, None]
+    what = "monomial Gram is not numerically positive definite"
+    factor = _per_cell(np.linalg.cholesky, mass, group.index, what)
+    transform = _lower_inverse(factor)
+    return GroupBasis(group, layout, moments, vertex_values, restrictions, factor, transform)
+
+
+def _edge_restrictions(group: CellGroup, order: int) -> np.ndarray:
+    """Coefficients of the monomials along each edge in powers of s:
+    (G, m, order + 1, dim).
+
+    Edge i in the global orientation runs p0 -> p1, x(s) = mid + s (p1 - p0)
+    for s in [-1/2, 1/2]; each scaled coordinate is c0 + c1 s along it. The
+    monomials of degree d are those of degree d - 1 times xi, and the last
+    of those, eta^(d - 1), times eta.
+    """
+    h = group.diameters[:, None, None]
     nxt = np.roll(group.vertices, -1, axis=1)
     forward = (group.edge_signs > 0)[..., None]
     p0 = np.where(forward, group.vertices, nxt)
     p1 = np.where(forward, nxt, group.vertices)
-    c0 = ((0.5 * (p0 + p1) - group.centroids[:, None, :]) / h)[..., None]
-    c1 = ((p1 - p0) / h)[..., None]
-    # pw[..., x, i, p]: coefficient of s^p in (c0 + c1 s)^i for coordinate x
-    n = order + 1
-    pw = np.zeros(c0.shape[:-1] + (n, n))
-    pw[..., 0, 0] = 1.0
-    for i in range(1, n):
-        pw[..., i, : i + 1] = c0 * pw[..., i - 1, : i + 1]
-        pw[..., i, 1 : i + 1] += c1 * pw[..., i - 1, :i]
-    pa = pw[..., 0, exps[:, 0], :]  # (G, m, dim, n)
-    pb = pw[..., 1, exps[:, 1], :]
-    restrictions = np.zeros(pa.shape[:2] + (n, len(exps)))
-    for p in range(n):
-        for q in range(n - p):
-            restrictions[..., p + q, :] += pa[..., p] * pb[..., q]
-
-    moments = _cell_moments(scaled, group.diameters, _moment_degree(order))
-    return GroupBasis(group, layout, moments, vertex_values, restrictions)
+    c0 = (0.5 * (p0 + p1) - group.centroids[:, None, :]) / h  # (G, m, 2): xi, eta
+    c1 = (p1 - p0) / h
+    out = np.zeros(c0.shape[:2] + (order + 1, space_dim(order)))
+    out[..., 0, 0] = 1.0
+    for d in range(1, order + 1):
+        lo, hi = space_dim(d - 2), space_dim(d - 1)
+        coordinate = np.zeros(d + 1, dtype=int)
+        coordinate[-1] = 1
+        source = out[..., :d, lo:hi][..., [*range(d), d - 1]]
+        out[..., :d, hi : hi + d + 1] = c0[..., None, coordinate] * source
+        out[..., 1 : d + 1, hi : hi + d + 1] += c1[..., None, coordinate] * source
+    return out
 
 
 def _by_unknown(vertex, edge_normal, edge_value, interior) -> np.ndarray:
@@ -283,11 +336,18 @@ def _by_unknown(vertex, edge_normal, edge_value, interior) -> np.ndarray:
     return np.concatenate([vertex, *edges, interior], axis=1)
 
 
+def _in_element_basis(gb: GroupBasis, gram: np.ndarray) -> np.ndarray:
+    """T M T^T of a Gram matrix M of the monomials."""
+    out = gb.transform @ gram
+    return out @ np.swapaxes(gb.transform, 1, 2)
+
+
 def energy_grams(gb: GroupBasis, material: MaterialParams):
-    """Energy and broken-H2 seminorm Gram matrices of the basis, (G, dim, dim).
+    """Energy and broken-H2 seminorm Gram matrices of the element basis, (G, dim, dim).
 
     The energy Gram is symmetric positive semidefinite with the linear
-    polynomials as kernel; the seminorm counts each mixed derivative once.
+    polynomials as kernel: its rows and columns 0, 1, 2 are exact zeros.
+    The seminorm counts each mixed derivative once.
     """
     t = _order_tables(gb.order)
     scale = gb.group.diameters[:, None, None] ** -4.0
@@ -297,35 +357,37 @@ def energy_grams(gb: GroupBasis, material: MaterialParams):
     coupling = nu * t.c_cross + 2.0 * (1.0 - nu) * t.c_xy
     energy = material.rigidity * scale * (straight + coupling * mixed)
     seminorm = scale * (straight + t.c_xy * mixed)
-    return energy, seminorm
+    return _in_element_basis(gb, energy), _in_element_basis(gb, seminorm)
 
 
 def dof_matrix(gb: GroupBasis) -> np.ndarray:
-    """Unknowns of every basis monomial: (G, n_total, dim), exact.
+    """Unknowns of every element basis function: (G, n_total, dim).
 
-    Edge moments pair the exact edge restrictions with the closed-form
-    integrals of centered powers; interior moments are gathered from the
-    cell moments.
+    Those of the monomials are exact: edge moments pair the exact edge
+    restrictions with the closed-form integrals of centered powers, and
+    interior moments are gathered from the cell moments.
     """
     group, layout = gb.group, gb.layout
     t = _order_tables(gb.order)
     restr = gb.restrictions
-    by_axis = restr[..., None, :, :] @ t.first  # (G, m, 2, order + 1, dim)
+    paired = t.normal_pairing @ restr  # (G, m, order - 1, dim)
+    by_axis = paired[..., None, :, :] @ t.first  # (G, m, 2, order - 1, dim)
     normal = np.einsum("gmx,gmxkd->gmkd", group.normals, by_axis)
-    normal /= group.diameters[:, None, None, None]
-    edge_normal = group.edge_lengths[..., None, None] * (t.normal_pairing @ normal)
+    edge_normal = (group.edge_lengths / group.diameters[:, None])[..., None, None] * normal
     edge_value = t.value_pairing @ restr
     interior = gb.moments[:, t.mass[: layout.n_cell]] / group.areas[:, None, None]
-    return _by_unknown(gb.vertex_values, edge_normal, edge_value, interior)
+    monomial = _by_unknown(gb.vertex_values, edge_normal, edge_value, interior)
+    return monomial @ np.swapaxes(gb.transform, 1, 2)
 
 
 def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
-    """Energy pairings a(m_beta, .) of all monomials against the unknowns.
+    """Energy pairings a(q_beta, .) of the element basis against the unknowns.
 
     Row beta of each returned (dim x n_total) block represents the
-    functional v -> a_K(m_beta, v) through the boundary expansion of the
+    functional v -> a_K(q_beta, v) through the boundary expansion of the
     cell energy (interior bilaplacian, edge bending moment and effective
-    shear, corner twist), which involves only the local unknowns.
+    shear, corner twist), which involves only the local unknowns. Rows 0,
+    1, 2 (the linear polynomials) are exact zeros.
     """
     group, layout = gb.group, gb.layout
     t = _order_tables(gb.order)
@@ -370,97 +432,13 @@ def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
     )[..., None]
     at_vertex = (gb.vertex_values[..., None, None, :] @ t.second)[..., 0, :]  # (G, m, 3, dim)
     start = np.einsum("gmx,gmxd->gmd", w_twist, at_vertex)
-    end = np.einsum("gmx,gmxd->gmd", w_twist, np.roll(at_vertex, -1, axis=1))
-    vertex = np.roll(end, 1, axis=1) - start
+    # vertex i ends edge i - 1
+    vertex = np.einsum("gmx,gmxd->gmd", np.roll(w_twist, 1, axis=1), at_vertex) - start
+    del at_vertex, start  # gone before the stack and its transform are built
 
     scale = rigidity * group.areas / group.diameters**4
     interior = scale[:, None, None] * t.bilap[: layout.n_cell]
-    return _by_unknown(vertex, edge_normal, edge_value, interior).transpose(0, 2, 1)
-
-
-def _solve_saddle(saddle: np.ndarray, rhs: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Batched solve; a failure is blamed on the first cell that fails alone."""
-    try:
-        sol = np.linalg.solve(saddle, rhs)
-    except np.linalg.LinAlgError as exc:
-        for k in range(len(saddle)):
-            try:
-                np.linalg.solve(saddle[k], rhs[k])
-            except np.linalg.LinAlgError:
-                raise ProjectorError(f"cell {cells[k]}: singular projector system") from exc
-        raise ProjectorError(
-            f"{len(cells)}-cell group from cell {cells[0]}: singular projector system"
-        ) from exc
-    bad = ~np.isfinite(sol).all(axis=(1, 2))
-    if bad.any():
-        cell = cells[np.argmax(bad)]
-        raise ProjectorError(f"cell {cell}: projector system produced non-finite values")
-    return sol
-
-
-def _saddle_system(gb: GroupBasis, material: MaterialParams, gram: np.ndarray):
-    """Projector systems [[G, C^T], [C, 0]] and right-hand sides [B; D].
-
-    B holds the energy pairings of the monomials against the unknowns; C and
-    D the vertex-average pairings against the linear monomials, read off the
-    basis and the vertex unknowns, which close the rank-3 deficiency of G.
-    """
-    b = load_rows(gb, material)
-    lin = np.swapaxes(gb.vertex_values[..., :3], 1, 2)  # (G, 3, m): 1, x, y
-    g, n, n_total = b.shape
-    saddle = np.zeros((g, n + 3, n + 3))
-    saddle[:, :n, :n] = gram
-    saddle[:, n:, :n] = lin @ gb.vertex_values
-    saddle[:, :n, n:] = np.swapaxes(saddle[:, n:, :n], 1, 2)
-    rhs = np.zeros((g, n + 3, n_total))
-    rhs[:, :n] = b
-    rhs[:, n:, : gb.layout.n_vertices] = lin
-    return saddle, rhs
-
-
-def split_on_grid(x: np.ndarray, axis: int, bits: int):
-    """Exact split ``x = hi + lo`` with hi on a power-of-two grid per row or column.
-
-    Along ``axis`` (-1: per row, -2: per column) the largest magnitude is
-    bounded by 2^tau, and hi rounds every entry to a multiple of
-    2^(tau - bits), so hi / 2^(tau - bits) is an integer of magnitude at most
-    2^bits. lo = x - hi is exact: hi lies within half a grid step of x, on a
-    grid no finer than the last bit of x.
-    """
-    _, tau = np.frexp(np.abs(x).max(axis=axis, keepdims=True))
-    grid = np.ldexp(1.0, tau - bits)
-    hi = np.rint(x / grid) * grid
-    return hi, x - hi
-
-
-def split_bits(n_inner: int) -> int:
-    """Grid bits for which every partial sum of ``hi @ hi`` is exact.
-
-    Each product of two hi entries is an integer of at most 2^(2 bits) on
-    the grid of its row and column, so ``n_inner`` of them sum to below
-    2^51 and never round in float64 whatever order the matmul adds them in.
-    """
-    return (51 - (n_inner - 1).bit_length()) // 2
-
-
-def reproduction_residual(pi_split, dofs_split) -> np.ndarray:
-    """I - pi D from the splits of pi by rows and of D by columns.
-
-    The product of the hi parts is exact, and so is subtracting it from I
-    wherever it is within a factor two of I (Sterbenz); only the three
-    products with a lo factor round, at 2^-bits of the size of |pi| |D|
-    (Ozaki, Ogita, Oishi and Rump, "Error-free transformations of matrix
-    multiplication by using fast routines of matrix multiplication",
-    Numer. Algorithms 2012).
-    """
-    (p_hi, p_lo), (d_hi, d_lo) = pi_split, dofs_split
-    residual = p_hi @ d_hi
-    residual *= -1.0
-    diag = np.arange(residual.shape[1])
-    residual[:, diag, diag] += 1.0
-    residual -= p_hi @ d_lo + p_lo @ d_hi
-    residual -= p_lo @ d_lo
-    return residual
+    return gb.transform @ _by_unknown(vertex, edge_normal, edge_value, interior).transpose(0, 2, 1)
 
 
 def elliptic_projector(
@@ -471,25 +449,42 @@ def elliptic_projector(
 ) -> np.ndarray:
     """Energy projector onto polynomials, computable from the unknowns.
 
-    Returns pi (G, dim, n_total): coefficients of the projected polynomial
-    per unit unknown, satisfying ``pi @ dofs_of_basis = identity`` to
-    within ``REPRODUCTION_TOL``; a cell that misses it raises
+    Returns pi (G, dim, n_total): element-basis coefficients of the projected
+    polynomial per unit unknown, satisfying ``pi @ dofs_of_basis = identity``
+    to within ``REPRODUCTION_TOL`` in float64; a cell that misses it, or
+    whose systems are singular or give non-finite values, raises
     :class:`ProjectorError`.
+
+    The projector solves a(pi v, q) = a(v, q) for every q, closed by the
+    vertex averages of pi v and v against 1, x, y. In the element basis the
+    rows of the energy Gram and of the pairings for q_0, q_1, q_2 are exact
+    zeros, so the closing multiplier is zero and the system splits: the
+    high part solves the Gram block of the other basis functions, and the
+    low part then follows from the 3 x 3 vertex-average constraint.
     """
-    n = gram.shape[1]
     cells = gb.group.index
-    pi = _solve_saddle(*_saddle_system(gb, material, gram), cells)[:, :n]
-    # One Newton-Schulz step squares the polynomial-reproduction residual,
-    # which the monomial conditioning would otherwise amplify at high order.
-    # A float64 residual would bottom out at the rounding floor of the
-    # large-coefficient products pi D, so it is formed from exact splits.
-    bits = split_bits(dofs_of_basis.shape[1])
-    dofs_split = split_on_grid(dofs_of_basis, -2, bits)
-    pi = pi + reproduction_residual(split_on_grid(pi, -1, bits), dofs_split) @ pi
-    worst = np.abs(reproduction_residual(split_on_grid(pi, -1, bits), dofs_split)).max(axis=(1, 2))
+    m = gb.layout.n_vertices
+    what = "singular projector system"
+    pairings = load_rows(gb, material)
+    lin = np.swapaxes(gb.vertex_values[..., :3], 1, 2)  # (G, 3, m): 1, x, y
+    constraint = lin @ dofs_of_basis[:, :m]  # (G, 3, dim)
+    pi = np.empty_like(pairings)
+    # The Gram block's inverse R^-T R^-1 from its Cholesky factor R: ten
+    # times closer to reproducing at order 5 than a general inverse.
+    root = _lower_inverse(_per_cell(np.linalg.cholesky, gram[:, 3:, 3:], cells, what))
+    np.matmul(np.swapaxes(root, 1, 2) @ root, pairings[:, 3:], out=pi[:, 3:])
+    low = -(constraint[:, :, 3:] @ pi[:, 3:])
+    low[:, :, :m] += lin
+    pi[:, :3] = _per_cell(np.linalg.inv, constraint[:, :, :3], cells, what) @ low
+    residual = pi @ dofs_of_basis
+    diag = np.arange(residual.shape[1])
+    residual[:, diag, diag] -= 1.0
+    worst = np.abs(residual).max(axis=(1, 2))
     bad = ~(worst <= REPRODUCTION_TOL)  # NaN fails too
     if bad.any():
         k = np.argmax(bad)
+        if not np.isfinite(pi[k]).all():
+            raise ProjectorError(f"cell {cells[k]}: projector system produced non-finite values")
         raise ProjectorError(
             f"cell {cells[k]}: polynomial reproduction residual {worst[k]:.2e} "
             f"exceeds {REPRODUCTION_TOL:g}"
@@ -517,10 +512,10 @@ class KernelGroup:
 
     index: np.ndarray  # (G,) mesh cell ids
     layout: DofLayout
-    pi: np.ndarray  # (G, dim, n_total) projector coefficients
+    pi: np.ndarray  # (G, dim, n_total) projector, element-basis coefficients
     moment_op: np.ndarray  # (G, dim_{order-2}, n_total)
     moment_mass: np.ndarray  # (G, dim_{order-2}, dim_{order-2})
-    seminorm_gram: np.ndarray  # (G, dim, dim) broken H2 metric
+    seminorm_gram: np.ndarray  # (G, dim, dim) broken H2 metric of the element basis
     seminorm_max: np.ndarray  # (G,) largest |seminorm_gram| entry per cell
     cells: list[LocalKernels]
 
@@ -541,25 +536,35 @@ def local_stiffness(
     gram: np.ndarray,
     pi: np.ndarray,
     dofs_of_basis: np.ndarray,
-):
-    """Consistency plus stabilization stiffness, (G, n_total, n_total) each.
+) -> np.ndarray:
+    """Consistency plus stabilization stiffness, (G, n_total, n_total).
 
-    The consistency part evaluates the energy of the projected polynomials;
-    the stabilization is the Euclidean product of the unknowns on the
-    projector complement, scaled by rigidity / diameter^2. Both are built
-    in place, so that a group holds few full-size temporaries at once.
+    The consistency part pi^T G pi evaluates the energy of the projected
+    polynomials; the stabilization s (I - D pi)^T (I - D pi), with
+    s = rigidity / diameter^2, is the Euclidean product of the unknowns on
+    the projector complement. Expanded, their sum is the symmetric part of
+    one (n_total x dim) by (dim x n_total) product plus s I:
+
+        K = sym(s I + pi^T [(G + s D^T D) pi - 2 s D^T]),
+
+    as pi^T (G + s D^T D) pi is symmetric and the symmetric part of
+    -2 s pi^T D^T is -s (D pi + pi^T D^T). The element basis keeps the
+    expansion free of cancellation, since there |pi| and |D| are of order
+    one.
     """
-    residual = dofs_of_basis @ pi
-    residual *= -1.0
-    diag = np.arange(residual.shape[1])
-    residual[:, diag, diag] += 1.0
-    stab = np.swapaxes(residual, 1, 2) @ residual
-    del residual
-    stab *= (material.rigidity / gb.group.diameters**2)[:, None, None]
-    stab = _symmetrized(stab)
-    stiff = (np.swapaxes(pi, 1, 2) @ gram) @ pi
-    stiff += stab
-    return _symmetrized(stiff), stab
+    s = (material.rigidity / gb.group.diameters**2)[:, None, None]
+    dofs_t = np.swapaxes(dofs_of_basis, 1, 2)
+    weighted = dofs_t @ dofs_of_basis
+    weighted *= s
+    weighted += gram
+    right = weighted @ pi
+    del weighted
+    right -= (2.0 * s) * dofs_t
+    stiff = np.swapaxes(pi, 1, 2) @ right
+    del right
+    diag = np.arange(stiff.shape[1])
+    stiff[:, diag, diag] += s[:, :, 0]
+    return _symmetrized(stiff)
 
 
 def moment_operator(gb: GroupBasis, pi: np.ndarray):
@@ -567,21 +572,26 @@ def moment_operator(gb: GroupBasis, pi: np.ndarray):
 
     Moments against monomials of degree up to order - 4 are read directly
     from the interior unknowns; the top two degrees use the moments of the
-    projected polynomial, which the enhanced local space makes exact.
+    projected polynomial, which the enhanced local space makes exact. The
+    moments of the monomials m against the element basis q = T m are
+    area L, with L the Cholesky factor of their normalized Gram; L is lower
+    triangular, so those of degree <= order - 2 involve only its leading
+    block.
 
     Returns (moment_op, mass), (G, dim_{order-2}, n_total) and the Gram
     matrices (G, dim_{order-2}, dim_{order-2}) of the degree order - 2
     monomials, both exact.
     """
     layout = gb.layout
-    cross_mass = gb.moments[:, _order_tables(gb.order).mass]  # (G, mid, dim)
-    op = cross_mass @ pi
+    mid = space_dim(gb.order - 2)
+    cross_mass = gb.factor[:, :mid, :mid] * gb.group.areas[:, None, None]
+    op = cross_mass @ pi[:, :mid]
     low = layout.n_cell
     if low:
         op[:, :low] = 0.0
         op[:, :low, layout.cell_slice] = gb.group.areas[:, None, None] * np.eye(low)
-    mid = cross_mass.shape[1]
-    return op, cross_mass[:, :, :mid]
+    mass = gb.moments[:, _order_tables(gb.order).mass[:mid, :mid]]
+    return op, mass
 
 
 def data_degree(order: int) -> int:
@@ -686,7 +696,7 @@ def _chunk_stacks(group: CellGroup, order: int, material: MaterialParams):
     gram, seminorm = energy_grams(gb, material)
     dofs = dof_matrix(gb)
     pi = elliptic_projector(gb, material, gram, dofs)
-    stiff = local_stiffness(gb, material, gram, pi, dofs)[0]
+    stiff = local_stiffness(gb, material, gram, pi, dofs)
     mom_op, mass = moment_operator(gb, pi)
     return pi, mom_op, mass, seminorm, np.abs(seminorm).max(axis=(1, 2)), stiff
 

@@ -466,17 +466,28 @@ def read_mesh(path) -> PolygonMesh:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors
         raise MeshIOError(f"cannot parse mesh file {path}: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "cells" not in data:
         raise MeshIOError("mesh file must contain 'vertices' and 'cells'")
-    if not data["cells"]:
+    cells = data["cells"]
+    if not cells:
         raise MeshIOError("mesh file has an empty cell list")
     try:
         vertices = np.array(data["vertices"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise MeshIOError(f"bad vertex data: {exc}") from exc
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise MeshIOError("vertices must be an (n, 2) array")
+    # JSON integers only: a bool is an int to Python, a float would truncate
+    if not isinstance(cells, list) or not all(
+        isinstance(cell, list) and all(type(i) is int for i in cell) for cell in cells
+    ):
+        raise MeshIOError("cells must be lists of integer vertex indices")
+    for c, cell in enumerate(cells):
+        if not all(0 <= i < len(vertices) for i in cell):
+            raise MeshIOError(f"cell {c} has a vertex index outside 0..{len(vertices) - 1}")
     try:
-        return derive_topology(vertices, data["cells"])
+        return derive_topology(vertices, cells)
     except MeshError as exc:
         raise MeshIOError(f"inconsistent mesh file: {exc}") from exc

@@ -16,9 +16,6 @@ class QuadratureRule:
     weights: np.ndarray  # (n,)
     degree: int
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.weights @ values)
-
 
 @lru_cache(maxsize=None)
 def gauss_legendre(n_points: int):

@@ -44,7 +44,8 @@ class CellView:
 
     Carries what a ``LocalKernels`` view carries, so ``local.local_load``
     accepts it, plus the cell's stiffness block, its projector and seminorm
-    rows and its scaled monomial basis.
+    rows, its scaled monomial basis and the transform T of its element
+    basis q = T m, which the projector and seminorm rows are in.
     """
 
     frame: object
@@ -56,6 +57,15 @@ class CellView:
     moment_op: np.ndarray
     moment_mass: np.ndarray
     seminorm_gram: np.ndarray
+    transform: np.ndarray
+
+    def element_values(self, points: np.ndarray) -> np.ndarray:
+        """Values of the element basis at ``points``: (len(points), dim)."""
+        return self.basis.eval(points) @ self.transform.T
+
+    def element_gram(self, gram: np.ndarray) -> np.ndarray:
+        """T M T^T of a Gram matrix M of the scaled monomials."""
+        return self.transform @ gram @ self.transform.T
 
 
 def cell_views(mesh: PolygonMesh, order: int, material=DEFAULT_MATERIAL) -> list[CellView]:
@@ -63,8 +73,9 @@ def cell_views(mesh: PolygonMesh, order: int, material=DEFAULT_MATERIAL) -> list
     kernels, stiffness = local.build_local_kernels(mesh, order, material)
     dofmap = assembly.global_dof_map(mesh, order)
     views: list = [None] * mesh.n_cells
-    for group, stiff in zip(kernels, stiffness):
+    for group, stiff, cells in zip(kernels, stiffness, mesh.cell_groups()):
         dofs = dofmap.group_dofs(group.index)
+        transform = local.group_basis(cells, order).transform
         for k, c in enumerate(group.index):
             frame = group.cells[k].frame
             views[c] = CellView(
@@ -77,6 +88,7 @@ def cell_views(mesh: PolygonMesh, order: int, material=DEFAULT_MATERIAL) -> list
                 moment_op=group.moment_op[k],
                 moment_mass=group.moment_mass[k],
                 seminorm_gram=group.seminorm_gram[k],
+                transform=transform[k],
             )
     return views
 
@@ -116,12 +128,15 @@ def reference_load(views: list[CellView], n_total: int, f) -> np.ndarray:
 
 
 def group_stabilization(group, order: int) -> np.ndarray:
-    """Stabilization stack of a group, recomputed through ``local_stiffness``."""
+    """Stabilization stack s (I - D pi)^T (I - D pi), s = rigidity / h^2, of a
+    group, from the projector and unknowns ``local`` builds."""
     gb = local.group_basis(group, order)
     gram, _ = local.energy_grams(gb, DEFAULT_MATERIAL)
     dofs = local.dof_matrix(gb)
     pi = local.elliptic_projector(gb, DEFAULT_MATERIAL, gram, dofs)
-    return local.local_stiffness(gb, DEFAULT_MATERIAL, gram, pi, dofs)[1]
+    residual = np.eye(dofs.shape[1]) - dofs @ pi
+    scale = DEFAULT_MATERIAL.rigidity / group.diameters**2
+    return scale[:, None, None] * (np.swapaxes(residual, 1, 2) @ residual)
 
 
 def cell_group_basis(mesh: PolygonMesh, order: int):
@@ -131,7 +146,7 @@ def cell_group_basis(mesh: PolygonMesh, order: int):
 
 
 def cell_dof_matrix(mesh: PolygonMesh, order: int) -> np.ndarray:
-    """Unknowns of the basis monomials of the only cell of a one-cell mesh."""
+    """Unknowns of the element basis of the only cell of a one-cell mesh."""
     return local.dof_matrix(cell_group_basis(mesh, order))[0]
 
 

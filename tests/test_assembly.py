@@ -25,7 +25,7 @@ from platevem.mesh import CellFrame, derive_topology
 from platevem.plate import DEFAULT_MATERIAL
 
 from conftest import cell_views, reference_cell_dofs
-from reference_counts import BY_FAMILY
+from reference_counts import BY_FAMILY, closed_form_count
 
 
 def zero_f(x, y):
@@ -35,7 +35,7 @@ def zero_f(x, y):
 def test_global_count_criss_order2(mesh_cache):
     dofmap = global_dof_map(mesh_cache("crisscross", 0), 2)
     assert dofmap.n_total == 221
-    assert dofmap.n_total == dofmap.closed_form_count()
+    assert dofmap.n_total == closed_form_count(dofmap.mesh, dofmap.order)
 
 
 def test_global_count_octagonal_order5(mesh_cache):
@@ -205,6 +205,13 @@ def test_free_block_is_its_own_transpose(family, mesh_cache, monkeypatch):
         assert solver.factor.norm_1 == pytest.approx(spla.norm(block, 1), rel=1e-14)
         assert solver.factor.matrix is solver.matrix
         assert np.array_equal(solver.factor.free, solver.free)
+
+
+def test_norm_1_skips_empty_columns():
+    """Empty columns, first, inside and last, add nothing to the sums."""
+    a = sp.csc_matrix(np.array([[0.0, 1.0, 0.0, -4.0, 0.0], [0.0, -2.0, 0.0, 0.5, 0.0]]))
+    assert assembly._norm_1(a) == spla.norm(a, 1) == 4.5
+    assert assembly._norm_1(sp.csc_matrix((3, 3))) == 0.0
 
 
 @pytest.mark.parametrize(

@@ -261,3 +261,50 @@ def test_mesh_io_rejects_garbage(tmp_path):
     path.write_text("not json at all {")
     with pytest.raises(MeshIOError):
         read_mesh(path)
+
+
+TRIANGLE_FILE = '{{"vertices": [[0, 0], [1, 0], [0, 1]], "cells": {cells}}}'
+# Cell lists of the wrong type or out of range; each must raise MeshIOError.
+MALFORMED_CELLS = {
+    "string index": '[[0, "1", 2]]',
+    "cells not a list": "5",
+    "cell not a list": "[0, 1, 2]",
+    "nested cell": "[[0, [1], 2]]",
+    "huge index": f"[[0, 1, {10**30}]]",
+    "float index": "[[0, 1, 2.5]]",
+    "bool index": "[[0, true, 2]]",
+    "negative index": "[[0, 1, -1]]",
+    "index past the end": "[[0, 1, 3]]",
+    "cells an object": '{"0": [0, 1, 2]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CELLS))
+def test_malformed_cell_lists_raise_mesh_io_error(name, tmp_path):
+    path = tmp_path / "mesh.json"
+    path.write_text(TRIANGLE_FILE.format(cells=MALFORMED_CELLS[name]))
+    with pytest.raises(MeshIOError):
+        read_mesh(path)
+
+
+def test_corrupted_mesh_files_fail_classified(tmp_path):
+    """Seeded truncations and byte flips of a written mesh either read back
+    or raise MeshIOError or MeshError, never another exception."""
+    path = tmp_path / "mesh.json"
+    write_mesh(build_family("hexagonal", 0), path)
+    text = path.read_bytes()
+    rng = np.random.default_rng(41)
+    corrupted = [text[: int(cut)] for cut in rng.integers(0, len(text), 40)]
+    for _ in range(80):
+        flipped = bytearray(text)
+        for at in rng.integers(0, len(text), int(rng.integers(1, 4))):
+            flipped[at] ^= int(rng.integers(1, 256))
+        corrupted.append(bytes(flipped))
+    for k, data in enumerate(corrupted):
+        path.write_bytes(data)
+        try:
+            read_mesh(path)
+        except (MeshIOError, MeshError):
+            pass
+        except Exception as exc:  # noqa: BLE001 - the test is that none escape
+            pytest.fail(f"corruption {k} escaped as {type(exc).__name__}: {exc}")

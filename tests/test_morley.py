@@ -138,6 +138,7 @@ def test_solution_matches_order2_method(mesh_cache):
         assert np.abs(vem - oracle).max() <= 1e-9 * scale
 
 
+@pytest.mark.slow
 def test_oracle_convergence_rate(mesh_cache):
     errors, hs = [], []
     f = manufactured.load(DEFAULT_MATERIAL)
