@@ -194,7 +194,8 @@ def interpolate(dofmap: GlobalDofMap, w, grad_w) -> np.ndarray:
     """Global unknown vector of a smooth function given value and gradient.
 
     Every unknown is computed once: vertex values, the edge moments of all
-    edges in one pass, and, from order 4, the interior moments cell by cell.
+    edges in one pass, and, from order 4, the interior moments one
+    vertex-count group at a time (:func:`local.interior_moments`).
     """
     mesh = dofmap.mesh
     out = np.empty(dofmap.n_total)

@@ -175,9 +175,13 @@ def _out_path(args, default_name: str) -> Path:
     return base / default_name
 
 
-def _check_order(order: int) -> None:
-    if order not in (2, 3, 4, 5):
-        raise ConfigError("order must be one of 2, 3, 4, 5")
+def _config_check(check, *values) -> None:
+    """Run a library range check, reporting its ``ValueError`` as a
+    configuration error."""
+    try:
+        check(*values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_mesh(args):
@@ -203,17 +207,18 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_solve(args) -> int:
     _require(args, "family", "n", "order")
-    _check_order(args.order)
+    _config_check(cv.check_order, args.order)
     material = _material(args)
     mesh = _build_mesh(args)
-    solver = PlateSolver(mesh, args.order, material)
-    f = manufactured.load(material)
-    solution = solver.solve(f, BoundarySpec.clamped())
-    proj_u = cv.project_exact(
-        mesh, solver.kernels, manufactured.displacement, manufactured.gradient
+    solver, solution, err = cv.run_single(
+        mesh,
+        args.order,
+        material,
+        manufactured.load(material),
+        BoundarySpec.clamped(),
+        manufactured.displacement,
+        manufactured.gradient,
     )
-    proj_uh = cv.project_solution(mesh, solver.kernels, solver.dofmap, solution)
-    err = cv.relative_or_absolute_error(solver.kernels, proj_u, proj_uh)
     if args.dump_matrix:
         from .assembly import dump_matrix
 
@@ -240,10 +245,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_study(args) -> int:
     _require(args, "family", "order", "nmax")
-    try:
-        cv.check_study_range(args.order, args.nmax)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _config_check(cv.check_study_range, args.order, args.nmax)
     material = _material(args)
     seed = 0 if args.seed is None else args.seed
     records = cv.convergence_study(args.family, args.order, args.nmax, material, seed)
@@ -259,7 +261,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_patch(args) -> int:
     _require(args, "family", "n", "order")
-    _check_order(args.order)
+    _config_check(cv.check_order, args.order)
     material = _material(args)
     mesh = _build_mesh(args)
     solver = PlateSolver(mesh, args.order, material)

@@ -54,15 +54,6 @@ def project_exact(
     return project_solution(mesh, kernels, dofmap, interpolate(dofmap, w, grad_w))
 
 
-def seminorm_2h(kernels: list[KernelGroup], coefficients: np.ndarray) -> float:
-    """Broken H2 seminorm of a cellwise polynomial field."""
-    total = 0.0
-    for group in kernels:
-        v = coefficients[group.index]
-        total += float((np.einsum("gij,gj->gi", group.seminorm_gram, v) * v).sum())
-    return float(np.sqrt(max(total, 0.0)))
-
-
 def seminorm_terms(
     kernels: list[KernelGroup], reference: np.ndarray, difference: np.ndarray
 ) -> tuple[float, float, float]:
@@ -85,6 +76,11 @@ def seminorm_terms(
     return float(ref_norm), float(diff_norm), float(np.sqrt(scale))
 
 
+# A reference seminorm at most this fraction of the magnitude from
+# seminorm_terms is rounding noise: the reference is piecewise linear.
+LINEAR_NOISE = 1e-9
+
+
 def error_2h(
     kernels: list[KernelGroup],
     exact: ProjectedField,
@@ -101,7 +97,7 @@ def error_2h(
     denom, num, scale = seminorm_terms(
         kernels, exact.coefficients, exact.coefficients - discrete.coefficients
     )
-    if denom <= 1e-9 * scale:
+    if denom <= LINEAR_NOISE * scale:
         raise ZeroSeminormError("reference projection is piecewise linear")
     return num / denom
 
@@ -115,12 +111,13 @@ def relative_or_absolute_error(
 
     Falls back to the absolute broken seminorm of the difference whenever
     the reference seminorm sits at rounding-noise level, which keeps
-    consistency sweeps meaningful for linear solutions.
+    consistency sweeps meaningful for linear solutions. Both seminorms
+    come from one :func:`seminorm_terms` pass.
     """
-    try:
-        return error_2h(kernels, exact, discrete)
-    except ZeroSeminormError:
-        return seminorm_2h(kernels, exact.coefficients - discrete.coefficients)
+    denom, num, scale = seminorm_terms(
+        kernels, exact.coefficients, exact.coefficients - discrete.coefficients
+    )
+    return num if denom <= LINEAR_NOISE * scale else num / denom
 
 
 @dataclass
@@ -201,10 +198,15 @@ def run_single(
 MAX_REFINEMENT = 8
 
 
-def check_study_range(order: int, n_max: int) -> None:
-    """Raise ``ValueError`` unless ``convergence_study`` accepts the pair."""
+def check_order(order: int) -> None:
+    """Raise ``ValueError`` unless the method is implemented at ``order``."""
     if order not in (2, 3, 4, 5):
         raise ValueError("order must be one of 2, 3, 4, 5")
+
+
+def check_study_range(order: int, n_max: int) -> None:
+    """Raise ``ValueError`` unless ``convergence_study`` accepts the pair."""
+    check_order(order)
     if not 0 <= n_max <= (4 if order == 5 else MAX_REFINEMENT):
         raise ValueError("n_max out of range for this order")
 

@@ -51,7 +51,6 @@ import numpy as np
 from .mesh import CellFrame, CellGroup
 from .plate import MaterialParams
 from .polynomials import (
-    ScaledMonomialBasis,
     _derivative_factors,
     centered_power_moments,
     derivative_map,
@@ -98,14 +97,6 @@ class DofLayout:
     @property
     def n_total(self) -> int:
         return self.n_vertices * (1 + self.n_edge_normal + self.n_edge_value) + self.n_cell
-
-    def edge_normal_slice(self, i: int) -> slice:
-        start = self.n_vertices + i * self.n_edge_normal
-        return slice(start, start + self.n_edge_normal)
-
-    def edge_value_slice(self, i: int) -> slice:
-        start = self.n_vertices * (1 + self.n_edge_normal) + i * self.n_edge_value
-        return slice(start, start + self.n_edge_value)
 
     @property
     def cell_slice(self) -> slice:
@@ -384,10 +375,17 @@ def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
     """Energy pairings a(q_beta, .) of the element basis against the unknowns.
 
     Row beta of each returned (dim x n_total) block represents the
-    functional v -> a_K(q_beta, v) through the boundary expansion of the
-    cell energy (interior bilaplacian, edge bending moment and effective
-    shear, corner twist), which involves only the local unknowns. Rows 0,
-    1, 2 (the linear polynomials) are exact zeros.
+    functional v -> a_K(q_beta, v), which involves only the local unknowns.
+    The cell energy is ``a_K(u, v) = D \\int_K (nu Lap(u) Lap(v) + (1 - nu)
+    u_,ij v_,ij) dx``, with the Einstein double sum over second derivatives.
+    For a polynomial u, integration by parts expands it into D times: the
+    interior term Lap^2(u) paired with v; on each straight edge with
+    outward normal n and counterclockwise tangent t, the bending moment
+    ``M_nn = nu Lap(u) + (1 - nu) u_,nn`` paired with d_n v, minus the
+    effective shear ``T = d_n(Lap u) + (1 - nu) u_,ntt`` paired with v; and
+    the corner twist ``(1 - nu) u_,nt`` times v at the edge endpoints, with
+    sign -1 at the edge start and +1 at its end. Rows 0, 1, 2 (the linear
+    polynomials) are exact zeros.
     """
     group, layout = gb.group, gb.layout
     t = _order_tables(gb.order)
@@ -670,10 +668,10 @@ def local_load(kern: LocalKernels, f) -> np.ndarray:
     """
     frame = kern.frame
     rule = polygon_rule(frame.vertices, frame.star, data_degree(kern.layout.order))
-    basis_mid = ScaledMonomialBasis(frame.centroid, frame.diameter, kern.layout.order - 2)
-    vals_mid = basis_mid.eval(rule.points)
-    fvals = f(rule.points[:, 0], rule.points[:, 1])
-    fmom = vals_mid.T @ (rule.weights * fvals)
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    (xc, yc), h = frame.centroid, frame.diameter
+    vals_mid = monomials((x - xc) / h, (y - yc) / h, kern.layout.order - 2)
+    fmom = vals_mid.T @ (rule.weights * f(x, y))
     return kern.moment_op.T @ np.linalg.solve(kern.moment_mass, fmom)
 
 

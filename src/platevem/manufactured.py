@@ -33,11 +33,6 @@ def gradient(x, y):
     return _dg(x) * _g(y), _g(x) * _dg(y)
 
 
-def hessian(x, y):
-    """Second derivatives (u_xx, u_xy, u_yy)."""
-    return _d2g(x) * _g(y), _dg(x) * _dg(y), _g(x) * _d2g(y)
-
-
 def load(material: MaterialParams):
     """Source density D Lap^2 u of the reference displacement."""
     rigidity = material.rigidity

@@ -21,18 +21,6 @@ class MeshIOError(Exception):
 
 
 @dataclass(frozen=True)
-class Edge:
-    """Oriented mesh edge running from the lower to the higher vertex index."""
-
-    endpoint_ids: tuple[int, int]
-    length: float
-    normal: np.ndarray
-    tangent: np.ndarray
-    adjacent_cells: tuple[int, ...]
-    is_boundary: bool
-
-
-@dataclass(frozen=True)
 class CellFrame:
     """Per-cell geometry bundle used by quadrature and element kernels.
 
@@ -57,12 +45,6 @@ class CellFrame:
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_ids)
-
-    def outward_normal(self, i: int) -> np.ndarray:
-        return self.edge_signs[i] * self.normals[i]
-
-    def traversal_tangent(self, i: int) -> np.ndarray:
-        return self.edge_signs[i] * self.tangents[i]
 
 
 class CellRows(Sequence):
@@ -187,20 +169,6 @@ class PolygonMesh:
     @property
     def h(self) -> float:
         return float(self.diameters.max())
-
-    def edge(self, i: int) -> Edge:
-        v0, v1 = self.edge_vertices[i]
-        a = self.vertices[v0]
-        b = self.vertices[v1]
-        t = b - a
-        length = float(np.linalg.norm(t))
-        t = t / length
-        n = np.array([t[1], -t[0]])
-        cells = tuple(int(c) for c in self.edge_cells[i] if c >= 0)
-        return Edge((int(v0), int(v1)), length, n, t, cells, len(cells) == 1)
-
-    def frame(self, i: int) -> CellFrame:
-        return self.cell_group([i]).frame(0)
 
     def cell_group(self, cells) -> CellGroup:
         """Stacked geometry of the given cells, which share one vertex count."""

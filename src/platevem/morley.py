@@ -157,25 +157,6 @@ def morley_local_load(vertices: np.ndarray, f, vertex_ids=(0, 1, 2)) -> np.ndarr
     return favg * np.linalg.solve(morley_dof_matrix(vertices, vertex_ids).T, integrals)
 
 
-def morley_interpolation_dofs(vertices: np.ndarray, vertex_ids, w, grad_w) -> np.ndarray:
-    """Unknowns of a smooth function: vertex values and edge normal integrals."""
-    out = np.empty(6)
-    out[:3] = w(vertices[:, 0], vertices[:, 1])
-    nodes, wts = np.polynomial.legendre.leggauss(5)
-    for i in range(3):
-        ia, ib = vertex_ids[i], vertex_ids[(i + 1) % 3]
-        a, b = vertices[i], vertices[(i + 1) % 3]
-        if ia > ib:
-            a, b = b, a
-        vec = b - a
-        length = float(np.linalg.norm(vec))
-        normal = np.array([vec[1], -vec[0]]) / length
-        pts = 0.5 * (a + b)[None, :] + 0.5 * nodes[:, None] * vec[None, :]
-        gx, gy = grad_w(pts[:, 0], pts[:, 1])
-        out[3 + i] = 0.5 * length * float(wts @ (normal[0] * gx + normal[1] * gy))
-    return out
-
-
 def _check_triangular(mesh: PolygonMesh):
     for ids in mesh.cells:
         if len(ids) != 3:
@@ -228,36 +209,3 @@ def morley_solve(
     solution[free] = x
     solution[constrained] = values[constrained]
     return solution, dofmap
-
-
-def morley_error_2h(mesh: PolygonMesh, dofmap, solution, exact, exact_grad) -> float:
-    """Relative broken H2 error against the interpolated exact solution.
-
-    Quadratics have constant second derivatives, so the elementwise seminorm
-    is a closed form in the coefficients.
-    """
-    hess = _hessians()
-    unknowns = dofmap.group_dofs(np.arange(mesh.n_cells))
-    num = 0.0
-    den = 0.0
-    for c in range(mesh.n_cells):
-        ids = mesh.cells[c]
-        verts = mesh.vertices[ids]
-        dof = morley_dof_matrix(verts, ids)
-        sol_c = np.linalg.solve(dof, solution[unknowns[c]])
-        exact_dofs = morley_interpolation_dofs(verts, ids, exact, exact_grad)
-        exa_c = np.linalg.solve(dof, exact_dofs)
-        area = _triangle_area(verts)
-        diff = exa_c - sol_c
-        for coeffs, acc in ((diff, "num"), (exa_c, "den")):
-            uxx = coeffs @ hess[:, 0]
-            uxy = coeffs @ hess[:, 1]
-            uyy = coeffs @ hess[:, 2]
-            val = area * (uxx**2 + uxy**2 + uyy**2)
-            if acc == "num":
-                num += val
-            else:
-                den += val
-    if den == 0.0:
-        return float(np.sqrt(num))
-    return float(np.sqrt(num / den))

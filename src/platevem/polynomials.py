@@ -1,4 +1,4 @@
-"""Scaled monomial bases on polygonal cells and on edges.
+"""Scaled monomials: exponent tables, power tables and derivative maps.
 
 Cell polynomials are expanded in monomials ``((x - x_c)/h)^a ((y - y_c)/h)^b``
 centered at the cell centroid and scaled by the cell diameter, ordered by
@@ -100,118 +100,9 @@ def derivative_map(order: int, i: int, j: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def _conv_index_tensor(degree: int) -> np.ndarray:
-    """S[k, p, q] = 1 when p + q == k, for products of edge polynomials."""
-    n = degree + 1
-    s = np.zeros((n, n, n))
-    for p in range(n):
-        for q in range(n):
-            if p + q <= degree:
-                s[p + q, p, q] = 1.0
-    return s
-
-
 def centered_power_moments(max_power: int) -> np.ndarray:
     """Integrals of s^m over [-1/2, 1/2] for m = 0..max_power."""
     m = np.arange(max_power + 1)
     vals = (0.5**m) / (m + 1)
     vals[1::2] = 0.0
     return vals
-
-
-class ScaledMonomialBasis:
-    """Monomial basis of degree ``order`` centered at ``center``, scaled by ``h``."""
-
-    def __init__(self, center: np.ndarray, h: float, order: int):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        self.center = np.asarray(center, dtype=float)
-        self.h = float(h)
-        self.order = order
-        self.exponents = exponent_table(order)
-        self.dim = space_dim(order)
-        self._derivative_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def eval(self, points: np.ndarray, derivative: tuple[int, int] = (0, 0)) -> np.ndarray:
-        """Values of all basis functions (or one partial derivative) at points.
-
-        Parameters
-        ----------
-        points : array, shape (n, 2)
-        derivative : (i, j)
-            Differentiation orders in x and y; (0, 0) gives plain values.
-
-        Returns
-        -------
-        array, shape (n, dim)
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = (points[:, 0] - self.center[0]) / self.h
-        eta = (points[:, 1] - self.center[1]) / self.h
-        i, j = derivative
-        fac = _derivative_factors(self.order, i, j) / self.h ** (i + j)
-        ax = np.maximum(self.exponents[:, 0] - i, 0)
-        by = np.maximum(self.exponents[:, 1] - j, 0)
-        vals = power_table(xi, self.order)[:, ax]
-        vals *= power_table(eta, self.order)[:, by]
-        vals *= fac
-        return vals
-
-    def derivative_matrix(self, i: int, j: int) -> np.ndarray:
-        """Coefficient map of d^{i+j}/dx^i dy^j on the basis (dim x dim)."""
-        cached = self._derivative_cache.get((i, j))
-        if cached is None:
-            cached = derivative_map(self.order, i, j) / self.h ** (i + j)
-            self._derivative_cache[(i, j)] = cached
-        return cached
-
-    def laplacian_matrix(self) -> np.ndarray:
-        return self.derivative_matrix(2, 0) + self.derivative_matrix(0, 2)
-
-    def bilaplacian_matrix(self) -> np.ndarray:
-        lap = self.laplacian_matrix()
-        return lap @ lap
-
-    def directional_matrix(self, direction: np.ndarray) -> np.ndarray:
-        """Coefficient map of the first derivative along ``direction``."""
-        return direction[0] * self.derivative_matrix(1, 0) + direction[1] * self.derivative_matrix(0, 1)
-
-    def second_directional_matrix(self, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        """Coefficient map of the mixed second derivative along d1 then d2."""
-        return (
-            d1[0] * d2[0] * self.derivative_matrix(2, 0)
-            + (d1[0] * d2[1] + d1[1] * d2[0]) * self.derivative_matrix(1, 1)
-            + d1[1] * d2[1] * self.derivative_matrix(0, 2)
-        )
-
-    def edge_restriction(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-        """Expansion of each basis function along the segment p0 -> p1.
-
-        The restriction is expressed in powers of the centered edge variable
-        s in [-1/2, 1/2] with x(s) = midpoint + s (p1 - p0). Returns the
-        matrix R of shape (order + 1, dim) with R[:, k] the s-coefficients of
-        basis function k; the expansion is exact.
-        """
-        mid = 0.5 * (np.asarray(p0) + np.asarray(p1))
-        vec = np.asarray(p1) - np.asarray(p0)
-        a0 = (mid[0] - self.center[0]) / self.h
-        a1 = vec[0] / self.h
-        b0 = (mid[1] - self.center[1]) / self.h
-        b1 = vec[1] / self.h
-        n = self.order + 1
-        # pow_x[i] = coefficients of (a0 + a1 s)^i, likewise pow_y
-        pow_x = np.zeros((n, n))
-        pow_y = np.zeros((n, n))
-        pow_x[0, 0] = 1.0
-        pow_y[0, 0] = 1.0
-        for i in range(1, n):
-            pow_x[i, : i + 1] = a0 * pow_x[i - 1, : i + 1]
-            pow_x[i, 1 : i + 1] += a1 * pow_x[i - 1, :i]
-            pow_y[i, : i + 1] = b0 * pow_y[i - 1, : i + 1]
-            pow_y[i, 1 : i + 1] += b1 * pow_y[i - 1, :i]
-        s = _conv_index_tensor(self.order)
-        pa = pow_x[self.exponents[:, 0]]  # (dim, n)
-        pb = pow_y[self.exponents[:, 1]]
-        outer = pa[:, :, None] * pb[:, None, :]
-        return np.einsum("kpq,apq->ka", s, outer)

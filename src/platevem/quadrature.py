@@ -1,4 +1,4 @@
-"""Numerical integration rules on edges, triangles, and star-shaped polygons."""
+"""Gauss-Legendre nodes, and quadrature on star-shaped polygons by fan sub-triangulation."""
 
 from __future__ import annotations
 
@@ -21,17 +21,6 @@ class QuadratureRule:
 def gauss_legendre(n_points: int):
     nodes, weights = np.polynomial.legendre.leggauss(n_points)
     return nodes, weights
-
-
-def edge_rule(p0: np.ndarray, p1: np.ndarray, degree: int) -> QuadratureRule:
-    """Gauss-Legendre rule on the segment p0 -> p1, exact to ``degree``."""
-    n = max(1, (degree + 2) // 2)
-    nodes, weights = gauss_legendre(n)
-    mid = 0.5 * (np.asarray(p0) + np.asarray(p1))
-    half = 0.5 * (np.asarray(p1) - np.asarray(p0))
-    points = mid[None, :] + nodes[:, None] * half[None, :]
-    length = 2.0 * np.linalg.norm(half)
-    return QuadratureRule(points, weights * (length / 2.0), degree)
 
 
 @lru_cache(maxsize=None)
@@ -73,12 +62,6 @@ def _mapped(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int):
         + eta[:, None] * (c - a)[..., None, :]
     )
     return points, ww * area2[..., None]
-
-
-def triangle_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int) -> QuadratureRule:
-    """Product Gauss rule on a triangle, exact for polynomials up to ``degree``."""
-    points, weights = _mapped(*(np.asarray(p, dtype=float) for p in (a, b, c)), degree)
-    return QuadratureRule(points, weights, degree)
 
 
 class FanPointError(ValueError):

@@ -1,0 +1,414 @@
+"""Per-cell reference implementations the tests compare the library against.
+
+A solve never runs any of this. The library builds its kernels for a whole
+vertex-count group at once from exact cell moments; the oracles here take
+one cell, one edge or one polynomial at a time, by quadrature or by the
+textbook formula, so that each stacked routine has an independent route to
+be checked against:
+
+* :class:`ScaledMonomialBasis`, the monomials of one cell with their
+  derivative maps and exact edge restrictions;
+* :func:`edge_rule` and :func:`triangle_rule`, Gauss rules on one segment
+  and one triangle;
+* the plate energy and seminorm Grams by cell quadrature, and the bending
+  moment, effective shear and corner twist operators on polynomials;
+* the Morley oracle's per-triangle interpolant and broken-H2 error;
+* per-edge and per-cell geometry of a mesh, and the layout slices of the
+  edge unknowns;
+* the Hessian of the reference displacement.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from platevem.local import DofLayout
+from platevem.manufactured import _d2g, _dg, _g
+from platevem.mesh import CellFrame, PolygonMesh
+from platevem.morley import _hessians, _triangle_area, morley_dof_matrix
+from platevem.plate import MaterialParams
+from platevem.polynomials import (
+    _derivative_factors,
+    derivative_map,
+    exponent_table,
+    power_table,
+    space_dim,
+)
+from platevem.quadrature import QuadratureRule, _mapped, gauss_legendre, polygon_rule
+
+# -- polynomials -------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _conv_index_tensor(degree: int) -> np.ndarray:
+    """S[k, p, q] = 1 when p + q == k, for products of edge polynomials."""
+    n = degree + 1
+    s = np.zeros((n, n, n))
+    for p in range(n):
+        for q in range(n):
+            if p + q <= degree:
+                s[p + q, p, q] = 1.0
+    return s
+
+
+class ScaledMonomialBasis:
+    """Monomial basis of degree ``order`` centered at ``center``, scaled by ``h``."""
+
+    def __init__(self, center: np.ndarray, h: float, order: int):
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        self.center = np.asarray(center, dtype=float)
+        self.h = float(h)
+        self.order = order
+        self.exponents = exponent_table(order)
+        self.dim = space_dim(order)
+        self._derivative_cache: dict[tuple[int, int], np.ndarray] = {}
+
+    def eval(self, points: np.ndarray, derivative: tuple[int, int] = (0, 0)) -> np.ndarray:
+        """Values of all basis functions (or one partial derivative) at points.
+
+        Parameters
+        ----------
+        points : array, shape (n, 2)
+        derivative : (i, j)
+            Differentiation orders in x and y; (0, 0) gives plain values.
+
+        Returns
+        -------
+        array, shape (n, dim)
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        xi = (points[:, 0] - self.center[0]) / self.h
+        eta = (points[:, 1] - self.center[1]) / self.h
+        i, j = derivative
+        fac = _derivative_factors(self.order, i, j) / self.h ** (i + j)
+        ax = np.maximum(self.exponents[:, 0] - i, 0)
+        by = np.maximum(self.exponents[:, 1] - j, 0)
+        vals = power_table(xi, self.order)[:, ax]
+        vals *= power_table(eta, self.order)[:, by]
+        vals *= fac
+        return vals
+
+    def derivative_matrix(self, i: int, j: int) -> np.ndarray:
+        """Coefficient map of d^{i+j}/dx^i dy^j on the basis (dim x dim)."""
+        cached = self._derivative_cache.get((i, j))
+        if cached is None:
+            cached = derivative_map(self.order, i, j) / self.h ** (i + j)
+            self._derivative_cache[(i, j)] = cached
+        return cached
+
+    def laplacian_matrix(self) -> np.ndarray:
+        return self.derivative_matrix(2, 0) + self.derivative_matrix(0, 2)
+
+    def bilaplacian_matrix(self) -> np.ndarray:
+        lap = self.laplacian_matrix()
+        return lap @ lap
+
+    def directional_matrix(self, direction: np.ndarray) -> np.ndarray:
+        """Coefficient map of the first derivative along ``direction``."""
+        return direction[0] * self.derivative_matrix(1, 0) + direction[1] * self.derivative_matrix(0, 1)
+
+    def second_directional_matrix(self, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+        """Coefficient map of the mixed second derivative along d1 then d2."""
+        return (
+            d1[0] * d2[0] * self.derivative_matrix(2, 0)
+            + (d1[0] * d2[1] + d1[1] * d2[0]) * self.derivative_matrix(1, 1)
+            + d1[1] * d2[1] * self.derivative_matrix(0, 2)
+        )
+
+    def edge_restriction(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+        """Expansion of each basis function along the segment p0 -> p1.
+
+        The restriction is expressed in powers of the centered edge variable
+        s in [-1/2, 1/2] with x(s) = midpoint + s (p1 - p0). Returns the
+        matrix R of shape (order + 1, dim) with R[:, k] the s-coefficients of
+        basis function k; the expansion is exact.
+        """
+        mid = 0.5 * (np.asarray(p0) + np.asarray(p1))
+        vec = np.asarray(p1) - np.asarray(p0)
+        a0 = (mid[0] - self.center[0]) / self.h
+        a1 = vec[0] / self.h
+        b0 = (mid[1] - self.center[1]) / self.h
+        b1 = vec[1] / self.h
+        n = self.order + 1
+        # pow_x[i] = coefficients of (a0 + a1 s)^i, likewise pow_y
+        pow_x = np.zeros((n, n))
+        pow_y = np.zeros((n, n))
+        pow_x[0, 0] = 1.0
+        pow_y[0, 0] = 1.0
+        for i in range(1, n):
+            pow_x[i, : i + 1] = a0 * pow_x[i - 1, : i + 1]
+            pow_x[i, 1 : i + 1] += a1 * pow_x[i - 1, :i]
+            pow_y[i, : i + 1] = b0 * pow_y[i - 1, : i + 1]
+            pow_y[i, 1 : i + 1] += b1 * pow_y[i - 1, :i]
+        s = _conv_index_tensor(self.order)
+        pa = pow_x[self.exponents[:, 0]]  # (dim, n)
+        pb = pow_y[self.exponents[:, 1]]
+        outer = pa[:, :, None] * pb[:, None, :]
+        return np.einsum("kpq,apq->ka", s, outer)
+
+
+# -- quadrature --------------------------------------------------------------
+
+
+def edge_rule(p0: np.ndarray, p1: np.ndarray, degree: int) -> QuadratureRule:
+    """Gauss-Legendre rule on the segment p0 -> p1, exact to ``degree``."""
+    n = max(1, (degree + 2) // 2)
+    nodes, weights = gauss_legendre(n)
+    mid = 0.5 * (np.asarray(p0) + np.asarray(p1))
+    half = 0.5 * (np.asarray(p1) - np.asarray(p0))
+    points = mid[None, :] + nodes[:, None] * half[None, :]
+    length = 2.0 * np.linalg.norm(half)
+    return QuadratureRule(points, weights * (length / 2.0), degree)
+
+
+def triangle_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int) -> QuadratureRule:
+    """Product Gauss rule on a triangle, exact for polynomials up to ``degree``."""
+    points, weights = _mapped(*(np.asarray(p, dtype=float) for p in (a, b, c)), degree)
+    return QuadratureRule(points, weights, degree)
+
+
+# -- plate energy and bending operators --------------------------------------
+
+
+def energy_gram(
+    basis: ScaledMonomialBasis, rule: QuadratureRule, material: MaterialParams
+) -> np.ndarray:
+    """Gram matrix of the cell energy on the monomial basis.
+
+    The quadrature rule must be exact to degree 2 (order - 2); the result is
+    then exact, symmetric positive semidefinite with the linear polynomials
+    as kernel.
+    """
+    dxx = basis.eval(rule.points, (2, 0))
+    dxy = basis.eval(rule.points, (1, 1))
+    dyy = basis.eval(rule.points, (0, 2))
+    lap = dxx + dyy
+    w = rule.weights[:, None]
+    nu = material.poisson
+    gram = nu * (lap.T @ (w * lap)) + (1.0 - nu) * (
+        dxx.T @ (w * dxx) + 2.0 * (dxy.T @ (w * dxy)) + dyy.T @ (w * dyy)
+    )
+    gram *= material.rigidity
+    return 0.5 * (gram + gram.T)
+
+
+def hessian_seminorm_gram(basis: ScaledMonomialBasis, rule: QuadratureRule) -> np.ndarray:
+    """Gram matrix of the H2 seminorm (each mixed derivative counted once)."""
+    dxx = basis.eval(rule.points, (2, 0))
+    dxy = basis.eval(rule.points, (1, 1))
+    dyy = basis.eval(rule.points, (0, 2))
+    w = rule.weights[:, None]
+    gram = dxx.T @ (w * dxx) + dxy.T @ (w * dxy) + dyy.T @ (w * dyy)
+    return 0.5 * (gram + gram.T)
+
+
+def normal_moment_matrix(
+    basis: ScaledMonomialBasis, normal: np.ndarray, material: MaterialParams
+) -> np.ndarray:
+    """Coefficient map of D (nu Lap + (1 - nu) d_nn); even in the normal."""
+    nu = material.poisson
+    mat = nu * basis.laplacian_matrix() + (1.0 - nu) * basis.second_directional_matrix(
+        normal, normal
+    )
+    return material.rigidity * mat
+
+
+def shear_matrix(
+    basis: ScaledMonomialBasis,
+    normal: np.ndarray,
+    tangent: np.ndarray,
+    material: MaterialParams,
+) -> np.ndarray:
+    """Coefficient map of D (d_n Lap + (1 - nu) d_ntt); odd in (n, t) flips."""
+    nu = material.poisson
+    dn = basis.directional_matrix(normal)
+    dt = basis.directional_matrix(tangent)
+    mat = dn @ basis.laplacian_matrix() + (1.0 - nu) * (dt @ (dt @ dn))
+    return material.rigidity * mat
+
+
+def twist_matrix(
+    basis: ScaledMonomialBasis,
+    normal: np.ndarray,
+    tangent: np.ndarray,
+    material: MaterialParams,
+) -> np.ndarray:
+    """Coefficient map of D (1 - nu) d_nt; even in the (n, t) pair flip."""
+    mat = basis.second_directional_matrix(normal, tangent)
+    return material.rigidity * (1.0 - material.poisson) * mat
+
+
+def edge_operators(
+    basis: ScaledMonomialBasis,
+    coeffs: np.ndarray,
+    p0: np.ndarray,
+    p1: np.ndarray,
+    normal: np.ndarray,
+    tangent: np.ndarray,
+    material: MaterialParams,
+):
+    """Plate boundary operators of one polynomial restricted to a straight edge.
+
+    Parameters
+    ----------
+    coeffs : array, shape (dim,)
+        Polynomial coefficients in ``basis``.
+    p0, p1 : arrays, shape (2,)
+        Edge endpoints; the restriction variable is the centered arclength
+        s in [-1/2, 1/2] running from p0 to p1.
+    normal, tangent : arrays, shape (2,)
+        Unit outward normal and traversal tangent of the edge.
+
+    Returns
+    -------
+    mnn : array
+        Coefficients in s of the bending moment along the edge.
+    shear : array
+        Coefficients in s of the effective shear along the edge.
+    twist_ends : array, shape (2,)
+        Corner twisting values at (p0, p1), already multiplied by the
+        endpoint signs (-1 at p0, +1 at p1).
+    """
+    restr = basis.edge_restriction(p0, p1)
+    mnn = restr @ (normal_moment_matrix(basis, normal, material) @ coeffs)
+    shear = restr @ (shear_matrix(basis, normal, tangent, material) @ coeffs)
+    twist_coeffs = twist_matrix(basis, normal, tangent, material) @ coeffs
+    ends = basis.eval(np.array([p0, p1]), (0, 0)) @ twist_coeffs
+    return mnn, shear, np.array([-ends[0], ends[1]])
+
+
+def exact_bilinear(
+    vertices: np.ndarray,
+    star: np.ndarray,
+    basis: ScaledMonomialBasis,
+    material: MaterialParams,
+    p_coeffs: np.ndarray,
+    q_coeffs: np.ndarray,
+) -> float:
+    """Cell energy of two polynomials, integrated exactly over the polygon."""
+    rule = polygon_rule(vertices, star, max(0, 2 * basis.order - 4))
+    gram = energy_gram(basis, rule, material)
+    return float(p_coeffs @ gram @ q_coeffs)
+
+
+# -- Morley oracle -----------------------------------------------------------
+
+
+def morley_interpolation_dofs(vertices: np.ndarray, vertex_ids, w, grad_w) -> np.ndarray:
+    """Unknowns of a smooth function: vertex values and edge normal integrals."""
+    out = np.empty(6)
+    out[:3] = w(vertices[:, 0], vertices[:, 1])
+    nodes, wts = np.polynomial.legendre.leggauss(5)
+    for i in range(3):
+        ia, ib = vertex_ids[i], vertex_ids[(i + 1) % 3]
+        a, b = vertices[i], vertices[(i + 1) % 3]
+        if ia > ib:
+            a, b = b, a
+        vec = b - a
+        length = float(np.linalg.norm(vec))
+        normal = np.array([vec[1], -vec[0]]) / length
+        pts = 0.5 * (a + b)[None, :] + 0.5 * nodes[:, None] * vec[None, :]
+        gx, gy = grad_w(pts[:, 0], pts[:, 1])
+        out[3 + i] = 0.5 * length * float(wts @ (normal[0] * gx + normal[1] * gy))
+    return out
+
+
+def morley_error_2h(mesh: PolygonMesh, dofmap, solution, exact, exact_grad) -> float:
+    """Relative broken H2 error of a Morley solution against the interpolated
+    exact solution.
+
+    Quadratics have constant second derivatives, so the elementwise seminorm
+    is a closed form in the coefficients.
+    """
+    hess = _hessians()
+    unknowns = dofmap.group_dofs(np.arange(mesh.n_cells))
+    num = 0.0
+    den = 0.0
+    for c in range(mesh.n_cells):
+        ids = mesh.cells[c]
+        verts = mesh.vertices[ids]
+        dof = morley_dof_matrix(verts, ids)
+        sol_c = np.linalg.solve(dof, solution[unknowns[c]])
+        exact_dofs = morley_interpolation_dofs(verts, ids, exact, exact_grad)
+        exa_c = np.linalg.solve(dof, exact_dofs)
+        area = _triangle_area(verts)
+        diff = exa_c - sol_c
+        for coeffs, acc in ((diff, "num"), (exa_c, "den")):
+            uxx = coeffs @ hess[:, 0]
+            uxy = coeffs @ hess[:, 1]
+            uyy = coeffs @ hess[:, 2]
+            val = area * (uxx**2 + uxy**2 + uyy**2)
+            if acc == "num":
+                num += val
+            else:
+                den += val
+    if den == 0.0:
+        return float(np.sqrt(num))
+    return float(np.sqrt(num / den))
+
+
+# -- mesh geometry and layout ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Edge:
+    """Oriented mesh edge running from the lower to the higher vertex index."""
+
+    endpoint_ids: tuple[int, int]
+    length: float
+    normal: np.ndarray
+    tangent: np.ndarray
+    adjacent_cells: tuple[int, ...]
+    is_boundary: bool
+
+
+def mesh_edge(mesh: PolygonMesh, i: int) -> Edge:
+    """Edge i of a mesh, from its endpoint coordinates alone."""
+    v0, v1 = mesh.edge_vertices[i]
+    a = mesh.vertices[v0]
+    b = mesh.vertices[v1]
+    t = b - a
+    length = float(np.linalg.norm(t))
+    t = t / length
+    n = np.array([t[1], -t[0]])
+    cells = tuple(int(c) for c in mesh.edge_cells[i] if c >= 0)
+    return Edge((int(v0), int(v1)), length, n, t, cells, len(cells) == 1)
+
+
+def cell_frame(mesh: PolygonMesh, i: int) -> CellFrame:
+    """Geometry of cell i: its one-cell group's frame."""
+    return mesh.cell_group([i]).frame(0)
+
+
+def outward_normal(frame: CellFrame, i: int) -> np.ndarray:
+    """The cell's outward normal on its local edge i."""
+    return frame.edge_signs[i] * frame.normals[i]
+
+
+def traversal_tangent(frame: CellFrame, i: int) -> np.ndarray:
+    """The counterclockwise tangent of the cell's local edge i."""
+    return frame.edge_signs[i] * frame.tangents[i]
+
+
+def edge_normal_slice(layout: DofLayout, i: int) -> slice:
+    """Local positions of the normal-derivative moments of local edge i."""
+    start = layout.n_vertices + i * layout.n_edge_normal
+    return slice(start, start + layout.n_edge_normal)
+
+
+def edge_value_slice(layout: DofLayout, i: int) -> slice:
+    """Local positions of the trace moments of local edge i."""
+    start = layout.n_vertices * (1 + layout.n_edge_normal) + i * layout.n_edge_value
+    return slice(start, start + layout.n_edge_value)
+
+
+# -- reference displacement --------------------------------------------------
+
+
+def hessian(x, y):
+    """Second derivatives (u_xx, u_xy, u_yy) of ``manufactured.displacement``."""
+    return _d2g(x) * _g(y), _dg(x) * _dg(y), _g(x) * _d2g(y)

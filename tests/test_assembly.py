@@ -25,6 +25,7 @@ from platevem.mesh import CellFrame, derive_topology
 from platevem.plate import DEFAULT_MATERIAL
 
 from conftest import cell_views, reference_cell_dofs
+from oracles import cell_frame, edge_normal_slice
 from reference_counts import BY_FAMILY, closed_form_count
 
 
@@ -399,12 +400,10 @@ def test_shared_edge_normal_moments_opposite(mesh_cache):
     shared = interpolate(dofmap, w, gw)[normal[0]]
     vals = []
     for c in (c0, c1):
-        frame = mesh.frame(c)
+        frame = cell_frame(mesh, c)
         local_edge = list(frame.edge_ids).index(interior)
         dofs = reference_cell_dofs(frame, 3, w, gw)
-        layout_slice = assembly.dof_layout(frame.n_vertices, 3).edge_normal_slice(
-            local_edge
-        )
+        layout_slice = edge_normal_slice(assembly.dof_layout(frame.n_vertices, 3), local_edge)
         sign = frame.edge_signs[local_edge]
         vals.append(sign * dofs[layout_slice])
         assert np.allclose(sign * shared, vals[-1], rtol=1e-12, atol=1e-14)
@@ -460,7 +459,7 @@ def test_one_cell_numbering_is_local_layout(small_corpus):
     """On a one-cell mesh the global unknowns are the local layout."""
     for mesh in small_corpus:
         for order in (2, 3, 4, 5):
-            n_local = assembly.dof_layout(mesh.frame(0).n_vertices, order).n_total
+            n_local = assembly.dof_layout(cell_frame(mesh, 0).n_vertices, order).n_total
             dofmap = global_dof_map(mesh, order)
             assert dofmap.n_total == n_local
             assert np.array_equal(dofmap.group_dofs([0])[0], np.arange(n_local))

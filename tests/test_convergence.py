@@ -21,6 +21,7 @@ from conftest import (
     reference_seminorm_2h,
     reference_seminorm_scale,
 )
+from oracles import energy_gram, hessian
 
 
 def test_projection_reproduces_polynomials(mesh_cache):
@@ -94,7 +95,7 @@ def test_piecewise_linear_seminorm_zero(mesh_cache):
     coeffs = np.zeros((mesh.n_cells, kernels[0].dim))
     rng = np.random.default_rng(1)
     coeffs[:, :3] = rng.uniform(-1, 1, (mesh.n_cells, 3))
-    assert cv.seminorm_2h(kernels, coeffs) <= 1e-13
+    assert max(cv.seminorm_terms(kernels, coeffs, coeffs)[:2]) <= 1e-13
 
 
 def test_projection_matches_dense_oracle(mesh_cache):
@@ -119,7 +120,7 @@ def test_projection_matches_dense_oracle(mesh_cache):
         basis = kern.basis
         rule = polygon_rule(frame.vertices, frame.star, order + 8)
         x, y = rule.points[:, 0], rule.points[:, 1]
-        uxx, uxy, uyy = manufactured.hessian(x, y)
+        uxx, uxy, uyy = hessian(x, y)
         bxx = basis.eval(rule.points, (2, 0))
         bxy = basis.eval(rule.points, (1, 1))
         byy = basis.eval(rule.points, (0, 2))
@@ -132,8 +133,6 @@ def test_projection_matches_dense_oracle(mesh_cache):
             * (bxx.T @ (w * uxx) + 2 * (bxy.T @ (w * uxy)) + byy.T @ (w * uyy))
         )
         rule2 = polygon_rule(frame.vertices, frame.star, 2 * order)
-        from platevem.plate import energy_gram
-
         gram = energy_gram(basis, rule2, DEFAULT_MATERIAL)
         vander = basis.eval(frame.vertices)
         constraints = vander[:, :3].T @ vander
@@ -180,10 +179,8 @@ def test_batched_consumers_match_cellwise_reference(family, mesh_cache):
         exact = reference_project_solution(views, smooth)
         noisy = exact + 1e-3 * rng.standard_normal(exact.shape)
         for coeffs, other in ((exact, noisy - exact), (noisy, exact)):
-            semi = reference_seminorm_2h(views, coeffs)
-            assert abs(cv.seminorm_2h(kernels, coeffs) - semi) <= 1e-14 * semi, order
             refs = (
-                semi,
+                reference_seminorm_2h(views, coeffs),
                 reference_seminorm_2h(views, other),
                 reference_seminorm_scale(views, coeffs),
             )

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import re
 import tracemalloc
@@ -10,8 +11,8 @@ import pytest
 
 from platevem import local, manufactured
 from platevem.mesh import CellGroup, MeshError
-from platevem.plate import DEFAULT_MATERIAL, MaterialParams, energy_gram, hessian_seminorm_gram
-from platevem.polynomials import ScaledMonomialBasis, space_dim
+from platevem.plate import DEFAULT_MATERIAL, MaterialParams
+from platevem.polynomials import space_dim
 from platevem.quadrature import polygon_rule
 
 from conftest import (
@@ -24,6 +25,14 @@ from conftest import (
     polygon_corpus,
     reference_cell_dofs,
     single_cell_mesh,
+)
+from oracles import (
+    ScaledMonomialBasis,
+    cell_frame,
+    edge_normal_slice,
+    edge_value_slice,
+    energy_gram,
+    hessian_seminorm_gram,
 )
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -48,9 +57,9 @@ def test_layout_block_slices_partition():
     layout = local.dof_layout(5, 4)
     covered = list(range(layout.n_vertices))
     for i in range(5):
-        covered.extend(range(layout.n_total)[layout.edge_normal_slice(i)])
+        covered.extend(range(layout.n_total)[edge_normal_slice(layout, i)])
     for i in range(5):
-        covered.extend(range(layout.n_total)[layout.edge_value_slice(i)])
+        covered.extend(range(layout.n_total)[edge_value_slice(layout, i)])
     covered.extend(range(layout.n_total)[layout.cell_slice])
     assert sorted(covered) == list(range(layout.n_total))
 
@@ -69,14 +78,14 @@ def test_compute_dofs_normal_derivative_sign():
     # w = x on the left edge of the unit square: the global edge normal is
     # (-1, 0) there (lower vertex id at the bottom), giving integral -1
     mesh = single_cell_mesh(SQUARE)
-    frame = mesh.frame(0)
+    frame = cell_frame(mesh, 0)
     w = lambda x, y: np.asarray(x, dtype=float)
     gw = lambda x, y: (np.ones_like(x), np.zeros_like(x))
     dofs = cell_interpolant(mesh, 2, w, gw)
     layout = local.dof_layout(4, 2)
     left = 3  # local edge 3 joins vertices (0,1) and (0,0)
     normal = frame.normals[left]
-    value = dofs[layout.edge_normal_slice(left)][0]
+    value = dofs[edge_normal_slice(layout, left)][0]
     assert value == pytest.approx(normal[0], rel=1e-13)
     assert abs(normal[0]) == 1.0
 
@@ -136,7 +145,7 @@ def test_b_matrix_ignores_trace_moments_at_order_two(small_corpus):
     # effective shear of quadratics vanishes identically, so no order-2
     # pairing can touch trace unknowns (none exist in the layout either)
     mesh = small_corpus[0]
-    layout = local.dof_layout(mesh.frame(0).n_vertices, 2)
+    layout = local.dof_layout(cell_frame(mesh, 0).n_vertices, 2)
     assert layout.n_edge_value == 0
     b = local.load_rows(cell_group_basis(mesh, 2), DEFAULT_MATERIAL)[0]
     assert b.shape[1] == layout.n_total
@@ -150,7 +159,7 @@ def test_stiffness_consistency(order, small_corpus):
     polynomials p, q up to the method order.
     """
     for mesh in small_corpus[:8]:
-        frame = mesh.frame(0)
+        frame = cell_frame(mesh, 0)
         kern = cell_kernels(mesh, order)
         dm = cell_dof_matrix(mesh, order)
         rule = polygon_rule(frame.vertices, frame.star, 2 * order)
@@ -182,7 +191,7 @@ def test_stiffness_annihilates_linears():
 def test_rayleigh_quotient_one_on_polynomials(small_corpus):
     rng = np.random.default_rng(11)
     for mesh in small_corpus[:6]:
-        frame = mesh.frame(0)
+        frame = cell_frame(mesh, 0)
         order = int(rng.integers(2, 6))
         kern = cell_kernels(mesh, order)
         dm = cell_dof_matrix(mesh, order)
@@ -206,7 +215,7 @@ def test_stabilization_vanishes_on_polynomials(small_corpus):
 def test_moment_operator_exact_on_polynomials(order):
     """Interior moments of polynomial data match direct quadrature."""
     mesh = single_cell_mesh(PENTAGON)
-    frame = mesh.frame(0)
+    frame = cell_frame(mesh, 0)
     kern = cell_kernels(mesh, order)
     dm = cell_dof_matrix(mesh, order)
     rule = polygon_rule(frame.vertices, frame.star, 2 * order)
@@ -219,7 +228,7 @@ def test_moment_operator_exact_on_polynomials(order):
 
 
 def test_moment_operator_order2_is_projected_average(unit_square_mesh):
-    frame = unit_square_mesh.frame(0)
+    frame = cell_frame(unit_square_mesh, 0)
     kern = cell_kernels(unit_square_mesh, 2)
     # single moment row: integral of the projected function
     w = lambda x, y: x**2
@@ -240,7 +249,7 @@ def test_local_load_zero_source():
 
 def test_local_load_constant_source_pairs_to_area(unit_square_mesh):
     # dofs(1)^T load = integral of f over the cell for f constant
-    frame = unit_square_mesh.frame(0)
+    frame = cell_frame(unit_square_mesh, 0)
     for order in (2, 3, 4):
         kern = cell_kernels(unit_square_mesh, order)
         one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
@@ -253,7 +262,7 @@ def test_local_load_constant_source_pairs_to_area(unit_square_mesh):
 def test_local_load_polynomial_exact():
     """dofs(v)^T load = int f v for f of degree order-2, v of degree order."""
     mesh = single_cell_mesh(PENTAGON)
-    frame = mesh.frame(0)
+    frame = cell_frame(mesh, 0)
     order = 4
     kern = cell_kernels(mesh, order)
     f = lambda x, y: 1.0 + 2.0 * x - y + x * y
@@ -265,6 +274,20 @@ def test_local_load_polynomial_exact():
     x, y = rule.points[:, 0], rule.points[:, 1]
     exact = rule.weights @ (f(x, y) * v(x, y))
     assert dofs_v @ load == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("family, n, order", [("randomquad", 2, 2), ("octagonal", 1, 5), ("hexagonal", 1, 3)])
+def test_local_load_matches_basis_oracle(family, n, order, mesh_cache):
+    """The load's power-table monomials give bitwise the pairings of the
+    oracle basis's values, on every cell."""
+    f = manufactured.load(DEFAULT_MATERIAL)
+    for view in cell_views(mesh_cache(family, n), order):
+        frame = view.frame
+        rule = polygon_rule(frame.vertices, frame.star, local.data_degree(order))
+        vals = ScaledMonomialBasis(frame.centroid, frame.diameter, order - 2).eval(rule.points)
+        fmom = vals.T @ (rule.weights * f(rule.points[:, 0], rule.points[:, 1]))
+        ref = view.moment_op.T @ np.linalg.solve(view.moment_mass, fmom)
+        assert np.array_equal(local.local_load(view, f), ref), frame.index
 
 
 @pytest.mark.parametrize("order", [4, 5])
@@ -279,7 +302,7 @@ def test_interior_moments_span_chunks(order, mesh_cache):
     got = local.interior_moments(mesh, order, w)
     layout = local.dof_layout(3, order)
     for c in range(mesh.n_cells):
-        frame = mesh.frame(c)
+        frame = cell_frame(mesh, c)
         ref = reference_cell_dofs(frame, order, w, gw)[
             local.dof_layout(frame.n_vertices, order).cell_slice
         ]
@@ -649,3 +672,61 @@ def test_src_uses_no_extended_precision_types():
         if pattern.search(line)
     ]
     assert not hits
+
+
+def _names_in_use(path: Path) -> set[str]:
+    """Identifiers a module reads: names, attributes, imports, and the
+    dotted identifiers of its string constants other than docstrings (the
+    benchmark's tracer and ``__all__`` name functions in strings)."""
+    tree = ast.parse(path.read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return used
+
+
+def test_src_defines_nothing_only_tests_use():
+    """Every module-level function and class of ``src/platevem``, and every
+    non-dunder method of its classes, is named somewhere in ``src/`` or
+    ``perfbench/`` besides its own definition; code only tests reach
+    belongs in ``tests/oracles.py``. The check is by name, so it cannot see
+    chains of test-only functions that call one another, nor a test-only
+    function that shares its name with one in use."""
+    src = Path(local.__file__).parent
+    readers = sorted(src.glob("*.py")) + sorted((src.parents[1] / "perfbench").glob("*.py"))
+    used = set().union(*map(_names_in_use, readers))
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in used:
+                unused.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [
+                    f"{path.name}:{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and item.name not in used
+                ]
+    assert not unused

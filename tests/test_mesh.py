@@ -12,6 +12,8 @@ from platevem.mesh import (
     write_mesh,
 )
 
+from oracles import cell_frame, mesh_edge, outward_normal
+
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TWO_SQUARES = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=float)
 # A pentagon, a long L whose centroid lies outside its kernel, and a triangle,
@@ -199,16 +201,16 @@ def test_rejects_cell_with_empty_kernel():
 
 def test_frame_outward_normals_point_outward():
     mesh = derive_topology(SQUARE, [[0, 1, 2, 3]])
-    frame = mesh.frame(0)
+    frame = cell_frame(mesh, 0)
     for i in range(4):
         mid = 0.5 * (frame.vertices[i] + frame.vertices[(i + 1) % 4])
-        outside = mid + 1e-3 * frame.outward_normal(i)
+        outside = mid + 1e-3 * outward_normal(frame, i)
         assert not (0 < outside[0] < 1 and 0 < outside[1] < 1)
 
 
 def test_edge_view():
     mesh = derive_topology(SQUARE, [[0, 1, 2, 3]])
-    edge = mesh.edge(0)
+    edge = mesh_edge(mesh, 0)
     assert edge.is_boundary
     assert edge.length == pytest.approx(1.0)
     assert edge.normal @ edge.tangent == pytest.approx(0.0)

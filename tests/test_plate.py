@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from platevem.plate import (
-    DEFAULT_MATERIAL,
-    MaterialParams,
+from platevem.plate import DEFAULT_MATERIAL, MaterialParams
+from platevem.quadrature import polygon_rule
+
+from oracles import (
+    ScaledMonomialBasis,
+    cell_frame,
     edge_operators,
     energy_gram,
     exact_bilinear,
@@ -11,8 +14,6 @@ from platevem.plate import (
     normal_moment_matrix,
     shear_matrix,
 )
-from platevem.polynomials import ScaledMonomialBasis
-from platevem.quadrature import polygon_rule
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 CENTER = np.array([0.5, 0.5])
@@ -56,7 +57,7 @@ def test_material_rejects_non_finite_rigidity():
 
 
 def test_bilinear_kills_linears(unit_square_mesh):
-    frame = unit_square_mesh.frame(0)
+    frame = cell_frame(unit_square_mesh, 0)
     basis = ScaledMonomialBasis(frame.centroid, frame.diameter, 3)
     p_lin = coeff_vector(basis, {(1, 0): 0.7, (0, 1): -0.2, (0, 0): 3.0})
     q_any = np.random.default_rng(1).uniform(-1, 1, basis.dim)
@@ -65,7 +66,7 @@ def test_bilinear_kills_linears(unit_square_mesh):
 
 
 def test_bilinear_x2_pairings(unit_square_mesh):
-    frame = unit_square_mesh.frame(0)
+    frame = cell_frame(unit_square_mesh, 0)
     basis = ScaledMonomialBasis(frame.centroid, frame.diameter, 2)
     cx2 = unscaled(basis, 2, 0)
     cy2 = unscaled(basis, 0, 2)
@@ -78,7 +79,7 @@ def test_bilinear_x2_pairings(unit_square_mesh):
 
 def test_energy_gram_kernel_rank(small_corpus):
     for mesh in small_corpus[:6]:
-        frame = mesh.frame(0)
+        frame = cell_frame(mesh, 0)
         for order in (2, 4):
             basis = ScaledMonomialBasis(frame.centroid, frame.diameter, order)
             rule = polygon_rule(frame.vertices, frame.star, 2 * order)
@@ -142,7 +143,7 @@ def test_operator_degree_bounds(small_corpus):
     # moment restrictions have degree <= order-2, shear <= order-3: the
     # higher coefficients must vanish identically
     for mesh in small_corpus[:4]:
-        frame = mesh.frame(0)
+        frame = cell_frame(mesh, 0)
         for order in (2, 3, 5):
             basis = ScaledMonomialBasis(frame.centroid, frame.diameter, order)
             restr = basis.edge_restriction(frame.vertices[0], frame.vertices[1])
@@ -164,7 +165,7 @@ def test_boundary_identity_on_polynomials(small_corpus):
 
     rng = np.random.default_rng(3)
     for mesh in small_corpus[:6]:
-        frame = mesh.frame(0)
+        frame = cell_frame(mesh, 0)
         order = int(rng.integers(2, 6))
         basis = ScaledMonomialBasis(frame.centroid, frame.diameter, order)
         rule = polygon_rule(frame.vertices, frame.star, 2 * order)
@@ -175,7 +176,7 @@ def test_boundary_identity_on_polynomials(small_corpus):
 
 
 def test_seminorm_gram_counts_mixed_once(unit_square_mesh):
-    frame = unit_square_mesh.frame(0)
+    frame = cell_frame(unit_square_mesh, 0)
     basis = ScaledMonomialBasis(frame.centroid, frame.diameter, 2)
     rule = polygon_rule(frame.vertices, frame.star, 2)
     gram = hessian_seminorm_gram(basis, rule)

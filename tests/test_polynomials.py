@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from platevem.polynomials import (
-    ScaledMonomialBasis,
     _derivative_factors,
     centered_power_moments,
     exponent_table,
@@ -12,6 +11,8 @@ from platevem.polynomials import (
     power_table,
     space_dim,
 )
+
+from oracles import ScaledMonomialBasis
 
 
 def pow_eval(basis, points, derivative=(0, 0)):

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from platevem.polynomials import ScaledMonomialBasis, exponents
-from platevem.quadrature import (
-    FanPointError,
-    edge_rule,
-    fan_rules,
-    gauss_legendre,
-    polygon_rule,
-    triangle_rule,
-)
+from platevem.polynomials import exponents
+from platevem.quadrature import FanPointError, fan_rules, gauss_legendre, polygon_rule
+
+from oracles import ScaledMonomialBasis, cell_frame, edge_rule, triangle_rule
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -67,7 +62,7 @@ def test_polygon_rule_exactness_on_corpus(degree, small_corpus):
     from conftest import divergence_theorem_integrals
 
     for mesh in small_corpus[:8]:
-        frame = mesh.frame(0)
+        frame = cell_frame(mesh, 0)
         rule = polygon_rule(frame.vertices, frame.star, degree)
         assert rule.weights.sum() == pytest.approx(frame.area, rel=1e-13)
         basis = ScaledMonomialBasis(frame.centroid, frame.diameter, degree)
@@ -98,7 +93,7 @@ def fan_rule_loop(vertices, center, degree):
 @pytest.mark.parametrize("degree", [0, 4, 9])
 def test_polygon_rule_matches_triangle_loop(degree, small_corpus):
     for mesh in small_corpus[:8]:
-        frame = mesh.frame(0)
+        frame = cell_frame(mesh, 0)
         rule = polygon_rule(frame.vertices, frame.star, degree)
         points, weights = fan_rule_loop(frame.vertices, frame.star, degree)
         assert np.array_equal(rule.points, points)
@@ -107,7 +102,7 @@ def test_polygon_rule_matches_triangle_loop(degree, small_corpus):
 
 def test_fan_rules_stack_is_polygon_rule_per_polygon(small_corpus):
     """Each polygon of a stack gets exactly its one-polygon rule."""
-    frames = [mesh.frame(0) for mesh in small_corpus if mesh.frame(0).n_vertices == 5]
+    frames = [cell_frame(mesh, 0) for mesh in small_corpus if cell_frame(mesh, 0).n_vertices == 5]
     assert len(frames) > 1
     vertices = np.stack([f.vertices for f in frames])
     points, weights = fan_rules(vertices, np.stack([f.star for f in frames]), 7)
