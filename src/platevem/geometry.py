@@ -1,11 +1,13 @@
 """Planar polygon primitives: areas, centroids, diameters, kernels, star points.
 
-The closed-form primitives take one polygon as an (m, 2) array or a stack
-of polygons with one vertex count as (..., m, 2), and return one value per
+Every polygon primitive takes one polygon as an (m, 2) array or a stack of
+polygons with one vertex count as (..., m, 2), and returns one value per
 polygon.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -59,116 +61,70 @@ def kernel_clearance(vertices: np.ndarray, point: np.ndarray):
     return np.min(cross / lengths, axis=-1)
 
 
-def clip_half_plane(poly: np.ndarray, anchor: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Clip a convex polygon to the half-plane ``normal . (x - anchor) <= 0``."""
-    if len(poly) == 0:
-        return poly
-    d = (poly - anchor[None, :]) @ normal
-    out = []
-    m = len(poly)
-    for i in range(m):
-        j = (i + 1) % m
-        di, dj = d[i], d[j]
-        if di <= 0.0:
-            out.append(poly[i])
-        if (di < 0.0 < dj) or (dj < 0.0 < di):
-            t = di / (di - dj)
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.array(out) if out else np.empty((0, 2))
+def chebyshev_ball(vertices: np.ndarray):
+    """Largest disc inside each polygon's kernel: centres (..., 2) and radii (...).
 
-
-def polygon_kernel(vertices: np.ndarray) -> np.ndarray:
-    """Kernel of a simple polygon via successive half-plane clipping.
-
-    Returns the (convex) kernel polygon, possibly empty. Clipping starts from
-    the bounding box so the result is valid for non-convex input.
+    The kernel is the intersection of the inner half-planes of the edges, so
+    the disc solves the linear program max r subject to n_i . x + r <= n_i . a_i
+    for every edge (unit outward normal n_i, start vertex a_i). Its optimum
+    is a vertex, where three constraints are tight: in centroid-centred,
+    diameter-scaled coordinates every triple of edges is solved exactly and
+    the candidate centre with the largest clearance is kept. A negative
+    radius means the kernel is empty.
     """
-    lo = vertices.min(axis=0)
-    hi = vertices.max(axis=0)
-    pad = 0.5 * max(hi[0] - lo[0], hi[1] - lo[1], 1e-300)
-    box = np.array(
-        [
-            [lo[0] - pad, lo[1] - pad],
-            [hi[0] + pad, lo[1] - pad],
-            [hi[0] + pad, hi[1] + pad],
-            [lo[0] - pad, hi[1] + pad],
-        ]
-    )
-    poly = box
-    m = len(vertices)
-    for i in range(m):
-        a = vertices[i]
-        b = vertices[(i + 1) % m]
-        t = b - a
-        outward = np.array([t[1], -t[0]])  # interior is left of a->b
-        poly = clip_half_plane(poly, a, outward)
-        if len(poly) == 0:
-            break
-    return poly
+    centre = polygon_centroid(vertices)
+    scale = polygon_diameter(vertices)
+    a = (vertices - centre[..., None, :]) / scale[..., None, None]
+    t = np.roll(a, -1, axis=-2) - a
+    n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+    n /= np.sqrt((n**2).sum(axis=-1))[..., None]
+    b = (n * a).sum(axis=-1)
+    # n_i . x + r = b_i for i, j, k: subtract row i from rows j and k
+    i, j, k = np.array(list(combinations(range(vertices.shape[-2]), 3))).T
+    d1, d2 = n[..., i, :] - n[..., j, :], n[..., i, :] - n[..., k, :]
+    e1, e2 = b[..., i] - b[..., j], b[..., i] - b[..., k]
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    # two edges with one outward normal meet in no vertex; any finite
+    # candidate will do, as each is scored by its own clearance
+    det[det == 0.0] = 1.0
+    x = np.stack(
+        [e1 * d2[..., 1] - e2 * d1[..., 1], d1[..., 0] * e2 - d2[..., 0] * e1], axis=-1
+    ) / det[..., None]
+    clearance = (b[..., None, :] - (x[..., :, None, :] * n[..., None, :, :]).sum(-1)).min(-1)
+    best = clearance.argmax(axis=-1)[..., None]
+    x = np.take_along_axis(x, best[..., None], axis=-2)[..., 0, :]
+    r = np.take_along_axis(clearance, best, axis=-1)[..., 0]
+    return centre + scale[..., None] * x, scale * r
 
 
-def kernel_chebyshev(vertices: np.ndarray):
-    """Deepest kernel point: center and radius of the largest inscribed ball.
+def star_point(vertices: np.ndarray):
+    """Points from which each whole polygon is visible, with their clearance.
 
-    Solves the small linear program ``max r`` subject to the point staying at
-    distance ``r`` inside every edge half-plane. Returns ``(center, radius)``;
-    radius is ``-inf`` when the kernel is empty.
+    Returns ``(points, clearance)``, one per polygon. The point is the
+    centroid when it clears the kernel boundary by more than
+    ``STAR_CLEARANCE`` times the diameter, and the centre of
+    :func:`chebyshev_ball` otherwise; ``clearance`` is the distance from the
+    point to the kernel boundary. A clearance below that bound means the
+    kernel is empty or too thin to hold a star point.
     """
-    from scipy.optimize import linprog
-
-    a = vertices
-    b = np.roll(vertices, -1, axis=0)
-    t = b - a
-    lengths = np.sqrt((t**2).sum(axis=1))
-    n = np.column_stack([t[:, 1], -t[:, 0]]) / lengths[:, None]  # unit outward
-    a_ub = np.column_stack([n, np.ones(len(a))])
-    b_ub = (n * a).sum(axis=1)
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None), (None, None), (None, None)],
-        method="highs",
-    )
-    if not res.success:
-        return np.array([np.nan, np.nan]), -np.inf
-    return res.x[:2].copy(), float(res.x[2])
+    points = polygon_centroid(vertices)
+    clearance = np.asarray(kernel_clearance(vertices, points))
+    off = clearance <= STAR_CLEARANCE * polygon_diameter(vertices)
+    points[off], clearance[off] = chebyshev_ball(vertices[off])
+    return points, clearance
 
 
-def star_point(vertices: np.ndarray) -> np.ndarray:
-    """Interior point from which the whole polygon is visible.
+def min_fan_angle(vertices: np.ndarray, center: np.ndarray):
+    """Smallest angle of the fan triangles (center, v_i, v_{i+1}), in radians.
 
-    The centroid is used whenever it lies in the polygon kernel; otherwise the
-    deepest kernel point (Chebyshev center of the kernel) is returned.
+    ``center`` has shape (..., 2), one point per polygon.
     """
-    c = polygon_centroid(vertices)
-    tol = STAR_CLEARANCE * polygon_diameter(vertices)
-    if kernel_clearance(vertices, c) > tol:
-        return c
-    center, radius = kernel_chebyshev(vertices)
-    if radius <= tol:
-        raise ValueError("polygon has an empty kernel: no valid star point")
-    return center
-
-
-def triangle_min_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Smallest interior angle of the triangle (a, b, c), in radians."""
-    sides = [b - a, c - b, a - c]
-    angles = []
-    for i in range(3):
-        u = -sides[i - 1]
-        v = sides[i]
-        cosang = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-        angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    return float(min(angles))
-
-
-def min_fan_angle(vertices: np.ndarray, center: np.ndarray) -> float:
-    """Minimum angle over the fan triangles (center, v_i, v_{i+1})."""
-    m = len(vertices)
-    return min(
-        triangle_min_angle(center, vertices[i], vertices[(i + 1) % m]) for i in range(m)
-    )
+    p = vertices - center[..., None, :]
+    q = np.roll(p, -1, axis=-2)
+    e = q - p
+    twice_area = np.abs(p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
+    dots = np.stack([(p * q).sum(-1), -(p * e).sum(-1), (q * e).sum(-1)])
+    return np.arctan2(twice_area, dots).min(axis=(0, -1))
 
 
 def segments_properly_intersect(p1, p2, q1, q2):

@@ -211,8 +211,8 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
 
     Edges are numbered in order of first traversal (cell by cell, local edge
     by local edge); ``edge_cells`` lists the traversing cells in the same
-    order. Geometry is computed once per vertex-count stack; the linear
-    program of :func:`geometry.star_point` runs only for cells whose
+    order. Geometry is computed once per vertex-count stack; the Chebyshev
+    ball of :func:`geometry.star_point` is solved only for cells whose
     centroid is not a star point.
 
     Parameters
@@ -224,10 +224,11 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
     Raises
     ------
     MeshError
-        On invalid indices, repeated vertices in a cell, non-positive cell
-        area, non-manifold edges (more than two incident cells),
-        inconsistently oriented neighbors, a violated Euler identity, or a
-        cell with an empty kernel. Each check reports the first offender.
+        On invalid indices, repeated vertices in a cell, a zero-length
+        edge, non-positive cell area, non-manifold edges (more than two
+        incident cells), inconsistently oriented neighbors, a violated Euler
+        identity, or a cell with an empty kernel. Each check reports the
+        first offender.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -247,6 +248,9 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
     # Half-edge h runs from flat[h] to flat[nxt[h]], the next vertex of its cell.
     nxt = np.arange(1, len(flat) + 1)
     nxt[offsets[1:] - 1] = offsets[:-1]
+    zero = np.flatnonzero((vertices[flat] == vertices[flat[nxt]]).all(axis=1))
+    if len(zero):
+        raise MeshError(f"cell {cell_of[zero[0]]} has a zero-length edge")
     lo = np.minimum(flat, flat[nxt])
     hi = np.maximum(flat, flat[nxt])
     signs = np.where(flat < flat[nxt], 1, -1)
@@ -338,7 +342,8 @@ def _check_cell_lists(flat, cell_of, lengths, n_vert) -> None:
 def _cell_geometry(vertices: np.ndarray, cells: CellRows):
     """Areas, centroids, diameters and star points, one stack per vertex count.
 
-    Every area is checked before any centroid divides by it.
+    Every area is checked before any centroid divides by it, and every star
+    point before the first cell without one is reported.
     """
     lengths = cells.lengths
     groups = [np.flatnonzero(lengths == m) for m in np.unique(lengths)]
@@ -352,18 +357,19 @@ def _cell_geometry(vertices: np.ndarray, cells: CellRows):
         raise MeshError(f"cell {c} has non-positive signed area {areas[c]}")
     centroids = np.empty((len(cells), 2))
     diameters = np.empty(len(cells))
-    off_centre = []
+    clearance = np.empty(len(cells))
+    stars = np.empty((len(cells), 2))
     for idx, verts in stacks:
         centroids[idx] = geometry.polygon_centroid(verts)
         diameters[idx] = geometry.polygon_diameter(verts)
-        clearance = geometry.kernel_clearance(verts, centroids[idx])
-        off_centre.append(idx[clearance <= geometry.STAR_CLEARANCE * diameters[idx]])
-    stars = centroids.copy()
-    for c in np.sort(np.concatenate(off_centre)):
-        try:
-            stars[c] = geometry.star_point(vertices[cells[c]])
-        except ValueError as exc:
-            raise MeshError(f"cell {c}: {exc}") from exc
+        clearance[idx] = geometry.kernel_clearance(verts, centroids[idx])
+        stars[idx] = centroids[idx]
+        off = clearance[idx] <= geometry.STAR_CLEARANCE * diameters[idx]
+        if off.any():
+            stars[idx[off]], clearance[idx[off]] = geometry.star_point(verts[off])
+    bad = np.flatnonzero(clearance <= geometry.STAR_CLEARANCE * diameters)
+    if len(bad):
+        raise MeshError(f"cell {bad[0]}: polygon has an empty kernel: no valid star point")
     return areas, centroids, diameters, stars
 
 
@@ -393,24 +399,12 @@ class RegularityReport:
 
 def validate_regularity(mesh: PolygonMesh) -> RegularityReport:
     """Compute the shape-regularity report of a mesh (never raises)."""
-    star_ratio = np.inf
-    angle = np.inf
-    for c in range(mesh.n_cells):
-        verts = mesh.vertices[mesh.cells[c]]
-        kernel = geometry.polygon_kernel(verts)
-        if len(kernel) < 3:
-            star_ratio = 0.0
-        else:
-            _, radius = geometry.kernel_chebyshev(verts)
-            star_ratio = min(star_ratio, max(radius, 0.0) / mesh.diameters[c])
-        angle = min(angle, geometry.min_fan_angle(verts, mesh.stars[c]))
-    edge_ratio = np.inf
-    for eid in range(mesh.n_edges):
-        v0, v1 = mesh.edge_vertices[eid]
-        length = float(np.linalg.norm(mesh.vertices[v1] - mesh.vertices[v0]))
-        for c in mesh.edge_cells[eid]:
-            if c >= 0:
-                edge_ratio = min(edge_ratio, length / mesh.diameters[c])
+    star_ratio = edge_ratio = angle = np.inf
+    for group in mesh.cell_groups():
+        _, radii = geometry.chebyshev_ball(group.vertices)
+        star_ratio = min(star_ratio, (np.maximum(radii, 0.0) / group.diameters).min())
+        edge_ratio = min(edge_ratio, (group.edge_lengths / group.diameters[:, None]).min())
+        angle = min(angle, geometry.min_fan_angle(group.vertices, group.stars).min())
     return RegularityReport(float(star_ratio), float(edge_ratio), float(angle))
 
 

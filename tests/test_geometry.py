@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from platevem import geometry
+from platevem.generators import FAMILIES, build_family
+
+from conftest import polygon_corpus
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -11,6 +14,10 @@ LSHAPE = np.array(
 )
 LONG_LSHAPE = np.array(
     [[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
+)
+# opens to the right; its kernel is empty
+C_SHAPE = np.array(
+    [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 3], [0, 3]], dtype=float
 )
 
 
@@ -31,17 +38,23 @@ def test_centroid_degenerate_raises():
         geometry.polygon_centroid(line)
 
 
-def test_kernel_of_convex_polygon_is_polygon():
-    kernel = geometry.polygon_kernel(SQUARE)
-    assert geometry.signed_area(kernel) == pytest.approx(1.0, abs=1e-12)
+def test_chebyshev_ball_of_square():
+    center, radius = geometry.chebyshev_ball(SQUARE)
+    assert center == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert radius == pytest.approx(0.5, abs=1e-15)
 
 
-def test_kernel_of_lshape():
-    kernel = geometry.polygon_kernel(LSHAPE)
-    # visible-from-everywhere region is the unit block next to the notch
-    assert geometry.signed_area(kernel) == pytest.approx(1.0, abs=1e-12)
-    assert kernel[:, 0].max() <= 1.0 + 1e-12
-    assert kernel[:, 1].max() <= 1.0 + 1e-12
+def test_chebyshev_ball_of_lshape():
+    # the kernel is the unit block next to the notch, and the ball fills it
+    center, radius = geometry.chebyshev_ball(LSHAPE)
+    assert center == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert radius == pytest.approx(0.5, abs=1e-15)
+
+
+def test_chebyshev_ball_of_empty_kernel_is_negative():
+    # the arms of a C see past each other: y <= 1 and y >= 2 leave r = -1/2
+    _, radius = geometry.chebyshev_ball(C_SHAPE)
+    assert radius == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_kernel_clearance_signs():
@@ -50,23 +63,46 @@ def test_kernel_clearance_signs():
 
 
 def test_chebyshev_center_of_triangle_is_incenter():
-    center, radius = geometry.kernel_chebyshev(TRIANGLE)
+    center, radius = geometry.chebyshev_ball(TRIANGLE)
     s = 2.0 + np.sqrt(2.0)  # perimeter
     expected_radius = 2 * 0.5 / s  # area / semiperimeter
-    assert radius == pytest.approx(expected_radius, rel=1e-9)
-    assert center == pytest.approx([expected_radius, expected_radius], rel=1e-7)
+    assert radius == pytest.approx(expected_radius, rel=1e-14)
+    assert center == pytest.approx([expected_radius, expected_radius], rel=1e-14)
 
 
 def test_star_point_centroid_for_convex():
-    assert geometry.star_point(SQUARE) == pytest.approx([0.5, 0.5])
+    point, clearance = geometry.star_point(SQUARE)
+    assert point == pytest.approx([0.5, 0.5])
+    assert clearance == pytest.approx(0.5)
 
 
 def test_star_point_nonconvex_lands_in_kernel():
     # the long L-shape's centroid sits outside the kernel: deep point used
     centroid = geometry.polygon_centroid(LONG_LSHAPE)
     assert geometry.kernel_clearance(LONG_LSHAPE, centroid) < 0
-    star = geometry.star_point(LONG_LSHAPE)
-    assert geometry.kernel_clearance(LONG_LSHAPE, star) > 0
+    star, clearance = geometry.star_point(LONG_LSHAPE)
+    assert geometry.kernel_clearance(LONG_LSHAPE, star) == pytest.approx(clearance)
+    assert clearance > 0
+
+
+def test_stacked_primitives_match_one_polygon_calls():
+    """A stack mixing centroid and Chebyshev star points gives, row by row,
+    the same bits as one call per polygon."""
+    turns = np.arange(6) * np.pi / 3
+    hexagon = np.column_stack([np.cos(turns), np.sin(turns)])
+    rng = np.random.default_rng(3)
+    stack = np.stack([LSHAPE, LONG_LSHAPE, hexagon, np.roll(LONG_LSHAPE, 2, axis=0)])
+    stack = stack * rng.uniform(0.5, 2.0, (4, 1, 1)) + rng.uniform(-1, 1, (4, 1, 2))
+    centers, radii = geometry.chebyshev_ball(stack)
+    points, clearance = geometry.star_point(stack)
+    angles = geometry.min_fan_angle(stack, points)
+    for k, poly in enumerate(stack):
+        c, r = geometry.chebyshev_ball(poly)
+        p, q = geometry.star_point(poly)
+        assert c.tobytes() == centers[k].tobytes() and r == radii[k]
+        assert p.tobytes() == points[k].tobytes() and q == clearance[k]
+        assert geometry.min_fan_angle(poly, p) == angles[k]
+    assert not np.array_equal(points[1], geometry.polygon_centroid(stack[1]))
 
 
 def test_min_fan_angle_positive():
@@ -79,3 +115,36 @@ def test_simple_quad_detection():
     bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     assert geometry.is_simple_quad(SQUARE)
     assert not geometry.is_simple_quad(bowtie)
+
+
+def linprog_chebyshev_radius(vertices: np.ndarray) -> float:
+    """Radius of the largest disc in the polygon's kernel, by SciPy's LP:
+    max r subject to n_i . x + r <= n_i . a_i for every edge."""
+    from scipy.optimize import linprog
+
+    t = np.roll(vertices, -1, axis=0) - vertices
+    n = np.column_stack([t[:, 1], -t[:, 0]]) / np.linalg.norm(t, axis=1)[:, None]
+    res = linprog(
+        c=[0.0, 0.0, -1.0],
+        A_ub=np.column_stack([n, np.ones(len(n))]),
+        b_ub=(n * vertices).sum(axis=1),
+        bounds=[(None, None)] * 3,
+        method="highs",
+    )
+    assert res.success
+    return float(res.x[2])
+
+
+def test_chebyshev_ball_matches_linear_program():
+    """Every cell of the four families at n = 0-2 and of a seeded corpus:
+    the exact vertex enumeration agrees with the LP to 1e-12 diameters."""
+    meshes = [build_family(f, n) for f in FAMILIES for n in (0, 1, 2)]
+    meshes += polygon_corpus(7, 100)
+    checked = 0
+    for mesh in meshes:
+        for group in mesh.cell_groups():
+            _, radii = geometry.chebyshev_ball(group.vertices)
+            for verts, radius, diameter in zip(group.vertices, radii, group.diameters):
+                assert abs(radius - linprog_chebyshev_radius(verts)) <= 1e-12 * diameter
+                checked += 1
+    assert checked > 3000

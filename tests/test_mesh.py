@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -71,7 +75,7 @@ def reference_topology(vertices: np.ndarray, cells) -> dict:
         "areas": np.array([float(geometry.signed_area(p)) for p in polygons]),
         "centroids": np.array([geometry.polygon_centroid(p) for p in polygons]),
         "diameters": np.array([float(geometry.polygon_diameter(p)) for p in polygons]),
-        "stars": np.array([geometry.star_point(p) for p in polygons]),
+        "stars": np.array([geometry.star_point(p)[0] for p in polygons]),
         "boundary_vertices": boundary_vertices,
     }
 
@@ -197,6 +201,56 @@ def test_rejects_vertices_not_n_by_2():
 def test_rejects_cell_with_empty_kernel():
     with pytest.raises(MeshError, match="cell 0: polygon has an empty kernel"):
         derive_topology(U_SHAPE, [list(range(8))])
+
+
+def test_rejects_zero_length_edge():
+    # the unit square with its corner (1, 0) listed under two vertex ids
+    verts = np.array([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    with pytest.raises(MeshError, match="cell 1 has a zero-length edge"):
+        derive_topology(np.vstack([verts, [[2, 0]]]), [[2, 5, 3], [0, 1, 2, 3, 4]])
+
+
+# A long L whose centroid lies outside its kernel [0, 1]^2, and a C-shaped
+# octagon whose kernel is empty.
+LONG_L = np.array([[0, 0], [4, 0], [4, 1], [1, 1], [1, 4], [0, 4]], dtype=float)
+C_OCTAGON = np.array(
+    [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 3], [0, 3]], dtype=float
+)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1.0, 1e-3, 1e-7, 1e-8, 1e-9])
+def test_star_points_are_scale_invariant(scale):
+    mesh = derive_topology(scale * LONG_L, [list(range(6))])
+    assert mesh.stars[0] == pytest.approx([0.5 * scale, 0.5 * scale], rel=1e-12)
+    ratio = validate_regularity(mesh).min_star_radius_ratio
+    assert ratio == pytest.approx(1.0 / (8.0 * np.sqrt(2.0)), rel=1e-12)
+    with pytest.raises(MeshError, match="cell 0: polygon has an empty kernel"):
+        derive_topology(scale * C_OCTAGON, [list(range(8))])
+
+
+def test_first_cell_without_star_point_is_named():
+    """Both cells lack a star point. The hexagons' stack is solved before
+    the octagons', yet the lower cell id is the one reported."""
+    arms = np.array([[-3, 3], [-0.5, 2], [-0.5, 1], [-3, 0]])  # a C opening left
+    verts = np.vstack([C_OCTAGON, arms])
+    octagon, hexagon = list(range(8)), [0, 7, 8, 9, 10, 11]
+    for cells in ([octagon, hexagon], [hexagon, octagon]):
+        with pytest.raises(MeshError, match="cell 0: polygon has an empty kernel"):
+            derive_topology(verts, cells)
+
+
+def test_meshes_and_reports_need_no_linear_program_solver():
+    code = (
+        "import sys\n"
+        "from platevem.generators import FAMILIES, build_family\n"
+        "from platevem.mesh import validate_regularity\n"
+        "for f in FAMILIES:\n"
+        "    for n in (0, 1, 2):\n"
+        "        validate_regularity(build_family(f, n))\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 def test_frame_outward_normals_point_outward():
