@@ -260,16 +260,16 @@ def _check_pivots(lu) -> None:
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Sparse factor of a symmetric positive definite matrix or of one block.
+    """Sparse factor of a symmetric positive definite block of a matrix.
 
     Keeps the matrix the caller passed, the indices ``free`` of the factored
-    block (None: the whole matrix) and the block's 1-norm: every solve
-    refines against them. The block itself is not kept; :meth:`product`
-    reads its products off the matrix.
+    block and the block's 1-norm: every solve refines against them. The
+    block itself is not kept; :meth:`product` reads its products off the
+    matrix.
     """
 
     matrix: sp.spmatrix
-    free: np.ndarray | None
+    free: np.ndarray
     lu: object  # scipy.sparse.linalg.SuperLU
     norm_1: float
 
@@ -280,8 +280,6 @@ class SpdFactor:
         columns then add only exact zeros, so every entry is bitwise the
         block's own product.
         """
-        if self.free is None:
-            return self.matrix @ x
         x_full = np.zeros(self.matrix.shape[1])
         x_full[self.free] = x
         return (self.matrix @ x_full)[self.free]
@@ -320,12 +318,12 @@ class SpdFactor:
         return x, 3
 
 
-def factor_spd(matrix: sp.spmatrix, free: np.ndarray | None = None) -> SpdFactor:
-    """Factor a symmetric positive definite matrix; the one factorization site.
+def factor_spd(matrix: sp.csr_matrix, free: np.ndarray) -> SpdFactor:
+    """Factor a symmetric positive definite block; the one factorization site.
 
-    With ``free`` given, the factored matrix is the block
-    ``matrix[free][:, free]`` of an exactly symmetric CSR ``matrix``. The
-    block is built here, as the transpose of its CSR rows (by the symmetry,
+    The factored matrix is the block ``matrix[free][:, free]`` of an exactly
+    symmetric CSR ``matrix``; ``np.arange(n)`` factors all of it. The block
+    is built here, as the transpose of its CSR rows (by the symmetry,
     its CSC form with no copy), and released before the pivot check makes
     SuperLU cache its CSC copies of L and U, so the block and those copies
     are never alive together. Only ``matrix`` is kept, for the refinement.
@@ -339,7 +337,7 @@ def factor_spd(matrix: sp.spmatrix, free: np.ndarray | None = None) -> SpdFactor
         When the factorization breaks down or its pivots show the matrix is
         singular or not symmetric positive definite.
     """
-    block = matrix.tocsc() if free is None else matrix[free][:, free].T
+    block = matrix[free][:, free].T
     norm_1 = _norm_1(block)
     try:
         lu = spla.splu(

@@ -61,7 +61,7 @@ def criss_cross_mesh(r: int) -> PolygonMesh:
     cells = np.column_stack(
         [quads.ravel(), np.roll(quads, -1, axis=1).ravel(), center_ids]
     )
-    return derive_topology(vertices, cells)
+    return derive_topology(vertices, cells.tolist())
 
 
 def randomized_quadrilateral_mesh(
@@ -92,7 +92,7 @@ def randomized_quadrilateral_mesh(
         if np.all(geometry.signed_area(quads) > 0.0) and np.all(
             geometry.is_simple_quad(quads)
         ):
-            return derive_topology(vertices, cells)
+            return derive_topology(vertices, cells.tolist())
     raise MeshError(
         f"could not draw a valid randomized mesh after {_MAX_RANDOM_RETRIES} tries"
     )

@@ -15,27 +15,35 @@ import numpy as np
 STAR_CLEARANCE = 1e-12
 
 
+def _shoelace(vertices: np.ndarray):
+    """Coordinates about each polygon's first vertex, (x, y, x_next, y_next),
+    and the cross products of consecutive vertices in them.
+
+    Summing about a vertex of the polygon, not the origin, keeps the sums
+    free of cancellation for a small polygon far from the origin.
+    """
+    rel = vertices - vertices[..., :1, :]
+    x, y = rel[..., 0], rel[..., 1]
+    xn = np.roll(x, -1, axis=-1)
+    yn = np.roll(y, -1, axis=-1)
+    return x, y, xn, yn, x * yn - xn * y
+
+
 def signed_area(vertices: np.ndarray):
     """Shoelace signed area of a polygon (positive for counterclockwise)."""
-    x = vertices[..., 0]
-    y = vertices[..., 1]
-    cross = x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y
+    cross = _shoelace(vertices)[-1]
     return 0.5 * np.sum(cross, axis=-1)
 
 
 def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
     """Area centroid of a simple polygon with nonzero area, shape (..., 2)."""
-    x = vertices[..., 0]
-    y = vertices[..., 1]
-    xn = np.roll(x, -1, axis=-1)
-    yn = np.roll(y, -1, axis=-1)
-    cross = x * yn - xn * y
+    x, y, xn, yn, cross = _shoelace(vertices)
     area = 0.5 * np.sum(cross, axis=-1)
     if np.any(area == 0.0):
         raise ValueError("degenerate polygon: zero area")
     cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
     cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
-    return np.stack([cx, cy], axis=-1)
+    return vertices[..., 0, :] + np.stack([cx, cy], axis=-1)
 
 
 def polygon_diameter(vertices: np.ndarray):

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import CellFrame, CellGroup
+from .mesh import CellGroup
 from .plate import MaterialParams
 from .polynomials import (
     _derivative_factors,
@@ -348,6 +348,7 @@ def energy_grams(gb: GroupBasis, material: MaterialParams):
     coupling = nu * t.c_cross + 2.0 * (1.0 - nu) * t.c_xy
     energy = material.rigidity * scale * (straight + coupling * mixed)
     seminorm = scale * (straight + t.c_xy * mixed)
+    del straight, mixed
     return _in_element_basis(gb, energy), _in_element_basis(gb, seminorm)
 
 
@@ -361,13 +362,14 @@ def dof_matrix(gb: GroupBasis) -> np.ndarray:
     group, layout = gb.group, gb.layout
     t = _order_tables(gb.order)
     restr = gb.restrictions
-    paired = t.normal_pairing @ restr  # (G, m, order - 1, dim)
-    by_axis = paired[..., None, :, :] @ t.first  # (G, m, 2, order - 1, dim)
-    normal = np.einsum("gmx,gmxkd->gmkd", group.normals, by_axis)
-    edge_normal = (group.edge_lengths / group.diameters[:, None])[..., None, None] * normal
+    by_axis = (t.normal_pairing @ restr)[..., None, :, :] @ t.first  # (G, m, 2, order - 1, dim)
+    edge_normal = np.einsum("gmx,gmxkd->gmkd", group.normals, by_axis)
+    del by_axis
+    edge_normal *= (group.edge_lengths / group.diameters[:, None])[..., None, None]
     edge_value = t.value_pairing @ restr
     interior = gb.moments[:, t.mass[: layout.n_cell]] / group.areas[:, None, None]
     monomial = _by_unknown(gb.vertex_values, edge_normal, edge_value, interior)
+    del edge_normal, edge_value
     return monomial @ np.swapaxes(gb.transform, 1, 2)
 
 
@@ -399,14 +401,26 @@ def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
     # against powers of t = 2 s, so coefficient k picks up 2^-k
     halving = 0.5 ** np.arange(layout.order + 1)
 
+    # corner twist D (1 - nu) d_nt, even in the pair: -1 at the edge start,
+    # +1 at its end, which is the next vertex
+    w_twist = np.stack([nx * tx, nx * ty + ny * tx, ny * ty], axis=-1) * (
+        rigidity * (1.0 - nu) / h**2
+    )[..., None]
+    at_vertex = (gb.vertex_values[..., None, None, :] @ t.second)[..., 0, :]  # (G, m, 3, dim)
+    # vertex i ends edge i - 1 and starts edge i
+    vertex = np.einsum("gmx,gmxd->gmd", np.roll(w_twist, 1, axis=1), at_vertex)
+    vertex -= np.einsum("gmx,gmxd->gmd", w_twist, at_vertex)
+    del w_twist, at_vertex  # gone before the edge terms are built
+
     # bending moment D (nu Lap + (1 - nu) d_nn), even in the normal
     n_mom = layout.n_edge_normal
     w_moment = np.stack(
         [nu + (1.0 - nu) * nx**2, 2.0 * (1.0 - nu) * nx * ny, nu + (1.0 - nu) * ny**2],
         axis=-1,
     ) * (rigidity / h**2)[..., None]
-    moment = np.einsum("gmx,gmxkd->gmkd", w_moment, restr[..., None, :n_mom, :] @ t.second)
-    edge_normal = (sign[..., None, None] * halving[:n_mom, None]) * moment
+    edge_normal = np.einsum("gmx,gmxkd->gmkd", w_moment, restr[..., None, :n_mom, :] @ t.second)
+    edge_normal *= sign[..., None, None] * halving[:n_mom, None]
+    del w_moment
 
     # effective shear D (d_n Lap + (1 - nu) d_ntt) on the outward pair
     # (sign n, sign t), odd in the pair
@@ -420,23 +434,15 @@ def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
         ],
         axis=-1,
     ) * (sign * rigidity / h**3)[..., None]
-    shear = np.einsum("gmx,gmxkd->gmkd", w_shear, restr[..., None, :n_val, :] @ t.third)
-    edge_value = -(group.edge_lengths[..., None, None] * halving[:n_val, None]) * shear
-
-    # corner twist D (1 - nu) d_nt, even in the pair: -1 at the edge start,
-    # +1 at its end, which is the next vertex
-    w_twist = np.stack([nx * tx, nx * ty + ny * tx, ny * ty], axis=-1) * (
-        rigidity * (1.0 - nu) / h**2
-    )[..., None]
-    at_vertex = (gb.vertex_values[..., None, None, :] @ t.second)[..., 0, :]  # (G, m, 3, dim)
-    start = np.einsum("gmx,gmxd->gmd", w_twist, at_vertex)
-    # vertex i ends edge i - 1
-    vertex = np.einsum("gmx,gmxd->gmd", np.roll(w_twist, 1, axis=1), at_vertex) - start
-    del at_vertex, start  # gone before the stack and its transform are built
+    edge_value = np.einsum("gmx,gmxkd->gmkd", w_shear, restr[..., None, :n_val, :] @ t.third)
+    edge_value *= -(group.edge_lengths[..., None, None] * halving[:n_val, None])
+    del w_shear
 
     scale = rigidity * group.areas / group.diameters**4
     interior = scale[:, None, None] * t.bilap[: layout.n_cell]
-    return gb.transform @ _by_unknown(vertex, edge_normal, edge_value, interior).transpose(0, 2, 1)
+    rows = _by_unknown(vertex, edge_normal, edge_value, interior)
+    del vertex, edge_normal, edge_value  # gone before the transform is applied
+    return gb.transform @ rows.transpose(0, 2, 1)
 
 
 def elliptic_projector(
@@ -471,13 +477,15 @@ def elliptic_projector(
     # times closer to reproducing at order 5 than a general inverse.
     root = _lower_inverse(_per_cell(np.linalg.cholesky, gram[:, 3:, 3:], cells, what))
     np.matmul(np.swapaxes(root, 1, 2) @ root, pairings[:, 3:], out=pi[:, 3:])
+    del pairings
     low = -(constraint[:, :, 3:] @ pi[:, 3:])
     low[:, :, :m] += lin
     pi[:, :3] = _per_cell(np.linalg.inv, constraint[:, :, :3], cells, what) @ low
+    del low
     residual = pi @ dofs_of_basis
     diag = np.arange(residual.shape[1])
     residual[:, diag, diag] -= 1.0
-    worst = np.abs(residual).max(axis=(1, 2))
+    worst = np.abs(residual, out=residual).max(axis=(1, 2))
     bad = ~(worst <= REPRODUCTION_TOL)  # NaN fails too
     if bad.any():
         k = np.argmax(bad)
@@ -492,9 +500,11 @@ def elliptic_projector(
 
 @dataclass
 class LocalKernels:
-    """What the per-cell load reads: one cell's rows of its group stacks (views)."""
+    """What the per-cell load reads: the cell's group, its row ``k`` there,
+    and its rows of the kernel group stacks (views)."""
 
-    frame: CellFrame
+    group: CellGroup
+    k: int
     layout: DofLayout
     moment_op: np.ndarray  # (dim_{order-2} x n_total) interior moments
     moment_mass: np.ndarray  # (dim_{order-2} x dim_{order-2})
@@ -505,7 +515,7 @@ class KernelGroup:
     """Kernels of the cells of one vertex count, stacked along axis 0.
 
     Row k of every stack belongs to mesh cell ``index[k]``; ``cells[k]`` is
-    that cell's :class:`LocalKernels` view for the per-cell load.
+    that cell's :class:`LocalKernels` record for the per-cell load.
     """
 
     index: np.ndarray  # (G,) mesh cell ids
@@ -529,7 +539,7 @@ def _symmetrized(stack: np.ndarray) -> np.ndarray:
 
 
 def local_stiffness(
-    gb: GroupBasis,
+    group: CellGroup,
     material: MaterialParams,
     gram: np.ndarray,
     pi: np.ndarray,
@@ -550,7 +560,7 @@ def local_stiffness(
     expansion free of cancellation, since there |pi| and |D| are of order
     one.
     """
-    s = (material.rigidity / gb.group.diameters**2)[:, None, None]
+    s = (material.rigidity / group.diameters**2)[:, None, None]
     dofs_t = np.swapaxes(dofs_of_basis, 1, 2)
     weighted = dofs_t @ dofs_of_basis
     weighted *= s
@@ -666,18 +676,19 @@ def local_load(kern: LocalKernels, f) -> np.ndarray:
     reconstruction of the test functions:
     ``load = moment_op^T mass^{-1} (integrals of f against the monomials)``.
     """
-    frame = kern.frame
-    rule = polygon_rule(frame.vertices, frame.star, data_degree(kern.layout.order))
+    group, k = kern.group, kern.k
+    rule = polygon_rule(group.vertices[k], group.stars[k], data_degree(kern.layout.order))
     x, y = rule.points[:, 0], rule.points[:, 1]
-    (xc, yc), h = frame.centroid, frame.diameter
+    (xc, yc), h = group.centroids[k], group.diameters[k]
     vals_mid = monomials((x - xc) / h, (y - yc) / h, kern.layout.order - 2)
     fmom = vals_mid.T @ (rule.weights * f(x, y))
     return kern.moment_op.T @ np.linalg.solve(kern.moment_mass, fmom)
 
 
-def build_cell_kernels(frame: CellFrame, layout: DofLayout, **rows) -> LocalKernels:
-    """Kernels of one cell from its rows of the group stacks (views, not copies)."""
-    return LocalKernels(frame=frame, layout=layout, **rows)
+def build_cell_kernels(group: CellGroup, k: int, layout: DofLayout, **rows) -> LocalKernels:
+    """Kernels of row ``k`` of ``group`` from its rows of the group stacks
+    (views, not copies)."""
+    return LocalKernels(group=group, k=k, layout=layout, **rows)
 
 
 # Bytes of one chunk's stiffness stack in group_kernels: a chunk of cells
@@ -694,8 +705,9 @@ def _chunk_stacks(group: CellGroup, order: int, material: MaterialParams):
     gram, seminorm = energy_grams(gb, material)
     dofs = dof_matrix(gb)
     pi = elliptic_projector(gb, material, gram, dofs)
-    stiff = local_stiffness(gb, material, gram, pi, dofs)
     mom_op, mass = moment_operator(gb, pi)
+    del gb  # its moments and edge restrictions go before the stiffness is built
+    stiff = local_stiffness(group, material, gram, pi, dofs)
     return pi, mom_op, mass, seminorm, np.abs(seminorm).max(axis=(1, 2)), stiff
 
 
@@ -728,7 +740,7 @@ def group_kernels(
             del part, rows  # this chunk's arrays go before the next is built
     pi, mom_op, mass, seminorm, seminorm_max, stiff = stacks
     cells = [
-        build_cell_kernels(group.frame(k), layout, moment_op=mom_op[k], moment_mass=mass[k])
+        build_cell_kernels(group, k, layout, moment_op=mom_op[k], moment_mass=mass[k])
         for k in range(group.n_cells)
     ]
     kernels = KernelGroup(group.index, layout, pi, mom_op, mass, seminorm, seminorm_max, cells)

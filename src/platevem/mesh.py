@@ -20,33 +20,6 @@ class MeshIOError(Exception):
     """Malformed or inconsistent mesh file."""
 
 
-@dataclass(frozen=True)
-class CellFrame:
-    """Per-cell geometry bundle used by quadrature and element kernels.
-
-    ``edge_signs[i]`` is +1 when the cell traverses local edge i in the global
-    edge orientation (lower to higher vertex id) and -1 otherwise; the cell's
-    outward normal on that edge is ``edge_signs[i] * normals[i]``.
-    """
-
-    index: int
-    vertex_ids: np.ndarray
-    vertices: np.ndarray  # (m, 2), counterclockwise
-    edge_ids: np.ndarray  # (m,), local edge i joins local vertices i, i+1
-    edge_signs: np.ndarray  # (m,), +-1 vs global orientation
-    edge_lengths: np.ndarray
-    normals: np.ndarray  # (m, 2), global-orientation normals
-    tangents: np.ndarray  # (m, 2), global-orientation tangents
-    area: float
-    centroid: np.ndarray
-    diameter: float
-    star: np.ndarray
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertex_ids)
-
-
 class CellRows(Sequence):
     """Integer rows of varying length, one per cell, stored in one flat array.
 
@@ -83,9 +56,11 @@ class CellRows(Sequence):
 class CellGroup:
     """Geometry of cells sharing one vertex count m, stacked along axis 0.
 
-    Each array holds the corresponding :class:`CellFrame` field of every
-    cell of the group; ``frame(k)`` returns the frame of the k-th cell as
-    views into these stacks.
+    Row k of every array belongs to mesh cell ``index[k]``.
+    ``edge_signs[k, i]`` is +1 when that cell traverses its local edge i in
+    the global edge orientation (lower to higher vertex id) and -1
+    otherwise; the cell's outward normal on that edge is
+    ``edge_signs[k, i] * normals[k, i]``.
     """
 
     index: np.ndarray  # (G,) mesh cell ids
@@ -112,22 +87,6 @@ class CellGroup:
     def rows(self, start: int, stop: int) -> CellGroup:
         """Cells ``start`` to ``stop - 1`` of the group, as views into its stacks."""
         return CellGroup(**{f.name: getattr(self, f.name)[start:stop] for f in fields(self)})
-
-    def frame(self, k: int) -> CellFrame:
-        return CellFrame(
-            index=int(self.index[k]),
-            vertex_ids=self.vertex_ids[k],
-            vertices=self.vertices[k],
-            edge_ids=self.edge_ids[k],
-            edge_signs=self.edge_signs[k],
-            edge_lengths=self.edge_lengths[k],
-            normals=self.normals[k],
-            tangents=self.tangents[k],
-            area=float(self.areas[k]),
-            centroid=self.centroids[k],
-            diameter=float(self.diameters[k]),
-            star=self.stars[k],
-        )
 
 
 @dataclass

@@ -17,6 +17,7 @@ from oracles import (
     edge_normal_slice,
     edge_rule,
     edge_value_slice,
+    group_frame,
     normal_moment_matrix,
     outward_normal,
     shear_matrix,
@@ -53,12 +54,15 @@ def single_cell_mesh(vertices: np.ndarray) -> PolygonMesh:
 class CellView:
     """One cell's rows of the kernel group stacks, with its global unknowns.
 
-    Carries what a ``LocalKernels`` view carries, so ``local.local_load``
-    accepts it, plus the cell's stiffness block, its projector and seminorm
-    rows, its scaled monomial basis and the transform T of its element
-    basis q = T m, which the projector and seminorm rows are in.
+    Carries what a ``LocalKernels`` record carries (the cell's group and its
+    row ``k`` there), so ``local.local_load`` accepts it, plus the cell's
+    frame, stiffness block, projector and seminorm rows, its scaled monomial
+    basis and the transform T of its element basis q = T m, which the
+    projector and seminorm rows are in.
     """
 
+    group: object
+    k: int
     frame: object
     layout: local.DofLayout
     basis: ScaledMonomialBasis
@@ -88,8 +92,11 @@ def cell_views(mesh: PolygonMesh, order: int, material=DEFAULT_MATERIAL) -> list
         dofs = dofmap.group_dofs(group.index)
         transform = local.group_basis(cells, order).transform
         for k, c in enumerate(group.index):
-            frame = group.cells[k].frame
+            kern = group.cells[k]
+            frame = group_frame(kern.group, kern.k)
             views[c] = CellView(
+                group=kern.group,
+                k=kern.k,
                 frame=frame,
                 layout=group.layout,
                 basis=ScaledMonomialBasis(frame.centroid, frame.diameter, order),

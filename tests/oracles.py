@@ -13,8 +13,8 @@ be checked against:
 * the plate energy and seminorm Grams by cell quadrature, and the bending
   moment, effective shear and corner twist operators on polynomials;
 * the Morley oracle's per-triangle interpolant and broken-H2 error;
-* per-edge and per-cell geometry of a mesh, and the layout slices of the
-  edge unknowns;
+* per-edge and per-cell geometry of a mesh (:class:`CellFrame`, one cell's
+  rows of its group's stacks), and the layout slices of the edge unknowns;
 * the Hessian of the reference displacement.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from platevem.local import DofLayout
 from platevem.manufactured import _d2g, _dg, _g
-from platevem.mesh import CellFrame, PolygonMesh
+from platevem.mesh import CellGroup, PolygonMesh
 from platevem.morley import _hessians, _triangle_area, morley_dof_matrix
 from platevem.plate import MaterialParams
 from platevem.polynomials import (
@@ -379,9 +379,54 @@ def mesh_edge(mesh: PolygonMesh, i: int) -> Edge:
     return Edge((int(v0), int(v1)), length, n, t, cells, len(cells) == 1)
 
 
+@dataclass(frozen=True)
+class CellFrame:
+    """Geometry of one cell, row k of its group's stacks.
+
+    ``edge_signs[i]`` is +1 when the cell traverses local edge i in the global
+    edge orientation (lower to higher vertex id) and -1 otherwise; the cell's
+    outward normal on that edge is ``edge_signs[i] * normals[i]``.
+    """
+
+    index: int
+    vertex_ids: np.ndarray
+    vertices: np.ndarray  # (m, 2), counterclockwise
+    edge_ids: np.ndarray  # (m,), local edge i joins local vertices i, i+1
+    edge_signs: np.ndarray  # (m,), +-1 vs global orientation
+    edge_lengths: np.ndarray
+    normals: np.ndarray  # (m, 2), global-orientation normals
+    tangents: np.ndarray  # (m, 2), global-orientation tangents
+    area: float
+    centroid: np.ndarray
+    diameter: float
+    star: np.ndarray
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertex_ids)
+
+
+def group_frame(group: CellGroup, k: int) -> CellFrame:
+    """The frame of the k-th cell of a group, as views into its stacks."""
+    return CellFrame(
+        index=int(group.index[k]),
+        vertex_ids=group.vertex_ids[k],
+        vertices=group.vertices[k],
+        edge_ids=group.edge_ids[k],
+        edge_signs=group.edge_signs[k],
+        edge_lengths=group.edge_lengths[k],
+        normals=group.normals[k],
+        tangents=group.tangents[k],
+        area=float(group.areas[k]),
+        centroid=group.centroids[k],
+        diameter=float(group.diameters[k]),
+        star=group.stars[k],
+    )
+
+
 def cell_frame(mesh: PolygonMesh, i: int) -> CellFrame:
     """Geometry of cell i: its one-cell group's frame."""
-    return mesh.cell_group([i]).frame(0)
+    return group_frame(mesh.cell_group([i]), 0)
 
 
 def outward_normal(frame: CellFrame, i: int) -> np.ndarray:

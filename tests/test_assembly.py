@@ -21,7 +21,7 @@ from platevem.assembly import (
     interpolate,
 )
 from platevem.local import build_local_kernels
-from platevem.mesh import CellFrame, derive_topology
+from platevem.mesh import CellGroup, derive_topology
 from platevem.plate import DEFAULT_MATERIAL
 
 from conftest import cell_views, reference_cell_dofs
@@ -151,27 +151,28 @@ def test_stiffness_pattern_is_union_of_cell_patterns(mesh_cache):
 
 def test_solver_builds_and_loads_each_cell_once(mesh_cache, monkeypatch):
     """The benchmark's traced pass counts cells by vertex count through
-    ``local.build_cell_kernels``, reading the frame from the first
-    positional argument, and per-cell loads through ``assembly.local_load``:
-    a solver calls the first once per cell, and each load the second."""
+    ``local.build_cell_kernels``, reading ``n_vertices`` off the first
+    positional argument, the cell's group (the second is its row there),
+    and per-cell loads through ``assembly.local_load``: a solver calls the
+    first once per cell, and each load the second."""
     mesh = mesh_cache("hexagonal", 1)
-    frames, loaded = [], []
+    built, loaded = [], []
     build, load = local.build_cell_kernels, assembly.local_load
 
     def counting_build(*args, **kwargs):
-        frames.append(args[0])
+        built.append(args[:2])
         return build(*args, **kwargs)
 
     def counting_load(kern, f):
-        loaded.append(kern.frame.index)
+        loaded.append(int(kern.group.index[kern.k]))
         return load(kern, f)
 
     monkeypatch.setattr(local, "build_cell_kernels", counting_build)
     monkeypatch.setattr(assembly, "local_load", counting_load)
     solver = PlateSolver(mesh, 3, DEFAULT_MATERIAL)
-    assert all(isinstance(frame, CellFrame) for frame in frames)
-    assert sorted(frame.index for frame in frames) == list(range(mesh.n_cells))
-    by_nverts = Counter(frame.n_vertices for frame in frames)
+    assert all(isinstance(group, CellGroup) for group, _ in built)
+    assert sorted(int(group.index[k]) for group, k in built) == list(range(mesh.n_cells))
+    by_nverts = Counter(group.n_vertices for group, _ in built)
     assert by_nverts == Counter(mesh.cells.lengths.tolist())
     assert len(by_nverts) > 1
     for _ in range(2):
@@ -220,11 +221,12 @@ def test_norm_1_skips_empty_columns():
     [("randomquad", 4, 2, 1), ("octagonal", 2, 5, 0), ("hexagonal", 2, 3, 0)],
 )
 def test_factor_of_transposed_block_matches_copy(family, n, order, seed, mesh_cache):
-    """On the benchmark's meshes, factoring the transposed CSR rows gives
-    the ordering and fill of factoring a CSC copy of the free block."""
+    """On the benchmark's meshes, factoring the free block from the rows of
+    the full matrix gives the ordering and fill of factoring a copy of the
+    block on its own."""
     solver = PlateSolver(mesh_cache(family, n, seed), order, DEFAULT_MATERIAL)
     solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
-    copy = factor_spd(free_block(solver).tocsc())
+    copy = factor_spd(free_block(solver), np.arange(len(solver.free)))
     assert solver.factor.matrix is solver.matrix
     assert solver.nnz_factor == copy.lu.nnz
     assert np.array_equal(solver.factor.lu.perm_c, copy.lu.perm_c)
@@ -232,7 +234,7 @@ def test_factor_of_transposed_block_matches_copy(family, n, order, seed, mesh_ca
 
 
 def reference_solve(solver, factor, f, bc):
-    """The solve of a solver that kept its free block: the block's CSC copy
+    """The solve of a solver that kept its free block: a copy of the block
     factored on its own (``factor``), the strong data coupled through the
     constrained columns of the free rows."""
     load = assembly.assemble_load(solver.mesh, solver.kernels, solver.dofmap, f)
@@ -261,7 +263,7 @@ def test_solutions_match_factored_block_copy(family, n, order, seed, mesh_cache)
         (manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped()),
         (f_cubic, BoundarySpec.dirichlet(u, grad)),
     ]
-    oracle = factor_spd(free_block(solver).tocsc())
+    oracle = factor_spd(free_block(solver), np.arange(len(solver.free)))
     for f, bc in problems:
         got = solver.solve(f, bc)
         expected, steps = reference_solve(solver, oracle, f, bc)
@@ -320,7 +322,7 @@ def test_solve_recovers_random_vector(mesh_cache):
     matrix = free_block(PlateSolver(mesh_cache("crisscross", 0), 2, DEFAULT_MATERIAL))
     rng = np.random.default_rng(4)
     x0 = rng.uniform(-1, 1, matrix.shape[0])
-    got, _ = factor_spd(matrix).solve(matrix @ x0)
+    got, _ = factor_spd(matrix, np.arange(matrix.shape[0])).solve(matrix @ x0)
     assert np.linalg.norm(got - x0) <= 1e-8 * np.linalg.norm(x0)
 
 
@@ -333,7 +335,7 @@ def test_unconstrained_system_rejected(mesh_cache):
     full = assemble_stiffness(kernels, stiffness, dofmap).tocsr()
     rng = np.random.default_rng(1)
     with pytest.raises(SolverError):
-        factor_spd(full).solve(rng.uniform(-1, 1, dofmap.n_total))
+        factor_spd(full, np.arange(dofmap.n_total)).solve(rng.uniform(-1, 1, dofmap.n_total))
 
 
 def test_negated_free_block_rejected(mesh_cache):
@@ -341,7 +343,7 @@ def test_negated_free_block_rejected(mesh_cache):
     # so only the signs of the pivots can tell it from an SPD matrix
     solver = PlateSolver(mesh_cache("octagonal", 0), 3, DEFAULT_MATERIAL)
     with pytest.raises(SolverError, match="negative pivots"):
-        factor_spd(-free_block(solver))
+        factor_spd(-free_block(solver), np.arange(len(solver.free)))
 
 
 def test_factor_is_symmetric_and_sparser(mesh_cache):

@@ -32,6 +32,7 @@ from oracles import (
     edge_normal_slice,
     edge_value_slice,
     energy_gram,
+    group_frame,
     hessian_seminorm_gram,
 )
 
@@ -377,7 +378,7 @@ def test_exact_moments_match_fan_quadrature(order, small_corpus, mesh_cache):
                     "mass": kernels.moment_mass[k],
                     "interior": dofs[k, kernels.layout.cell_slice],
                 }
-                ref = fan_quadrature_reference(group.frame(k), order, gb.transform[k])
+                ref = fan_quadrature_reference(group_frame(group, k), order, gb.transform[k])
                 for name, value in ref.items():
                     err = np.abs(got[name] - value).max(initial=0.0)
                     rel = err / max(np.abs(value).max(initial=0.0), 1e-300)
@@ -395,7 +396,8 @@ def test_group_kernels_match_single_cell(mesh_cache):
             k = len(group.index) // 2
             c = int(group.index[k])
             alone, stiffness = local.group_kernels(mesh.cell_group([c]), order, DEFAULT_MATERIAL)
-            assert alone.cells[0].frame.index == views[c].frame.index == c
+            cell = alone.cells[0]
+            assert cell.group.index[cell.k] == views[c].frame.index == c
             pairs = {name: (getattr(alone, name)[0], getattr(views[c], name)) for name in names}
             pairs["stiffness"] = (stiffness[0], views[c].stiffness)
             pairs["stabilization"] = (
@@ -601,7 +603,7 @@ def test_chunked_build_equals_one_pass(family, mesh_cache, monkeypatch):
                     else:
                         assert np.array_equal(got, ref), (order, cells_per_chunk, name)
                 for k, view in enumerate(parts.cells):
-                    assert view.frame.index == group.index[k]
+                    assert view.group.index[view.k] == group.index[k]
                     assert np.shares_memory(view.moment_op, parts.moment_op)
                     assert np.shares_memory(view.moment_mass, parts.moment_mass)
             split += size is not None
@@ -655,7 +657,7 @@ def build_excess_mib(mesh, order: int) -> float:
 def test_kernel_build_peak_stays_near_its_output(mesh_cache):
     """Order 5 on 400 octagons is built in 29-cell chunks: the whole-group
     build's temporaries reached 34 MiB above its 23 MiB of output. The
-    1600 order-2 quadrilaterals are one chunk, which reads 2.8 MiB over."""
+    1600 order-2 quadrilaterals are one chunk, which reads 3.0 MiB over."""
     assert build_excess_mib(mesh_cache("octagonal", 2), 5) <= 8.0
     assert build_excess_mib(mesh_cache("randomquad", 4), 2) <= 2.8 + 0.5
 

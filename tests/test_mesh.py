@@ -228,6 +228,18 @@ def test_star_points_are_scale_invariant(scale):
         derive_topology(scale * C_OCTAGON, [list(range(8))])
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-5, 1e-7])
+def test_geometry_of_small_cell_far_from_origin(scale):
+    """The long L shrunk and moved to (1e3, 1e3). Shoelace sums about the
+    origin cancel there: they put the centroid outside the cell at 1e-3,
+    the area 0.2% off at 1e-5 and at 0.0 at 1e-7."""
+    offset = np.array([1e3, 1e3])
+    mesh = derive_topology(scale * LONG_L + offset, [list(range(6))])
+    assert mesh.areas[0] == pytest.approx(7.0 * scale**2, rel=1e-5)
+    centroid = (mesh.centroids[0] - offset) / scale
+    assert centroid == pytest.approx([9.5 / 7.0, 9.5 / 7.0], rel=1e-5)
+
+
 def test_first_cell_without_star_point_is_named():
     """Both cells lack a star point. The hexagons' stack is solved before
     the octagons', yet the lower cell id is the one reported."""

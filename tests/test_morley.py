@@ -100,7 +100,7 @@ def test_oracle_free_block_is_exactly_symmetric(mesh_cache, monkeypatch):
     seen = []
     factor_spd = morley.factor_spd
 
-    def capturing(matrix, free=None):
+    def capturing(matrix, free):
         seen.append((matrix, free))
         return factor_spd(matrix, free)
 
