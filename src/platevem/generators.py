@@ -32,10 +32,6 @@ def _grid_vertices(r: int) -> np.ndarray:
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def _gid(i: int, j: int, r: int) -> int:
-    return j * (r + 1) + i
-
-
 def _grid_nodes(r: int, first: int, last: int) -> np.ndarray:
     """Row-major ids of the grid nodes (i, j) with first <= i, j < last."""
     ids = np.arange(first, last)
@@ -52,9 +48,9 @@ def criss_cross_mesh(r: int) -> PolygonMesh:
     if r < 1:
         raise MeshError("resolution must be at least 1")
     grid = _grid_vertices(r)
-    centers = np.array(
-        [[(i + 0.5) / r, (j + 0.5) / r] for j in range(r) for i in range(r)]
-    )
+    side = (np.arange(r) + 0.5) / r
+    xx, yy = np.meshgrid(side, side, indexing="xy")
+    centers = np.column_stack([xx.ravel(), yy.ravel()])
     vertices = np.vstack([grid, centers])
     quads = _grid_quads(r)
     center_ids = np.repeat(len(grid) + np.arange(r * r), 4)
@@ -121,42 +117,32 @@ def nonconvex_octagonal_mesh(
     delta = notch_ratio * a
     grid = _grid_vertices(r)
     n_grid = (r + 1) ** 2
+    ids = np.arange(r + 1)
+    centers = (np.arange(r) + 0.5) * a
+    # alternating notches: +delta on even columns (rows), -delta on odd ones
+    notch = np.where(np.arange(r) % 2 == 0, 1.0, -1.0) * delta
+    interior = (ids > 0) & (ids < r)
     # horizontal-edge midpoints: r per row, r + 1 rows
-    hmid = []
-    for j in range(r + 1):
-        for i in range(r):
-            y = j * a + ((-1.0) ** i * delta if 0 < j < r else 0.0)
-            hmid.append([(i + 0.5) * a, y])
+    hy = ids[:, None] * a + np.where(interior[:, None], notch[None, :], 0.0)
+    hmid = np.column_stack([np.tile(centers, r + 1), hy.ravel()])
     # vertical-edge midpoints: r + 1 columns, r per column
-    vmid = []
-    for j in range(r):
-        for i in range(r + 1):
-            x = i * a + ((-1.0) ** j * delta if 0 < i < r else 0.0)
-            vmid.append([x, (j + 0.5) * a])
-    vertices = np.vstack([grid, np.array(hmid), np.array(vmid)])
+    vx = ids[None, :] * a + np.where(interior[None, :], notch[:, None], 0.0)
+    vmid = np.column_stack([vx.ravel(), np.repeat(centers, r + 1)])
+    vertices = np.vstack([grid, hmid, vmid])
 
-    def hid(i, j):
-        return n_grid + j * r + i
-
-    def vid(i, j):
-        return n_grid + (r + 1) * r + j * (r + 1) + i
-
-    cells = []
-    for j in range(r):
-        for i in range(r):
-            cells.append(
-                [
-                    _gid(i, j, r),
-                    hid(i, j),
-                    _gid(i + 1, j, r),
-                    vid(i + 1, j),
-                    _gid(i + 1, j + 1, r),
-                    hid(i, j + 1),
-                    _gid(i, j + 1, r),
-                    vid(i, j),
-                ]
-            )
-    return derive_topology(vertices, cells)
+    # square c = j r + i, with corners (i, j), (i + 1, j), (i + 1, j + 1),
+    # (i, j + 1); its bottom and top midpoints are hmid rows c and c + r, its
+    # left and right ones the vmid rows of its lower corners (i, j), (i + 1, j)
+    corners = _grid_quads(r)
+    bottom = n_grid + np.arange(r * r)
+    left = n_grid + (r + 1) * r + corners[:, 0]
+    cells = np.column_stack(
+        [
+            corners[:, 0], bottom, corners[:, 1], left + 1,
+            corners[:, 2], bottom + r, corners[:, 3], left,
+        ]
+    )
+    return derive_topology(vertices, cells.tolist())
 
 
 def _remap(points: np.ndarray) -> np.ndarray:
@@ -177,7 +163,7 @@ def remapped_hexagonal_mesh(r: int) -> PolygonMesh:
     if r < 1:
         raise MeshError("resolution must be at least 1")
     primal = _remap(_grid_vertices(r))
-    return _barycentric_dual(primal, _shorter_diagonal_triangles(primal, r).tolist())
+    return _barycentric_dual(primal, _shorter_diagonal_triangles(primal, r))
 
 
 def _shorter_diagonal_triangles(points: np.ndarray, r: int) -> np.ndarray:
@@ -200,72 +186,66 @@ def _shorter_diagonal_triangles(points: np.ndarray, r: int) -> np.ndarray:
     return np.stack([first, second], axis=1).reshape(-1, 3)
 
 
-def _barycentric_dual(points: np.ndarray, triangles) -> PolygonMesh:
-    """Polygonal dual of a triangulation: one cell per primal vertex."""
-    n_pts = len(points)
-    directed = {}
-    for t, tri in enumerate(triangles):
-        for k in range(3):
-            directed[(tri[k], tri[(k + 1) % 3])] = t
-    barycenters = np.array(
-        [(points[a] + points[b] + points[c]) / 3.0 for a, b, c in triangles]
-    )
-    # boundary edges: directed edges without a reverse partner
-    boundary_out = {}
-    boundary_mid_id = {}
-    mids = []
-    for (a, b), _t in directed.items():
-        if (b, a) not in directed:
-            boundary_out[a] = b
-            key = (a, b) if a < b else (b, a)
-            if key not in boundary_mid_id:
-                boundary_mid_id[key] = len(mids)
-                mids.append(0.5 * (points[a] + points[b]))
-    n_tri = len(triangles)
-    n_mid = len(mids)
-    primal_id = {}
-    boundary_primal = []
-    for a in boundary_out:
-        primal_id[a] = n_tri + n_mid + len(boundary_primal)
-        boundary_primal.append(points[a])
-    vertices = np.vstack([barycenters, np.array(mids), np.array(boundary_primal)])
+def _barycentric_dual(points: np.ndarray, triangles: np.ndarray) -> PolygonMesh:
+    """Polygonal dual of a triangulation: one cell per primal vertex.
 
-    def mid_id(a, b):
-        return n_tri + boundary_mid_id[(a, b) if a < b else (b, a)]
+    Dual vertices are the triangle barycenters, then the midpoints of the
+    boundary edges and the boundary primal vertices, both in half-edge
+    order. Half-edge h = 3 t + k of triangle t runs from its corner k to
+    corner k + 1. The cell of primal vertex v lists, counterclockwise, the
+    triangles around v, found by stepping from each half-edge leaving v to
+    the twin of the half-edge entering v in the same triangle: an interior
+    vertex starts at its lowest-numbered triangle, a boundary vertex at its
+    outgoing boundary edge and is closed through the two boundary midpoints
+    and the vertex itself. Every fan is stepped at once, at most
+    max-valence times.
+    """
+    triangles = np.asarray(triangles)
+    n_pts, n_tri = len(points), len(triangles)
+    src = triangles.ravel()
+    dst = np.roll(triangles, -1, axis=1).ravel()
+    half = np.arange(len(src))
+    prev = half - half % 3 + (half + 2) % 3  # the half-edge entering src[h]
+    keys, reverse = src * n_pts + dst, dst * n_pts + src
+    by_key = np.argsort(keys)
+    at = by_key[np.minimum(np.searchsorted(keys[by_key], reverse), len(keys) - 1)]
+    twin = np.where(keys[at] == reverse, at, -1)
 
-    def walk(v, w0):
-        """Fan of triangles around v, rotating counterclockwise from w0."""
-        tris = []
-        w = w0
-        while (v, w) in directed:
-            t = directed[(v, w)]
-            tris.append(t)
-            tri = triangles[t]
-            k = tri.index(v)
-            w = tri[(k + 2) % 3]
-            if w == w0:
-                return tris, None
-        return tris, w
+    boundary = np.flatnonzero(twin < 0)
+    n_mid = len(boundary)
+    mid_id = np.full(len(src), -1)
+    mid_id[boundary] = n_tri + np.arange(n_mid)
+    a, b, c = (points[triangles[:, k]] for k in range(3))
+    barycenters = (a + b + c) / 3.0
+    mids = 0.5 * (points[src[boundary]] + points[dst[boundary]])
+    vertices = np.vstack([barycenters, mids, points[src[boundary]]])
 
-    cells = []
-    incident = [[] for _ in range(n_pts)]
-    for t, tri in enumerate(triangles):
-        for v in tri:
-            incident[v].append(t)
-    for v in range(n_pts):
-        if not incident[v]:
-            continue
-        if v in boundary_out:
-            tris, w_last = walk(v, boundary_out[v])
-            cell = [primal_id[v], mid_id(v, boundary_out[v])]
-            cell.extend(tris)
-            cell.append(mid_id(w_last, v))
-        else:
-            tri0 = triangles[incident[v][0]]
-            w0 = tri0[(tri0.index(v) + 1) % 3]
-            tris, _ = walk(v, w0)
-            cell = list(tris)
-        cells.append(cell)
+    valence = np.bincount(src, minlength=n_pts)
+    used, first = np.unique(src, return_index=True)
+    start = np.full(n_pts, -1)
+    start[used] = first  # the half-edge leaving v in its lowest triangle
+    start[src[boundary]] = boundary
+    on_boundary = np.zeros(n_pts, dtype=bool)
+    on_boundary[src[boundary]] = True
+    lead = 2 * on_boundary
+
+    # row v: primal vertex and outgoing midpoint (boundary only), the fan,
+    # incoming midpoint (boundary only); -1 pads
+    table = np.full((n_pts, valence.max() + 3), -1)
+    table[src[boundary], 0] = n_tri + n_mid + np.arange(n_mid)
+    table[src[boundary], 1] = mid_id[boundary]
+    step, last = start.copy(), start.copy()
+    for s in range(valence.max()):
+        live = np.flatnonzero(valence > s)
+        last[live] = step[live]
+        table[live, lead[live] + s] = last[live] // 3
+        step[live] = twin[prev[last[live]]]
+    ends = np.flatnonzero(on_boundary)
+    table[ends, lead[ends] + valence[ends]] = mid_id[prev[last[ends]]]
+    keep = valence > 0
+    flat = table[keep][table[keep] >= 0].tolist()
+    offsets = np.cumsum(valence[keep] + 3 * on_boundary[keep]).tolist()
+    cells = [flat[a:b] for a, b in zip([0] + offsets[:-1], offsets)]
     return derive_topology(vertices, cells)
 
 

@@ -352,6 +352,23 @@ def energy_grams(gb: GroupBasis, material: MaterialParams):
     return _in_element_basis(gb, energy), _in_element_basis(gb, seminorm)
 
 
+def _edge_contraction(weights: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_x weights[..., x] rows @ table[x], (G, m, k, dim), in two stacked products.
+
+    ``rows`` (G, m, k, dim) are edge restrictions or vertex values,
+    ``table`` (X, dim, dim) the order's derivative maps and ``weights``
+    (G, m, X) their per-edge (or per-vertex) coefficients. Each cell's rows
+    meet all X maps at once, side by side, in one (m k x dim) by (dim x X dim)
+    product; the weights then sum the maps per row. The (G, m, k, X, dim)
+    temporary is smaller than one folded (dim x dim) map per edge, and every
+    BLAS call stays one cell's size.
+    """
+    g, m, k, dim = rows.shape
+    each = rows.reshape(g, m * k, dim) @ np.hstack(table)
+    each = each.reshape(g, m, k, len(table), dim)
+    return (weights[:, :, None, None, :] @ each)[..., 0, :]
+
+
 def dof_matrix(gb: GroupBasis) -> np.ndarray:
     """Unknowns of every element basis function: (G, n_total, dim).
 
@@ -362,10 +379,8 @@ def dof_matrix(gb: GroupBasis) -> np.ndarray:
     group, layout = gb.group, gb.layout
     t = _order_tables(gb.order)
     restr = gb.restrictions
-    by_axis = (t.normal_pairing @ restr)[..., None, :, :] @ t.first  # (G, m, 2, order - 1, dim)
-    edge_normal = np.einsum("gmx,gmxkd->gmkd", group.normals, by_axis)
-    del by_axis
-    edge_normal *= (group.edge_lengths / group.diameters[:, None])[..., None, None]
+    scale = (group.edge_lengths / group.diameters[:, None])[..., None]
+    edge_normal = _edge_contraction(group.normals * scale, t.first, t.normal_pairing @ restr)
     edge_value = t.value_pairing @ restr
     interior = gb.moments[:, t.mass[: layout.n_cell]] / group.areas[:, None, None]
     monomial = _by_unknown(gb.vertex_values, edge_normal, edge_value, interior)
@@ -406,11 +421,10 @@ def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
     w_twist = np.stack([nx * tx, nx * ty + ny * tx, ny * ty], axis=-1) * (
         rigidity * (1.0 - nu) / h**2
     )[..., None]
-    at_vertex = (gb.vertex_values[..., None, None, :] @ t.second)[..., 0, :]  # (G, m, 3, dim)
     # vertex i ends edge i - 1 and starts edge i
-    vertex = np.einsum("gmx,gmxd->gmd", np.roll(w_twist, 1, axis=1), at_vertex)
-    vertex -= np.einsum("gmx,gmxd->gmd", w_twist, at_vertex)
-    del w_twist, at_vertex  # gone before the edge terms are built
+    w_twist = np.roll(w_twist, 1, axis=1) - w_twist
+    vertex = _edge_contraction(w_twist, t.second, gb.vertex_values[..., None, :])[..., 0, :]
+    del w_twist
 
     # bending moment D (nu Lap + (1 - nu) d_nn), even in the normal
     n_mom = layout.n_edge_normal
@@ -418,7 +432,7 @@ def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
         [nu + (1.0 - nu) * nx**2, 2.0 * (1.0 - nu) * nx * ny, nu + (1.0 - nu) * ny**2],
         axis=-1,
     ) * (rigidity / h**2)[..., None]
-    edge_normal = np.einsum("gmx,gmxkd->gmkd", w_moment, restr[..., None, :n_mom, :] @ t.second)
+    edge_normal = _edge_contraction(w_moment, t.second, restr[..., :n_mom, :])
     edge_normal *= sign[..., None, None] * halving[:n_mom, None]
     del w_moment
 
@@ -434,7 +448,7 @@ def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
         ],
         axis=-1,
     ) * (sign * rigidity / h**3)[..., None]
-    edge_value = np.einsum("gmx,gmxkd->gmkd", w_shear, restr[..., None, :n_val, :] @ t.third)
+    edge_value = _edge_contraction(w_shear, t.third, restr[..., :n_val, :])
     edge_value *= -(group.edge_lengths[..., None, None] * halving[:n_val, None])
     del w_shear
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,20 @@ from oracles import (
     traversal_tangent,
     twist_matrix,
 )
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_module(name: str):
+    """Import ``perfbench/<name>.py`` by path, registered once."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 def random_star_polygon(rng: np.random.Generator, n_vertices: int) -> np.ndarray:

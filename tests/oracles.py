@@ -15,6 +15,7 @@ be checked against:
 * the Morley oracle's per-triangle interpolant and broken-H2 error;
 * per-edge and per-cell geometry of a mesh (:class:`CellFrame`, one cell's
   rows of its group's stacks), and the layout slices of the edge unknowns;
+* the barycentric dual of a triangulation by a walk around each vertex;
 * the Hessian of the reference displacement.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from platevem.local import DofLayout
 from platevem.manufactured import _d2g, _dg, _g
-from platevem.mesh import CellGroup, PolygonMesh
+from platevem.mesh import CellGroup, PolygonMesh, derive_topology
 from platevem.morley import _hessians, _triangle_area, morley_dof_matrix
 from platevem.plate import MaterialParams
 from platevem.polynomials import (
@@ -437,6 +438,77 @@ def outward_normal(frame: CellFrame, i: int) -> np.ndarray:
 def traversal_tangent(frame: CellFrame, i: int) -> np.ndarray:
     """The counterclockwise tangent of the cell's local edge i."""
     return frame.edge_signs[i] * frame.tangents[i]
+
+
+def barycentric_dual_walk(points: np.ndarray, triangles: list) -> PolygonMesh:
+    """Polygonal dual of a triangulation, one cell per primal vertex, by a
+    walk over a dict of directed edges around each vertex: the reference of
+    ``generators._barycentric_dual``."""
+    n_pts = len(points)
+    directed = {}
+    for t, tri in enumerate(triangles):
+        for k in range(3):
+            directed[(tri[k], tri[(k + 1) % 3])] = t
+    barycenters = np.array(
+        [(points[a] + points[b] + points[c]) / 3.0 for a, b, c in triangles]
+    )
+    # boundary edges: directed edges without a reverse partner
+    boundary_out = {}
+    boundary_mid_id = {}
+    mids = []
+    for (a, b), _t in directed.items():
+        if (b, a) not in directed:
+            boundary_out[a] = b
+            key = (a, b) if a < b else (b, a)
+            if key not in boundary_mid_id:
+                boundary_mid_id[key] = len(mids)
+                mids.append(0.5 * (points[a] + points[b]))
+    n_tri = len(triangles)
+    n_mid = len(mids)
+    primal_id = {}
+    boundary_primal = []
+    for a in boundary_out:
+        primal_id[a] = n_tri + n_mid + len(boundary_primal)
+        boundary_primal.append(points[a])
+    vertices = np.vstack([barycenters, np.array(mids), np.array(boundary_primal)])
+
+    def mid_id(a, b):
+        return n_tri + boundary_mid_id[(a, b) if a < b else (b, a)]
+
+    def walk(v, w0):
+        """Fan of triangles around v, rotating counterclockwise from w0."""
+        tris = []
+        w = w0
+        while (v, w) in directed:
+            t = directed[(v, w)]
+            tris.append(t)
+            tri = triangles[t]
+            k = tri.index(v)
+            w = tri[(k + 2) % 3]
+            if w == w0:
+                return tris, None
+        return tris, w
+
+    cells = []
+    incident = [[] for _ in range(n_pts)]
+    for t, tri in enumerate(triangles):
+        for v in tri:
+            incident[v].append(t)
+    for v in range(n_pts):
+        if not incident[v]:
+            continue
+        if v in boundary_out:
+            tris, w_last = walk(v, boundary_out[v])
+            cell = [primal_id[v], mid_id(v, boundary_out[v])]
+            cell.extend(tris)
+            cell.append(mid_id(w_last, v))
+        else:
+            tri0 = triangles[incident[v][0]]
+            w0 = tri0[(tri0.index(v) + 1) % 3]
+            tris, _ = walk(v, w0)
+            cell = list(tris)
+        cells.append(cell)
+    return derive_topology(vertices, cells)
 
 
 def edge_normal_slice(layout: DofLayout, i: int) -> slice:

@@ -4,6 +4,7 @@ import pytest
 from platevem import generators as gen
 from platevem.mesh import MeshError, validate_regularity
 
+from oracles import barycentric_dual_walk
 from reference_counts import BY_FAMILY
 
 
@@ -73,6 +74,72 @@ def test_shorter_diagonal_split_matches_loop(r):
         got = gen._shorter_diagonal_triangles(points, r)
         assert got.shape == (2 * r * r, 3)
         assert list(map(tuple, got.tolist())) == reference_shorter_diagonal_triangles(points, r)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_barycentric_dual_matches_walk(n):
+    """The stepped half-edge fans give bitwise the vertices and cell lists
+    of the dict walk around each primal vertex."""
+    r = gen.resolution(n)
+    primal = gen._remap(gen._grid_vertices(r))
+    triangles = gen._shorter_diagonal_triangles(primal, r)
+    got = gen._barycentric_dual(primal, triangles)
+    want = barycentric_dual_walk(primal, triangles.tolist())
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert np.array_equal(got.cells.offsets, want.cells.offsets)
+    assert np.array_equal(got.cells.flat, want.cells.flat)
+
+
+def reference_octagonal(r: int, notch_ratio: float) -> tuple[np.ndarray, list]:
+    """Vertices and cell lists of the octagonal family, one grid node at a
+    time: the oracle of the generator's index arithmetic."""
+    a = 1.0 / r
+    delta = notch_ratio * a
+    n_grid = (r + 1) ** 2
+    hmid = [
+        [(i + 0.5) * a, j * a + ((-1.0) ** i * delta if 0 < j < r else 0.0)]
+        for j in range(r + 1)
+        for i in range(r)
+    ]
+    vmid = [
+        [i * a + ((-1.0) ** j * delta if 0 < i < r else 0.0), (j + 0.5) * a]
+        for j in range(r)
+        for i in range(r + 1)
+    ]
+    vertices = np.vstack([gen._grid_vertices(r), np.array(hmid), np.array(vmid)])
+
+    def gid(i, j):
+        return j * (r + 1) + i
+
+    def hid(i, j):
+        return n_grid + j * r + i
+
+    def vid(i, j):
+        return n_grid + (r + 1) * r + j * (r + 1) + i
+
+    cells = [
+        [
+            gid(i, j), hid(i, j), gid(i + 1, j), vid(i + 1, j),
+            gid(i + 1, j + 1), hid(i, j + 1), gid(i, j + 1), vid(i, j),
+        ]
+        for j in range(r)
+        for i in range(r)
+    ]
+    return vertices, cells
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_octagonal_and_criss_cross_match_loops(n):
+    """Index arithmetic gives bitwise the vertices and cells of the loops
+    over grid nodes; criss-cross centers follow the same loop order."""
+    r = gen.resolution(n)
+    mesh = gen.nonconvex_octagonal_mesh(r, 0.3)
+    vertices, cells = reference_octagonal(r, 0.3)
+    assert mesh.vertices.tobytes() == vertices.tobytes()
+    assert mesh.cells.flat.tolist() == [v for cell in cells for v in cell]
+    centers = [[(i + 0.5) / r, (j + 0.5) / r] for j in range(r) for i in range(r)]
+    got = gen.criss_cross_mesh(r).vertices[(r + 1) ** 2 :]
+    assert got.tobytes() == np.array(centers).tobytes()
 
 
 def test_octagonal_vertex_formula():

@@ -16,12 +16,14 @@ from platevem.polynomials import space_dim
 from platevem.quadrature import polygon_rule
 
 from conftest import (
+    PERFBENCH,
     cell_dof_matrix,
     cell_group_basis,
     cell_interpolant,
     cell_kernels,
     cell_views,
     group_stabilization,
+    load_module,
     polygon_corpus,
     reference_cell_dofs,
     single_cell_mesh,
@@ -676,10 +678,10 @@ def test_src_uses_no_extended_precision_types():
     assert not hits
 
 
-def _names_in_use(path: Path) -> set[str]:
-    """Identifiers a module reads: names, attributes, imports, and the
-    dotted identifiers of its string constants other than docstrings (the
-    benchmark's tracer and ``__all__`` name functions in strings)."""
+def _names_in_use(path: Path, strings: bool = True) -> set[str]:
+    """Identifiers a module reads: names, attributes, imports, and, with
+    ``strings``, the dotted identifiers of its string constants other than
+    docstrings (``__all__`` names functions in strings)."""
     tree = ast.parse(path.read_text())
     docstrings = {
         id(node.body[0].value)
@@ -698,7 +700,8 @@ def _names_in_use(path: Path) -> set[str]:
         elif isinstance(node, ast.alias):
             used.add(node.name.split(".")[-1])
         elif (
-            isinstance(node, ast.Constant)
+            strings
+            and isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in docstrings
         ):
@@ -712,10 +715,21 @@ def test_src_defines_nothing_only_tests_use():
     ``perfbench/`` besides its own definition; code only tests reach
     belongs in ``tests/oracles.py``. The check is by name, so it cannot see
     chains of test-only functions that call one another, nor a test-only
-    function that shares its name with one in use."""
+    function that shares its name with one in use. The benchmark's tracer
+    names its targets in strings; a target's names count only while the
+    target resolves, so a stale one keeps nothing alive."""
     src = Path(local.__file__).parent
-    readers = sorted(src.glob("*.py")) + sorted((src.parents[1] / "perfbench").glob("*.py"))
-    used = set().union(*map(_names_in_use, readers))
+    tracing = load_module("tracing")
+    readers = sorted(src.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    used = set().union(
+        *(_names_in_use(path, strings=path.name != "tracing.py") for path in readers)
+    )
+    for target in tracing.TARGETS:
+        try:
+            tracing._resolve(target)
+        except (ImportError, AttributeError):
+            continue
+        used.update(target.attr.split("."))
     unused = []
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text()).body:

@@ -8,34 +8,36 @@ arguments carry breaks that silently, so every workload is run here once,
 traced, at n = 0. Both modules are loaded read-only from their files.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_module(name: str):
-    """Import ``perfbench/<name>.py`` by path, registered once."""
-    key = f"perfbench_{name}"
-    if key not in sys.modules:
-        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[key] = module
-        spec.loader.exec_module(module)
-    return sys.modules[key]
-
+from conftest import load_module
 
 tracing = load_module("tracing")
 workloads = load_module("workloads")
+
+# Targets the tracer still names although the library no longer has them;
+# any other missing target is a rename that zeroes a per-layer metric.
+STALE_TARGETS = sorted(
+    [
+        "platevem.polynomials.ScaledMonomialBasis.eval",
+        "platevem.polynomials.ScaledMonomialBasis.edge_restriction",
+        "platevem.polynomials.ScaledMonomialBasis.derivative_matrix",
+        "platevem.local.edge_rule",
+        "platevem.assembly.edge_rule",
+        "platevem.local.energy_and_seminorm_grams",
+        "platevem.local.normal_moment_matrix",
+        "platevem.local.shear_matrix",
+        "platevem.local.twist_matrix",
+        "platevem.convergence.compute_dofs",
+    ]
+)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_traced_counts_match_size_counts(name):
     """One traced n = 0 set-up per workload: the tracer's exact counts are
-    the size counts, and no target that counts is missing."""
+    the size counts, no target that counts is missing, and the missing
+    targets are exactly the known stale ones."""
     workload = workloads.WORKLOADS[name]
     problems = workloads.make_problems(workload, 1)
     tracer = tracing.Tracer()
@@ -51,3 +53,5 @@ def test_traced_counts_match_size_counts(name):
     hooked = set(tracer._hooks())
     assert len(hooked) == 7
     assert not hooked & set(tracer.missing)
+    assert sorted(tracer.missing) == STALE_TARGETS
+
