@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from . import multifrontal
 from .local import (
     KernelGroup,
     build_local_kernels,
@@ -17,15 +17,12 @@ from .local import (
     local_load,
 )
 from .mesh import PolygonMesh
+from .multifrontal import Cholesky, SolverError
 from .plate import MaterialParams
 
 
 class AssemblyError(Exception):
     """Failure while building the global system."""
-
-
-class SolverError(Exception):
-    """Failure while factorizing or solving the reduced system."""
 
 
 @dataclass
@@ -82,6 +79,23 @@ class GlobalDofMap:
         return (
             o_en + edges * self._n_en + np.arange(self._n_en),
             o_ev + edges * self._n_ev + np.arange(self._n_ev),
+        )
+
+    def unknown_entities(self) -> np.ndarray:
+        """The mesh entity of every unknown.
+
+        Vertex v is entity v, edge e is ``n_vertices + e`` (both kinds of
+        edge moment) and cell c is ``n_vertices + n_edges + c``.
+        """
+        mesh = self.mesh
+        edges = mesh.n_vertices + np.arange(mesh.n_edges)
+        return np.concatenate(
+            [
+                np.arange(mesh.n_vertices),
+                np.repeat(edges, self._n_en),
+                np.repeat(edges, self._n_ev),
+                np.repeat(mesh.n_vertices + mesh.n_edges + np.arange(mesh.n_cells), self._n_cell),
+            ]
         )
 
     @property
@@ -228,39 +242,14 @@ def boundary_values(
 
 
 BACKWARD_ERROR_TOL = 1e-10
-
-
-def _check_pivots(lu) -> None:
-    """Prove the factored matrix symmetric positive definite, or raise.
-
-    With diagonal pivoting an SPD matrix factors without row interchanges
-    (``perm_r == perm_c``) and with every pivot, the diagonal of ``U``,
-    positive. A pivot below 1e-12 of the largest flags a numerically
-    singular matrix (e.g. an unconstrained kernel).
-    """
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverError(
-            "factorization needed row interchanges: matrix is not symmetric "
-            "positive definite"
-        )
-    pivots = lu.U.diagonal()
-    magnitude = np.abs(pivots)
-    if magnitude.min() <= 1e-12 * max(magnitude.max(), 1e-300):
-        raise SolverError(
-            "factorization found a numerically zero pivot: matrix is singular "
-            "or not symmetric positive definite"
-        )
-    negative = int(np.count_nonzero(pivots < 0.0))
-    if negative:
-        raise SolverError(
-            f"factorization found {negative} negative pivots: matrix is not "
-            "symmetric positive definite"
-        )
+# Smallest pivot of a factor, relative to its largest, that proves the
+# factored matrix numerically nonsingular.
+PIVOT_RATIO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Sparse factor of a symmetric positive definite block of a matrix.
+    """Sparse Cholesky factor of a symmetric positive definite block of a matrix.
 
     Keeps the matrix the caller passed, the indices ``free`` of the factored
     block and the block's 1-norm: every solve refines against them. The
@@ -270,8 +259,22 @@ class SpdFactor:
 
     matrix: sp.spmatrix
     free: np.ndarray
-    lu: object  # scipy.sparse.linalg.SuperLU
     norm_1: float
+    cholesky: Cholesky
+
+    @property
+    def nnz(self) -> int:
+        """Entries of L, the diagonal included."""
+        return self.cholesky.nnz
+
+    @property
+    def pivot_ratio(self) -> float:
+        """Smallest over largest pivot, diag(L)²."""
+        return self.cholesky.pivot_ratio
+
+    @property
+    def n_fronts(self) -> int:
+        return self.cholesky.tree.n_fronts
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """The factored block times x, as ``(matrix @ x_full)[free]``.
@@ -293,8 +296,8 @@ class SpdFactor:
         drives the condition number past the inverse tolerance. Returns the
         solution and the number of refinement steps taken.
         """
-        lu = self.lu
-        x = lu.solve(rhs)
+        substitute = self.cholesky.solve
+        x = substitute(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError("solver produced non-finite values (singular matrix?)")
         rhs_norm = float(np.linalg.norm(rhs))
@@ -308,7 +311,7 @@ class SpdFactor:
         for step in range(3):
             if backward_error(x) <= BACKWARD_ERROR_TOL:
                 return x, step
-            x = x + lu.solve(rhs - self.product(x))
+            x = x + substitute(rhs - self.product(x))
         err = backward_error(x)
         if err > BACKWARD_ERROR_TOL:
             raise SolverError(
@@ -318,52 +321,46 @@ class SpdFactor:
         return x, 3
 
 
-def factor_spd(matrix: sp.csr_matrix, free: np.ndarray) -> SpdFactor:
+def factor_spd(matrix: sp.csr_matrix, free: np.ndarray, dofmap: GlobalDofMap) -> SpdFactor:
     """Factor a symmetric positive definite block; the one factorization site.
 
     The factored matrix is the block ``matrix[free][:, free]`` of an exactly
-    symmetric CSR ``matrix``; ``np.arange(n)`` factors all of it. The block
-    is built here, as the transpose of its CSR rows (by the symmetry,
-    its CSC form with no copy), and released before the pivot check makes
-    SuperLU cache its CSC copies of L and U, so the block and those copies
-    are never alive together. Only ``matrix`` is kept, for the refinement.
+    symmetric, canonical CSR ``matrix`` over the unknowns of ``dofmap``;
+    ``np.arange(n)`` factors all of it. The elimination tree is a nested
+    dissection of ``dofmap``'s mesh (:func:`multifrontal.dissect`) and the
+    fronts read the free rows of ``matrix``: the block is never built, and
+    only ``matrix`` is kept, for the refinement.
 
-    Multiple minimum degree on ``A + A^T`` with diagonal pivots: the ordering
-    sees the symmetric pattern, and an SPD matrix needs no row interchanges.
+    A Cholesky factorization that completes proves the block positive
+    definite; a pivot below ``PIVOT_RATIO_TOL`` of the largest flags it
+    numerically singular (e.g. an unconstrained kernel).
 
     Raises
     ------
     SolverError
-        When the factorization breaks down or its pivots show the matrix is
-        singular or not symmetric positive definite.
+        When a pivot block is not positive definite, or the pivots show the
+        matrix numerically singular.
     """
-    block = matrix[free][:, free].T
-    norm_1 = _norm_1(block)
-    try:
-        lu = spla.splu(
-            block,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
+    cholesky = multifrontal.cholesky(matrix, free, multifrontal.dissect(dofmap, free))
+    if not cholesky.pivot_ratio > PIVOT_RATIO_TOL:
+        raise SolverError(
+            "factorization found a numerically zero pivot: matrix is singular "
+            "or not symmetric positive definite"
         )
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    del block
-    _check_pivots(lu)
-    return SpdFactor(matrix, free, lu, norm_1)
+    return SpdFactor(matrix, free, _norm_1(matrix, free), cholesky)
 
 
-def _norm_1(a: sp.csc_matrix) -> float:
-    """Largest column sum of absolute values, read off the CSC arrays.
+def _norm_1(matrix: sp.csr_matrix, free: np.ndarray) -> float:
+    """Largest column sum of absolute values of ``matrix[free][:, free]``.
 
-    The value of ``scipy.sparse.linalg.norm(a, 1)`` for a matrix without
-    duplicate entries, to the last bit or two (``reduceat`` may sum a
-    column pairwise), without building a copy of the matrix. The segments
-    start at the non-empty columns only: an empty column adds nothing, and
-    ``reduceat`` would give it its successor's first entry.
+    By the symmetry of ``matrix`` that is the largest sum over a free row,
+    read through a mask of the free columns, without building the block or
+    a copy of the pattern: masked entries add exact zeros.
     """
-    starts = a.indptr[:-1][np.diff(a.indptr) > 0]
-    return float(np.add.reduceat(np.abs(a.data), starts).max(initial=0.0))
+    mask = np.zeros(matrix.shape[1])
+    mask[free] = 1.0
+    magnitude = sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), matrix.shape)
+    return float((magnitude @ mask)[free].max(initial=0.0))
 
 
 class PlateSolver:
@@ -376,8 +373,8 @@ class PlateSolver:
     :func:`factor_spd` on the first solve and kept in :attr:`factor`.
     :attr:`refine_steps` holds the refinement steps of the last solve.
     :attr:`matrix` is the only sparse matrix the solver and its factor keep:
-    the free block exists only inside :func:`factor_spd`, and the coupling
-    to strong boundary data is read off :attr:`matrix` at each solve.
+    the free block is never built, and the coupling to strong boundary data
+    is read off :attr:`matrix` at each solve.
     """
 
     def __init__(self, mesh: PolygonMesh, order: int, material: MaterialParams):
@@ -401,7 +398,7 @@ class PlateSolver:
     @property
     def nnz_factor(self) -> int | None:
         """Stored entries of the factor of the free block, once factored."""
-        return None if self.factor is None else int(self.factor.lu.nnz)
+        return None if self.factor is None else self.factor.nnz
 
     def solve(self, f, bc: BoundarySpec) -> np.ndarray:
         """Solve for the full unknown vector under the given load and data."""
@@ -414,7 +411,7 @@ class PlateSolver:
             # constrained columns' alone, summed in the same order.
             rhs = rhs - (self.matrix @ values)[self.free]
         if self.factor is None:
-            self.factor = factor_spd(self.matrix, self.free)
+            self.factor = factor_spd(self.matrix, self.free, self.dofmap)
         x, self.refine_steps = self.factor.solve(rhs)
         full = np.zeros(self.dofmap.n_total)
         full[self.free] = x

@@ -234,6 +234,7 @@ def _cmd_solve(args) -> int:
                 "h": mesh.h,
                 "error_2h": err,
                 "nnz_factor": solver.nnz_factor,
+                "pivot_ratio": solver.factor.pivot_ratio,
                 "refine_steps": solver.refine_steps,
                 "dofs": solution.tolist(),
             },

@@ -204,7 +204,7 @@ def morley_solve(
             mesh, dofmap, BoundarySpec.dirichlet(boundary_value, boundary_gradient)
         )
     rhs = load[free] - (full @ values)[free]
-    x, _ = factor_spd(full, free).solve(rhs)
+    x, _ = factor_spd(full, free, dofmap).solve(rhs)
     solution = np.zeros(dofmap.n_total)
     solution[free] = x
     solution[constrained] = values[constrained]

@@ -232,6 +232,22 @@ def reference_cell_dofs(frame, order: int, w, grad_w) -> np.ndarray:
     return out
 
 
+def dense_lower(cholesky) -> tuple[np.ndarray, np.ndarray]:
+    """The factor L of a ``multifrontal.Cholesky`` as a dense matrix in
+    elimination order, and the mask of the entries its fronts store."""
+    n = len(cholesky.tree.perm)
+    lower = np.zeros((n, n))
+    stored = np.zeros((n, n), dtype=bool)
+    for start, updates, diagonal, below in cholesky.fronts:
+        stop = start + len(diagonal)
+        rows = np.concatenate([np.arange(start, stop), updates])
+        panel = np.vstack([np.tril(diagonal), below])
+        keep = rows[:, None] >= np.arange(start, stop)
+        lower[rows[:, None], np.arange(start, stop)] = np.where(keep, panel, 0.0)
+        stored[rows[:, None], np.arange(start, stop)] = keep
+    return lower, stored
+
+
 def polygon_corpus(seed: int, count: int) -> list[PolygonMesh]:
     """Seeded corpus of single-cell meshes with 3 to 8 vertices."""
     rng = np.random.default_rng(seed)

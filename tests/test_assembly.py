@@ -24,7 +24,7 @@ from platevem.local import build_local_kernels
 from platevem.mesh import CellGroup, derive_topology
 from platevem.plate import DEFAULT_MATERIAL
 
-from conftest import cell_views, reference_cell_dofs
+from conftest import cell_views, dense_lower, reference_cell_dofs
 from oracles import cell_frame, edge_normal_slice
 from reference_counts import BY_FAMILY, closed_form_count
 
@@ -182,38 +182,34 @@ def test_solver_builds_and_loads_each_cell_once(mesh_cache, monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["crisscross", "hexagonal", "octagonal", "randomquad"])
-def test_free_block_is_its_own_transpose(family, mesh_cache, monkeypatch):
-    """The solver factors the transpose of the free block's CSR rows as its
-    CSC form; that is the block itself, entry for entry. The block reaches
-    ``splu`` only: the factor keeps the solver's own matrix."""
-    captured = []
-    splu = assembly.spla.splu
-
-    def capturing_splu(a, *args, **kwargs):
-        captured.append(a)
-        return splu(a, *args, **kwargs)
-
-    monkeypatch.setattr(assembly.spla, "splu", capturing_splu)
+def test_free_block_is_its_own_transpose(family, mesh_cache):
+    """The fronts read the free block's columns off its CSR rows, which is
+    the block only where it is exactly symmetric: so it is. The factor
+    keeps the solver's own matrix and the block's 1-norm."""
     mesh = mesh_cache(family, 0)
     for order in (2, 3, 4, 5):
-        captured.clear()
         solver = PlateSolver(mesh, order, DEFAULT_MATERIAL)
         block = free_block(solver)
         assert (block != block.T).nnz == 0, order
         solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
-        (factored,) = captured
-        assert factored.format == "csc"
-        assert (factored != block).nnz == 0, order
         assert solver.factor.norm_1 == pytest.approx(spla.norm(block, 1), rel=1e-14)
         assert solver.factor.matrix is solver.matrix
         assert np.array_equal(solver.factor.free, solver.free)
 
 
 def test_norm_1_skips_empty_columns():
-    """Empty columns, first, inside and last, add nothing to the sums."""
-    a = sp.csc_matrix(np.array([[0.0, 1.0, 0.0, -4.0, 0.0], [0.0, -2.0, 0.0, 0.5, 0.0]]))
-    assert assembly._norm_1(a) == spla.norm(a, 1) == 4.5
-    assert assembly._norm_1(sp.csc_matrix((3, 3))) == 0.0
+    """Empty columns of the free block, first, inside and last, add nothing
+    to the sums, and neither do the constrained columns of its rows."""
+    block = np.zeros((5, 5))
+    block[1, 1], block[1, 3], block[3, 3] = 1.0, -4.0, 0.5
+    block[3, 1] = block[1, 3]
+    full = np.zeros((7, 7))
+    free = np.arange(1, 6)
+    full[np.ix_(free, free)] = block
+    full[[0, 0, 6], [1, 3, 3]] = full[[1, 3, 3], [0, 0, 6]] = [9.0, -7.0, 3.0]
+    matrix = sp.csr_matrix(full)
+    assert assembly._norm_1(matrix, free) == spla.norm(sp.csc_matrix(block), 1) == 5.0
+    assert assembly._norm_1(sp.csr_matrix((3, 3)), np.arange(3)) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -221,20 +217,27 @@ def test_norm_1_skips_empty_columns():
     [("randomquad", 4, 2, 1), ("octagonal", 2, 5, 0), ("hexagonal", 2, 3, 0)],
 )
 def test_factor_of_transposed_block_matches_copy(family, n, order, seed, mesh_cache):
-    """On the benchmark's meshes, factoring the free block from the rows of
-    the full matrix gives the ordering and fill of factoring a copy of the
-    block on its own."""
+    """On the benchmark's meshes, the solver's factor has the ordering and
+    fill of factoring an independent copy of its matrix and numbering."""
     solver = PlateSolver(mesh_cache(family, n, seed), order, DEFAULT_MATERIAL)
     solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
-    copy = factor_spd(free_block(solver), np.arange(len(solver.free)))
+    copy = independent_factor(solver)
     assert solver.factor.matrix is solver.matrix
-    assert solver.nnz_factor == copy.lu.nnz
-    assert np.array_equal(solver.factor.lu.perm_c, copy.lu.perm_c)
+    assert solver.nnz_factor == copy.nnz
+    assert np.array_equal(solver.factor.cholesky.tree.perm, copy.cholesky.tree.perm)
     assert solver.factor.norm_1 == copy.norm_1
 
 
+def independent_factor(solver):
+    """``factor_spd`` of copies of the solver's matrix and free unknowns,
+    over a numbering of its own."""
+    return factor_spd(
+        solver.matrix.copy(), solver.free.copy(), global_dof_map(solver.mesh, solver.order)
+    )
+
+
 def reference_solve(solver, factor, f, bc):
-    """The solve of a solver that kept its free block: a copy of the block
+    """The solve of a solver that kept its free block: an independent copy
     factored on its own (``factor``), the strong data coupled through the
     constrained columns of the free rows."""
     load = assembly.assemble_load(solver.mesh, solver.kernels, solver.dofmap, f)
@@ -255,15 +258,16 @@ def reference_solve(solver, factor, f, bc):
 )
 def test_solutions_match_factored_block_copy(family, n, order, seed, mesh_cache):
     """On the benchmark's meshes the solutions and refinement steps are
-    bitwise those of factoring and refining against a copy of the free
-    block, for the clamped manufactured load and a cubic with strong data."""
+    bitwise those of factoring and refining against an independent copy of
+    the matrix, for the clamped manufactured load and a cubic with strong
+    data."""
     solver = PlateSolver(mesh_cache(family, n, seed), order, DEFAULT_MATERIAL)
     u, grad, f_cubic = manufactured.monomial_solution(1, 2, DEFAULT_MATERIAL)
     problems = [
         (manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped()),
         (f_cubic, BoundarySpec.dirichlet(u, grad)),
     ]
-    oracle = factor_spd(free_block(solver), np.arange(len(solver.free)))
+    oracle = independent_factor(solver)
     for f, bc in problems:
         got = solver.solve(f, bc)
         expected, steps = reference_solve(solver, oracle, f, bc)
@@ -286,10 +290,11 @@ def test_refinement_product_is_the_blocks(family, mesh_cache):
 
 
 def test_solver_keeps_one_sparse_matrix(mesh_cache):
-    """The free block lives only inside the factorization: after the first
-    solve neither the solver nor its factor holds a sparse matrix besides
-    ``solver.matrix``. Order 5 on 400 octagons peaked at 122.3 MiB
-    (tracemalloc) while the solver kept the block, and at 83.8 MiB without."""
+    """The free block is never kept: after the first solve neither the
+    solver nor its factor holds a sparse matrix besides ``solver.matrix``.
+    Order 5 on 400 octagons peaked at 122.3 MiB (tracemalloc) while the
+    solver kept the block, at 83.8 MiB without it under SuperLU, and at
+    78.4 MiB with the multifrontal Cholesky factor."""
     mesh = mesh_cache("octagonal", 2)
     f = manufactured.load(DEFAULT_MATERIAL)
     tracing = tracemalloc.is_tracing()
@@ -319,10 +324,11 @@ def test_zero_load_gives_zero_solution(mesh_cache):
 
 
 def test_solve_recovers_random_vector(mesh_cache):
-    matrix = free_block(PlateSolver(mesh_cache("crisscross", 0), 2, DEFAULT_MATERIAL))
+    solver = PlateSolver(mesh_cache("crisscross", 0), 2, DEFAULT_MATERIAL)
+    matrix = free_block(solver)
     rng = np.random.default_rng(4)
     x0 = rng.uniform(-1, 1, matrix.shape[0])
-    got, _ = factor_spd(matrix, np.arange(matrix.shape[0])).solve(matrix @ x0)
+    got, _ = factor_spd(solver.matrix, solver.free, solver.dofmap).solve(matrix @ x0)
     assert np.linalg.norm(got - x0) <= 1e-8 * np.linalg.norm(x0)
 
 
@@ -335,24 +341,29 @@ def test_unconstrained_system_rejected(mesh_cache):
     full = assemble_stiffness(kernels, stiffness, dofmap).tocsr()
     rng = np.random.default_rng(1)
     with pytest.raises(SolverError):
-        factor_spd(full, np.arange(dofmap.n_total)).solve(rng.uniform(-1, 1, dofmap.n_total))
+        factor_spd(full, np.arange(dofmap.n_total), dofmap).solve(
+            rng.uniform(-1, 1, dofmap.n_total)
+        )
 
 
 def test_negated_free_block_rejected(mesh_cache):
-    # negative definite: diagonal pivoting factors it without interchanges,
-    # so only the signs of the pivots can tell it from an SPD matrix
+    # negative definite: the Cholesky factorization stops at its first
+    # pivot, which is negative
     solver = PlateSolver(mesh_cache("octagonal", 0), 3, DEFAULT_MATERIAL)
     with pytest.raises(SolverError, match="negative pivots"):
-        factor_spd(-free_block(solver), np.arange(len(solver.free)))
+        factor_spd(-solver.matrix, solver.free, solver.dofmap)
 
 
 def test_factor_is_symmetric_and_sparser(mesh_cache):
-    """The solver's factor keeps the symmetry and fills less than default splu."""
+    """The solver's factor is symmetric, L Lᵀ of the permuted free block,
+    and its L fills less than default splu's L + U."""
     solver = PlateSolver(mesh_cache("octagonal", 0), 5, DEFAULT_MATERIAL)
     solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
-    lu = solver.factor.lu
-    assert np.array_equal(lu.perm_r, lu.perm_c)
-    assert solver.nnz_factor == lu.nnz
+    lower, stored = dense_lower(solver.factor.cholesky)
+    perm = solver.factor.cholesky.tree.perm
+    block = free_block(solver)[perm][:, perm].toarray()
+    assert np.abs(lower @ lower.T - block).max() <= 1e-12 * np.abs(block).max()
+    assert solver.nnz_factor == solver.factor.nnz == np.count_nonzero(stored)
     assert solver.nnz_factor < spla.splu(free_block(solver).tocsc()).nnz
 
 

@@ -91,6 +91,7 @@ def test_solve_command(tmp_path):
     assert len(data["dofs"]) == 96
     assert 0 < data["error_2h"] < 1.5
     assert data["nnz_factor"] > 0
+    assert 1e-12 < data["pivot_ratio"] <= 1.0
     assert data["refine_steps"] in range(4)
 
 

@@ -94,15 +94,15 @@ def test_morley_singular_system_rejected(mesh_cache, monkeypatch):
 
 
 def test_oracle_free_block_is_exactly_symmetric(mesh_cache, monkeypatch):
-    """``factor_spd`` takes the oracle's free block as the transpose of its
-    CSR rows, which is the block only where it is exactly symmetric: so it
-    is on the criss-cross meshes, the one triangular family."""
+    """``factor_spd`` reads the oracle's free block off its CSR rows, which
+    is the block only where it is exactly symmetric: so it is on the
+    criss-cross meshes, the one triangular family."""
     seen = []
     factor_spd = morley.factor_spd
 
-    def capturing(matrix, free):
+    def capturing(matrix, free, dofmap):
         seen.append((matrix, free))
-        return factor_spd(matrix, free)
+        return factor_spd(matrix, free, dofmap)
 
     monkeypatch.setattr(morley, "factor_spd", capturing)
     f = manufactured.load(DEFAULT_MATERIAL)
