@@ -26,12 +26,6 @@ from scipy.linalg import blas, lapack
 # A part of the dissection is not bisected further once the entities touching
 # its cells carry at most this many free unknowns: a leaf front is that small.
 LEAF_UNKNOWNS = 256
-# Largest matrix, in entries, of one matrix-vector product in the triangular
-# sweeps. OpenBLAS 0.3.31, as bundled with NumPy and SciPy, runs a gemv on one
-# thread below 115,200 x 4 = 460,800 entries (measured: one thread at 360,000,
-# two at 490,000). A second thread woken for a short product spins on and
-# slows the Python work around it, so every product stays well below that.
-PRODUCT_ENTRIES = 1 << 17
 
 
 class SolverError(Exception):
@@ -217,38 +211,14 @@ class Cholesky:
         for start, rows, diagonal, below in self.fronts:
             blas.dtrsv(diagonal, y, offx=start, lower=1, overwrite_x=1)
             if len(rows):
-                y[rows] -= _product(below, y[start : start + len(diagonal)])
+                y[rows] -= below @ y[start : start + len(diagonal)]
         for start, rows, diagonal, below in reversed(self.fronts):
             if len(rows):
-                y[start : start + len(diagonal)] -= _product_t(below, y[rows])
+                y[start : start + len(diagonal)] -= y[rows] @ below
             blas.dtrsv(diagonal, y, offx=start, lower=1, trans=1, overwrite_x=1)
         x = np.empty_like(y)
         x[perm] = y
         return x
-
-
-def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for a Fortran-ordered a, in column blocks of at most
-    ``PRODUCT_ENTRIES`` entries; each block is contiguous."""
-    step = max(1, PRODUCT_ENTRIES // a.shape[0])
-    if step >= a.shape[1]:
-        return a @ x
-    out = a[:, :step] @ x[:step]
-    for j in range(step, a.shape[1], step):
-        out += a[:, j : j + step] @ x[j : j + step]
-    return out
-
-
-def _product_t(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """aᵀ @ x for a Fortran-ordered a, in column blocks of at most
-    ``PRODUCT_ENTRIES`` entries; each block is contiguous."""
-    step = max(1, PRODUCT_ENTRIES // a.shape[0])
-    if step >= a.shape[1]:
-        return x @ a
-    out = np.empty(a.shape[1])
-    for j in range(0, a.shape[1], step):
-        out[j : j + step] = x @ a[:, j : j + step]
-    return out
 
 
 def cholesky(matrix, free: np.ndarray, tree: EliminationTree) -> Cholesky:
@@ -309,13 +279,20 @@ def cholesky(matrix, free: np.ndarray, tree: EliminationTree) -> Cholesky:
             del update
         pos[s:e] = 0
         factor, info = lapack.dpotrf(front[:k, :k], lower=1, clean=0)
-        if info > 0:
-            pivot = factor[info - 1, info - 1]
-            kind = "negative pivots" if pivot < 0.0 else "a numerically zero pivot"
+        pivots = np.diagonal(factor) ** 2
+        # A NaN pivot need not stop dpotrf (OpenBLAS tests only ajj <= 0),
+        # and min/max would pass over it, so non-finite pivots fail here.
+        if info > 0 or not np.isfinite(pivots).all():
+            pivot = factor[info - 1, info - 1] if info > 0 else np.nan
+            if not np.isfinite(pivot):
+                kind = "non-finite pivots"
+            elif pivot < 0.0:
+                kind = "negative pivots"
+            else:
+                kind = "a numerically zero pivot"
             raise SolverError(
                 f"Cholesky factorization met {kind}: matrix is not symmetric positive definite"
             )
-        pivots = np.diagonal(factor) ** 2
         lowest, highest = min(lowest, pivots.min()), max(highest, pivots.max())
         below = np.empty((0, k))
         if m > k:

@@ -131,16 +131,17 @@ def test_all_constrained_mesh_has_an_empty_factor():
     assert solver.nnz_factor == solver.factor.n_fronts == 0
 
 
-def test_split_products_solve_alike(mesh_cache, monkeypatch):
-    """Products split into column blocks give the solution of whole ones."""
-    solver = PlateSolver(mesh_cache("octagonal", 1), 5, DEFAULT_MATERIAL)
-    factor = factor_spd(solver.matrix, solver.free, solver.dofmap)
-    rhs = np.random.default_rng(5).uniform(-1, 1, len(solver.free))
-    whole = factor.cholesky.solve(rhs)
-    monkeypatch.setattr(multifrontal, "PRODUCT_ENTRIES", 500)
-    assert max(b.size for *_, b in factor.cholesky.fronts) > 4 * 500
-    split = factor.cholesky.solve(rhs)
-    assert np.linalg.norm(split - whole) <= 1e-12 * np.linalg.norm(whole)
+def test_free_block_with_nan_rejected(mesh_cache):
+    """A NaN entry of the free block fails the factorization at once, not
+    later in the solve's check of its result."""
+    solver = PlateSolver(mesh_cache("octagonal", 0), 3, DEFAULT_MATERIAL)
+    matrix = solver.matrix.copy()
+    row = solver.free[len(solver.free) // 2]
+    matrix.data[matrix.indptr[row] : matrix.indptr[row + 1]][
+        matrix.indices[matrix.indptr[row] : matrix.indptr[row + 1]] == row
+    ] = np.nan
+    with pytest.raises(SolverError, match="non-finite pivots"):
+        factor_spd(matrix, solver.free, solver.dofmap)
 
 
 def test_shuffled_numbering_factors(mesh_cache):
