@@ -7,12 +7,16 @@ polygon.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 # A star point must clear the kernel boundary by this fraction of the diameter.
 STAR_CLEARANCE = 1e-12
+
+# Edge triples per pass of chebyshev_ball: bounds its candidate arrays at
+# TRIPLE_CHUNK x m x 2 entries per polygon, whatever the vertex count m.
+TRIPLE_CHUNK = 256
 
 
 def _shoelace(vertices: np.ndarray):
@@ -69,6 +73,17 @@ def kernel_clearance(vertices: np.ndarray, point: np.ndarray):
     return np.min(cross / lengths, axis=-1)
 
 
+def _edge_triples(m: int):
+    """The C(m, 3) edge triples i < j < k in lexicographic order, as index
+    arrays i, j, k of at most TRIPLE_CHUNK triples each."""
+    triples = combinations(range(m), 3)
+    while True:
+        chunk = np.fromiter(chain.from_iterable(islice(triples, TRIPLE_CHUNK)), dtype=np.intp)
+        if not len(chunk):
+            return
+        yield chunk.reshape(-1, 3).T
+
+
 def chebyshev_ball(vertices: np.ndarray):
     """Largest disc inside each polygon's kernel: centres (..., 2) and radii (...).
 
@@ -77,8 +92,10 @@ def chebyshev_ball(vertices: np.ndarray):
     for every edge (unit outward normal n_i, start vertex a_i). Its optimum
     is a vertex, where three constraints are tight: in centroid-centred,
     diameter-scaled coordinates every triple of edges is solved exactly and
-    the candidate centre with the largest clearance is kept. A negative
-    radius means the kernel is empty.
+    the candidate centre with the largest clearance is kept, the first one
+    among equals. The triples are taken TRIPLE_CHUNK at a time with a
+    running best, so memory stays linear in the number of polygons. A
+    negative radius means the kernel is empty.
     """
     centre = polygon_centroid(vertices)
     scale = polygon_diameter(vertices)
@@ -87,22 +104,29 @@ def chebyshev_ball(vertices: np.ndarray):
     n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
     n /= np.sqrt((n**2).sum(axis=-1))[..., None]
     b = (n * a).sum(axis=-1)
-    # n_i . x + r = b_i for i, j, k: subtract row i from rows j and k
-    i, j, k = np.array(list(combinations(range(vertices.shape[-2]), 3))).T
-    d1, d2 = n[..., i, :] - n[..., j, :], n[..., i, :] - n[..., k, :]
-    e1, e2 = b[..., i] - b[..., j], b[..., i] - b[..., k]
-    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    # two edges with one outward normal meet in no vertex; any finite
-    # candidate will do, as each is scored by its own clearance
-    det[det == 0.0] = 1.0
-    x = np.stack(
-        [e1 * d2[..., 1] - e2 * d1[..., 1], d1[..., 0] * e2 - d2[..., 0] * e1], axis=-1
-    ) / det[..., None]
-    clearance = (b[..., None, :] - (x[..., :, None, :] * n[..., None, :, :]).sum(-1)).min(-1)
-    best = clearance.argmax(axis=-1)[..., None]
-    x = np.take_along_axis(x, best[..., None], axis=-2)[..., 0, :]
-    r = np.take_along_axis(clearance, best, axis=-1)[..., 0]
-    return centre + scale[..., None] * x, scale * r
+    best_x = best_r = None
+    for i, j, k in _edge_triples(vertices.shape[-2]):
+        # n_i . x + r = b_i for i, j, k: subtract row i from rows j and k
+        d1, d2 = n[..., i, :] - n[..., j, :], n[..., i, :] - n[..., k, :]
+        e1, e2 = b[..., i] - b[..., j], b[..., i] - b[..., k]
+        det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+        # two edges with one outward normal meet in no vertex; any finite
+        # candidate will do, as each is scored by its own clearance
+        det[det == 0.0] = 1.0
+        x = np.stack(
+            [e1 * d2[..., 1] - e2 * d1[..., 1], d1[..., 0] * e2 - d2[..., 0] * e1], axis=-1
+        ) / det[..., None]
+        clearance = (b[..., None, :] - (x[..., :, None, :] * n[..., None, :, :]).sum(-1)).min(-1)
+        best = clearance.argmax(axis=-1)[..., None]
+        x = np.take_along_axis(x, best[..., None], axis=-2)[..., 0, :]
+        r = np.take_along_axis(clearance, best, axis=-1)[..., 0]
+        if best_r is None:
+            best_x, best_r = x, r
+        else:
+            better = r > best_r
+            best_x = np.where(better[..., None], x, best_x)
+            best_r = np.where(better, r, best_r)
+    return centre + scale[..., None] * best_x, scale * best_r
 
 
 def star_point(vertices: np.ndarray):

@@ -55,6 +55,7 @@ from .polynomials import (
     centered_power_moments,
     derivative_map,
     exponent_table,
+    monomial_rows,
     monomials,
     power_table,
     space_dim,
@@ -515,13 +516,12 @@ def elliptic_projector(
 @dataclass
 class LocalKernels:
     """What the per-cell load reads: the cell's group, its row ``k`` there,
-    and its rows of the kernel group stacks (views)."""
+    and its row of the group's load operator stack (a view)."""
 
     group: CellGroup
     k: int
     layout: DofLayout
-    moment_op: np.ndarray  # (dim_{order-2} x n_total) interior moments
-    moment_mass: np.ndarray  # (dim_{order-2} x dim_{order-2})
+    load_op: np.ndarray  # (n_total x dim_{order-2}), see _chunk_stacks
 
 
 @dataclass(frozen=True)
@@ -535,8 +535,7 @@ class KernelGroup:
     index: np.ndarray  # (G,) mesh cell ids
     layout: DofLayout
     pi: np.ndarray  # (G, dim, n_total) projector, element-basis coefficients
-    moment_op: np.ndarray  # (G, dim_{order-2}, n_total)
-    moment_mass: np.ndarray  # (G, dim_{order-2}, dim_{order-2})
+    load_op: np.ndarray  # (G, n_total, dim_{order-2}) moment_op^T mass^-1
     seminorm_gram: np.ndarray  # (G, dim, dim) broken H2 metric of the element basis
     seminorm_max: np.ndarray  # (G,) largest |seminorm_gram| entry per cell
     cells: list[LocalKernels]
@@ -600,9 +599,7 @@ def moment_operator(gb: GroupBasis, pi: np.ndarray):
     triangular, so those of degree <= order - 2 involve only its leading
     block.
 
-    Returns (moment_op, mass), (G, dim_{order-2}, n_total) and the Gram
-    matrices (G, dim_{order-2}, dim_{order-2}) of the degree order - 2
-    monomials, both exact.
+    Returns moment_op (G, dim_{order-2}, n_total), exact.
     """
     layout = gb.layout
     mid = space_dim(gb.order - 2)
@@ -612,8 +609,7 @@ def moment_operator(gb: GroupBasis, pi: np.ndarray):
     if low:
         op[:, :low] = 0.0
         op[:, :low, layout.cell_slice] = gb.group.areas[:, None, None] * np.eye(low)
-    mass = gb.moments[:, _order_tables(gb.order).mass[:mid, :mid]]
-    return op, mass
+    return op
 
 
 def data_degree(order: int) -> int:
@@ -660,7 +656,8 @@ def interior_moments(mesh, order: int, w) -> np.ndarray:
 
     Returns (n_cells, dim_{order-4}). The cells of one vertex count are
     taken MOMENT_CHUNK at a time: one stacked fan rule, one call of w on
-    all its points and one contraction per chunk. A cell whose star point
+    all its points and one contraction per chunk, over flat per-cell arrays
+    of points with the monomials on a leading axis. A cell whose star point
     is not interior raises ``ValueError`` naming the cell.
     """
     degree = data_degree(order)
@@ -669,17 +666,16 @@ def interior_moments(mesh, order: int, w) -> np.ndarray:
         for start in range(0, len(group), MOMENT_CHUNK):
             cells = group[start : start + MOMENT_CHUNK]
             try:
-                points, weights = fan_rules(
+                x, y, weights = fan_rules(
                     mesh.vertices[mesh.cells.stack(cells)], mesh.stars[cells], degree
                 )
             except FanPointError as exc:
                 raise ValueError(f"cell {cells[exc.position]}: {exc}") from exc
-            x, y = points[..., 0], points[..., 1]
             weighted = weights * w(x.ravel(), y.ravel()).reshape(weights.shape)
             h = mesh.diameters[cells, None]
             xc, yc = mesh.centroids[cells].T[..., None]
-            low = monomials((x - xc) / h, (y - yc) / h, order - 4)
-            out[cells] = np.einsum("cp,cpk->ck", weighted, low) / mesh.areas[cells, None]
+            low = monomial_rows((x - xc) / h, (y - yc) / h, order - 4)
+            out[cells] = np.einsum("kcp,cp->ck", low, weighted) / mesh.areas[cells, None]
     return out
 
 
@@ -688,7 +684,8 @@ def local_load(kern: LocalKernels, f) -> np.ndarray:
 
     Implements the pairing of f with the degree order - 2 moment
     reconstruction of the test functions:
-    ``load = moment_op^T mass^{-1} (integrals of f against the monomials)``.
+    ``load = moment_op^T mass^{-1} (integrals of f against the monomials)``,
+    with ``moment_op^T mass^{-1}`` the cell's ``load_op``.
     """
     group, k = kern.group, kern.k
     rule = polygon_rule(group.vertices[k], group.stars[k], data_degree(kern.layout.order))
@@ -696,7 +693,7 @@ def local_load(kern: LocalKernels, f) -> np.ndarray:
     (xc, yc), h = group.centroids[k], group.diameters[k]
     vals_mid = monomials((x - xc) / h, (y - yc) / h, kern.layout.order - 2)
     fmom = vals_mid.T @ (rule.weights * f(x, y))
-    return kern.moment_op.T @ np.linalg.solve(kern.moment_mass, fmom)
+    return kern.load_op @ fmom
 
 
 def build_cell_kernels(group: CellGroup, k: int, layout: DofLayout, **rows) -> LocalKernels:
@@ -713,16 +710,27 @@ KERNEL_CHUNK_BYTES = 1 << 20
 
 
 def _chunk_stacks(group: CellGroup, order: int, material: MaterialParams):
-    """One stacked pass over ``group``: pi, moment_op, moment_mass,
-    seminorm_gram, seminorm_max and stiffness stacks of its cells."""
+    """One stacked pass over ``group``: pi, load_op, seminorm_gram,
+    seminorm_max and stiffness stacks of its cells.
+
+    The load operator moment_op^T mass^-1 needs no solve: the Gram of the
+    degree order - 2 monomials is area L_mid L_mid^T, with L_mid the leading
+    block of the factor L of the element basis, so its inverse is
+    T_mid^T T_mid / area, T_mid the leading block of T = L^-1.
+    """
     gb = group_basis(group, order)
     gram, seminorm = energy_grams(gb, material)
     dofs = dof_matrix(gb)
     pi = elliptic_projector(gb, material, gram, dofs)
-    mom_op, mass = moment_operator(gb, pi)
-    del gb  # its moments and edge restrictions go before the stiffness is built
+    moment_op = moment_operator(gb, pi)
+    mid = moment_op.shape[1]
+    t_mid = gb.transform[:, :mid, :mid]
+    inverse_mass = np.swapaxes(t_mid, 1, 2) @ t_mid
+    inverse_mass /= group.areas[:, None, None]
+    load_op = np.swapaxes(moment_op, 1, 2) @ inverse_mass
+    del gb, moment_op  # the basis data go before the stiffness is built
     stiff = local_stiffness(group, material, gram, pi, dofs)
-    return pi, mom_op, mass, seminorm, np.abs(seminorm).max(axis=(1, 2)), stiff
+    return pi, load_op, seminorm, np.abs(seminorm).max(axis=(1, 2)), stiff
 
 
 def group_kernels(
@@ -733,9 +741,8 @@ def group_kernels(
     A group of at most ``KERNEL_CHUNK_BYTES // (8 n_total^2)`` cells is
     built in one stacked pass; a larger one in chunks of that many cells,
     in cell order, each written into preallocated group stacks. Chunks of
-    two or more cells give bitwise the stacks of one pass; a one-cell chunk
-    may differ in the last bit of the order-2 moment operator, whose single
-    row numpy hands to BLAS as a unit-stride vector. The stiffness stack
+    any size, one cell included, give bitwise the stacks of one pass. The
+    stiffness stack
     (G, n_total, n_total) is returned apart: only the global scatter reads
     it, so it need not outlive the assembly.
     """
@@ -752,12 +759,9 @@ def group_kernels(
             for stack, rows in zip(stacks, part):
                 stack[start : start + size] = rows
             del part, rows  # this chunk's arrays go before the next is built
-    pi, mom_op, mass, seminorm, seminorm_max, stiff = stacks
-    cells = [
-        build_cell_kernels(group, k, layout, moment_op=mom_op[k], moment_mass=mass[k])
-        for k in range(group.n_cells)
-    ]
-    kernels = KernelGroup(group.index, layout, pi, mom_op, mass, seminorm, seminorm_max, cells)
+    pi, load_op, seminorm, seminorm_max, stiff = stacks
+    cells = [build_cell_kernels(group, k, layout, load_op=load_op[k]) for k in range(group.n_cells)]
+    kernels = KernelGroup(group.index, layout, pi, load_op, seminorm, seminorm_max, cells)
     return kernels, stiff
 
 

@@ -356,14 +356,24 @@ class RegularityReport:
         )
 
 
+# Cells per pass of validate_regularity: with geometry.TRIPLE_CHUNK, bounds
+# the Chebyshev ball's transient arrays on any mesh.
+REGULARITY_CHUNK = 64
+
+
 def validate_regularity(mesh: PolygonMesh) -> RegularityReport:
-    """Compute the shape-regularity report of a mesh (never raises)."""
+    """Compute the shape-regularity report of a mesh (never raises).
+
+    The cells of one vertex count are taken REGULARITY_CHUNK at a time.
+    """
     star_ratio = edge_ratio = angle = np.inf
-    for group in mesh.cell_groups():
-        _, radii = geometry.chebyshev_ball(group.vertices)
-        star_ratio = min(star_ratio, (np.maximum(radii, 0.0) / group.diameters).min())
-        edge_ratio = min(edge_ratio, (group.edge_lengths / group.diameters[:, None]).min())
-        angle = min(angle, geometry.min_fan_angle(group.vertices, group.stars).min())
+    for cells in mesh.group_index():
+        for start in range(0, len(cells), REGULARITY_CHUNK):
+            group = mesh.cell_group(cells[start : start + REGULARITY_CHUNK])
+            _, radii = geometry.chebyshev_ball(group.vertices)
+            star_ratio = min(star_ratio, (np.maximum(radii, 0.0) / group.diameters).min())
+            edge_ratio = min(edge_ratio, (group.edge_lengths / group.diameters[:, None]).min())
+            angle = min(angle, geometry.min_fan_angle(group.vertices, group.stars).min())
     return RegularityReport(float(star_ratio), float(edge_ratio), float(angle))
 
 

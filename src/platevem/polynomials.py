@@ -60,13 +60,38 @@ def power_table(x: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def monomials(xi: np.ndarray, eta: np.ndarray, degree: int) -> np.ndarray:
-    """Values xi^a eta^b of the basis exponents (a, b) of ``degree``, on a last axis.
+def monomial_rows(xi: np.ndarray, eta: np.ndarray, degree: int) -> np.ndarray:
+    """Values xi^a eta^b of the basis exponents (a, b) of ``degree``, on a
+    leading axis: (dim,) + xi.shape.
 
-    ``xi`` and ``eta`` are scaled coordinates of any one shape.
+    ``xi`` and ``eta`` are scaled coordinates of any one shape. The pure
+    powers are built by repeated multiplication, as in :func:`power_table`,
+    and each mixed monomial is the product of two of them. Each monomial is
+    one contiguous array, written once.
     """
-    exps = exponent_table(degree)
-    return power_table(xi, degree)[..., exps[:, 0]] * power_table(eta, degree)[..., exps[:, 1]]
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    row = _exponent_index(degree)
+    out = np.empty((space_dim(degree),) + xi.shape)
+    out[0] = 1.0
+    for d in range(1, degree + 1):
+        x_row, y_row = out[row[d, 0]], out[row[0, d]]
+        if d == 1:
+            x_row[...], y_row[...] = xi, eta
+        else:
+            np.multiply(out[row[d - 1, 0]], xi, out=x_row)
+            np.multiply(out[row[0, d - 1]], eta, out=y_row)
+        for b in range(1, d):
+            np.multiply(out[row[d - b, 0]], out[row[0, b]], out=out[row[d - b, b]])
+    return out
+
+
+def monomials(xi: np.ndarray, eta: np.ndarray, degree: int) -> np.ndarray:
+    """:func:`monomial_rows` with the basis on a last axis: xi.shape + (dim,).
+
+    A view: in memory each monomial stays one contiguous array.
+    """
+    return np.moveaxis(monomial_rows(xi, eta, degree), 0, -1)
 
 
 @lru_cache(maxsize=None)

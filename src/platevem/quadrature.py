@@ -12,7 +12,7 @@ import numpy as np
 class QuadratureRule:
     """Point set and weights integrating polynomials exactly up to ``degree``."""
 
-    points: np.ndarray  # (n, 2)
+    points: np.ndarray  # (n, 2); a fan rule's columns x and y are each contiguous
     weights: np.ndarray  # (n,)
     degree: int
 
@@ -45,25 +45,6 @@ def _reference_triangle(degree: int):
     return rule
 
 
-def _mapped(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int):
-    """The reference rule mapped onto triangles (a, b, c), arrays (..., 2).
-
-    Returns points (..., q, 2) and weights (..., q), q the points of the
-    reference rule.
-    """
-    xi, eta, ww = _reference_triangle(degree)
-    area2 = np.abs(
-        (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
-        - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
-    )
-    points = (
-        a[..., None, :]
-        + xi[:, None] * (b - a)[..., None, :]
-        + eta[:, None] * (c - a)[..., None, :]
-    )
-    return points, ww * area2[..., None]
-
-
 class FanPointError(ValueError):
     """A fan point that is not interior: some fan sub-triangle is not positive.
 
@@ -78,6 +59,9 @@ class FanPointError(ValueError):
 def fan_rules(vertices: np.ndarray, centers: np.ndarray, degree: int):
     """Quadrature on a stack of star-shaped polygons via their fan sub-triangulations.
 
+    The reference triangle rule is mapped onto every fan triangle one
+    coordinate at a time, so each result is one flat array per polygon.
+
     Parameters
     ----------
     vertices : array, shape (G, m, 2)
@@ -91,19 +75,25 @@ def fan_rules(vertices: np.ndarray, centers: np.ndarray, degree: int):
 
     Returns
     -------
-    points (G, m q, 2) and weights (G, m q), listed triangle by triangle.
+    x, y, weights, each (G, m q), q the points of the reference rule, listed
+    triangle by triangle.
     """
-    center = centers[:, None, :]
-    nxt = np.roll(vertices, -1, axis=1)
-    cross = (vertices[..., 0] - center[..., 0]) * (nxt[..., 1] - center[..., 1]) - (
-        vertices[..., 1] - center[..., 1]
-    ) * (nxt[..., 0] - center[..., 0])
+    xi, eta, ww = _reference_triangle(degree)
+    start = vertices - centers[:, None, :]  # fan triangle (center, v_i, v_i+1)
+    end = np.roll(start, -1, axis=1)
+    cross = start[..., 0] * end[..., 1] - start[..., 1] * end[..., 0]
     bad = ~(cross > 0.0).all(axis=1)
     if bad.any():
         raise FanPointError(int(np.argmax(bad)))
-    points, weights = _mapped(center, vertices, nxt, degree)
     g = len(vertices)
-    return points.reshape(g, -1, 2), weights.reshape(g, -1)
+
+    def mapped(axis):
+        along = xi * start[..., axis, None]
+        along += centers[:, axis, None, None]
+        along += eta * end[..., axis, None]
+        return along.reshape(g, -1)
+
+    return mapped(0), mapped(1), (ww * cross[..., None]).reshape(g, -1)
 
 
 def polygon_rule(vertices: np.ndarray, center: np.ndarray, degree: int) -> QuadratureRule:
@@ -120,5 +110,5 @@ def polygon_rule(vertices: np.ndarray, center: np.ndarray, degree: int) -> Quadr
     """
     vertices = np.asarray(vertices, dtype=float)[None]
     center = np.asarray(center, dtype=float)[None]
-    points, weights = fan_rules(vertices, center, degree)
-    return QuadratureRule(points[0], weights[0], degree)
+    x, y, weights = fan_rules(vertices, center, degree)
+    return QuadratureRule(np.stack((x[0], y[0])).T, weights[0], degree)

@@ -71,11 +71,14 @@ def single_cell_mesh(vertices: np.ndarray) -> PolygonMesh:
 class CellView:
     """One cell's rows of the kernel group stacks, with its global unknowns.
 
-    Carries what a ``LocalKernels`` record carries (the cell's group and its
-    row ``k`` there), so ``local.local_load`` accepts it, plus the cell's
-    frame, stiffness block, projector and seminorm rows, its scaled monomial
-    basis and the transform T of its element basis q = T m, which the
-    projector and seminorm rows are in.
+    Carries what a ``LocalKernels`` record carries (the cell's group, its
+    row ``k`` there and its load operator row), so ``local.local_load``
+    accepts it, plus the cell's frame, stiffness block, projector and
+    seminorm rows, its scaled monomial basis and the transform T of its
+    element basis q = T m, which the projector and seminorm rows are in.
+    ``moment_op`` and ``moment_mass`` are the interior moment operator and
+    the Gram of the degree order - 2 monomials, which the load operator
+    combines: from ``local.moment_operator`` and the exact cell moments.
     """
 
     group: object
@@ -86,6 +89,7 @@ class CellView:
     dofs: np.ndarray  # global indices of the cell's unknowns, layout order
     pi: np.ndarray
     stiffness: np.ndarray
+    load_op: np.ndarray
     moment_op: np.ndarray
     moment_mass: np.ndarray
     seminorm_gram: np.ndarray
@@ -107,7 +111,10 @@ def cell_views(mesh: PolygonMesh, order: int, material=DEFAULT_MATERIAL) -> list
     views: list = [None] * mesh.n_cells
     for group, stiff, cells in zip(kernels, stiffness, mesh.cell_groups()):
         dofs = dofmap.group_dofs(group.index)
-        transform = local.group_basis(cells, order).transform
+        gb = local.group_basis(cells, order)
+        moment_op = local.moment_operator(gb, group.pi)
+        mid = moment_op.shape[1]
+        moment_mass = gb.moments[:, local._order_tables(order).mass[:mid, :mid]]
         for k, c in enumerate(group.index):
             kern = group.cells[k]
             frame = group_frame(kern.group, kern.k)
@@ -120,10 +127,11 @@ def cell_views(mesh: PolygonMesh, order: int, material=DEFAULT_MATERIAL) -> list
                 dofs=dofs[k],
                 pi=group.pi[k],
                 stiffness=stiff[k],
-                moment_op=group.moment_op[k],
-                moment_mass=group.moment_mass[k],
+                load_op=group.load_op[k],
+                moment_op=moment_op[k],
+                moment_mass=moment_mass[k],
                 seminorm_gram=group.seminorm_gram[k],
-                transform=transform[k],
+                transform=gb.transform[k],
             )
     return views
 
@@ -155,10 +163,15 @@ def reference_seminorm_scale(views: list[CellView], coefficients: np.ndarray) ->
 
 
 def reference_load(views: list[CellView], n_total: int, f) -> np.ndarray:
-    """Cell-by-cell load: each cell's pairings added in cell order."""
+    """Cell-by-cell load by a solve with the moment mass: each cell's
+    pairings moment_op^T mass^-1 (integrals of f against the degree
+    order - 2 monomials, by its fan rule), added in cell order."""
     b = np.zeros(n_total)
     for v in views:
-        np.add.at(b, v.dofs, local.local_load(v, f))
+        rule = polygon_rule(v.frame.vertices, v.frame.star, local.data_degree(v.layout.order))
+        vals = v.basis.eval(rule.points)[:, : len(v.moment_mass)]
+        fmom = vals.T @ (rule.weights * f(rule.points[:, 0], rule.points[:, 1]))
+        np.add.at(b, v.dofs, v.moment_op.T @ np.linalg.solve(v.moment_mass, fmom))
     return b
 
 

@@ -9,12 +9,14 @@ be checked against:
 * :class:`ScaledMonomialBasis`, the monomials of one cell with their
   derivative maps and exact edge restrictions;
 * :func:`edge_rule` and :func:`triangle_rule`, Gauss rules on one segment
-  and one triangle;
+  and one triangle, and the point-major fan rules and interior moments
+  that the coordinate-major library routines must match bitwise;
 * the plate energy and seminorm Grams by cell quadrature, and the bending
   moment, effective shear and corner twist operators on polynomials;
 * the Morley oracle's per-triangle interpolant and broken-H2 error;
 * per-edge and per-cell geometry of a mesh (:class:`CellFrame`, one cell's
   rows of its group's stacks), and the layout slices of the edge unknowns;
+* the Chebyshev ball from all edge triples of a polygon at once;
 * the barycentric dual of a triangulation by a walk around each vertex;
 * the Hessian of the reference displacement.
 """
@@ -23,9 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
+from platevem import local
+from platevem.geometry import polygon_centroid, polygon_diameter
 from platevem.local import DofLayout
 from platevem.manufactured import _d2g, _dg, _g
 from platevem.mesh import CellGroup, PolygonMesh, derive_topology
@@ -35,10 +40,11 @@ from platevem.polynomials import (
     _derivative_factors,
     derivative_map,
     exponent_table,
+    monomials,
     power_table,
     space_dim,
 )
-from platevem.quadrature import QuadratureRule, _mapped, gauss_legendre, polygon_rule
+from platevem.quadrature import QuadratureRule, _reference_triangle, gauss_legendre, polygon_rule
 
 # -- polynomials -------------------------------------------------------------
 
@@ -166,10 +172,57 @@ def edge_rule(p0: np.ndarray, p1: np.ndarray, degree: int) -> QuadratureRule:
     return QuadratureRule(points, weights * (length / 2.0), degree)
 
 
+def mapped_triangles(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int):
+    """The reference triangle rule mapped onto triangles (a, b, c), arrays
+    (..., 2), point by point: points (..., q, 2) and weights (..., q)."""
+    xi, eta, ww = _reference_triangle(degree)
+    area2 = np.abs(
+        (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+        - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
+    )
+    points = (
+        a[..., None, :]
+        + xi[:, None] * (b - a)[..., None, :]
+        + eta[:, None] * (c - a)[..., None, :]
+    )
+    return points, ww * area2[..., None]
+
+
 def triangle_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int) -> QuadratureRule:
     """Product Gauss rule on a triangle, exact for polynomials up to ``degree``."""
-    points, weights = _mapped(*(np.asarray(p, dtype=float) for p in (a, b, c)), degree)
+    points, weights = mapped_triangles(*(np.asarray(p, dtype=float) for p in (a, b, c)), degree)
     return QuadratureRule(points, weights, degree)
+
+
+def point_fan_rules(vertices: np.ndarray, centers: np.ndarray, degree: int):
+    """Fan rules of a (G, m, 2) stack of polygons mapped point by point:
+    points (G, m q, 2) and weights (G, m q), triangle by triangle."""
+    points, weights = mapped_triangles(
+        centers[:, None, :], vertices, np.roll(vertices, -1, axis=1), degree
+    )
+    g = len(vertices)
+    return points.reshape(g, -1, 2), weights.reshape(g, -1)
+
+
+def point_interior_moments(mesh: PolygonMesh, order: int, w) -> np.ndarray:
+    """Area-averaged moments of w against the monomials up to order - 4, in
+    the chunks of ``local.interior_moments``, from :func:`point_fan_rules`
+    and monomials on a trailing axis: (n_cells, dim_{order-4})."""
+    degree = local.data_degree(order)
+    out = np.empty((mesh.n_cells, space_dim(order - 4)))
+    for group in mesh.group_index():
+        for start in range(0, len(group), local.MOMENT_CHUNK):
+            cells = group[start : start + local.MOMENT_CHUNK]
+            points, weights = point_fan_rules(
+                mesh.vertices[mesh.cells.stack(cells)], mesh.stars[cells], degree
+            )
+            x, y = points[..., 0], points[..., 1]
+            weighted = weights * w(x.ravel(), y.ravel()).reshape(weights.shape)
+            h = mesh.diameters[cells, None]
+            xc, yc = mesh.centroids[cells].T[..., None]
+            low = monomials((x - xc) / h, (y - yc) / h, order - 4)
+            out[cells] = np.einsum("cp,cpk->ck", weighted, low) / mesh.areas[cells, None]
+    return out
 
 
 # -- plate energy and bending operators --------------------------------------
@@ -521,6 +574,32 @@ def edge_value_slice(layout: DofLayout, i: int) -> slice:
     """Local positions of the trace moments of local edge i."""
     start = layout.n_vertices * (1 + layout.n_edge_normal) + i * layout.n_edge_value
     return slice(start, start + layout.n_edge_value)
+
+
+def all_triples_chebyshev_ball(vertices: np.ndarray):
+    """``geometry.chebyshev_ball`` with every edge triple solved and scored
+    in one pass: centres (..., 2) and radii (...). Memory grows as m^4 for
+    polygons with m vertices."""
+    centre = polygon_centroid(vertices)
+    scale = polygon_diameter(vertices)
+    a = (vertices - centre[..., None, :]) / scale[..., None, None]
+    t = np.roll(a, -1, axis=-2) - a
+    n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+    n /= np.sqrt((n**2).sum(axis=-1))[..., None]
+    b = (n * a).sum(axis=-1)
+    i, j, k = np.array(list(combinations(range(vertices.shape[-2]), 3))).T
+    d1, d2 = n[..., i, :] - n[..., j, :], n[..., i, :] - n[..., k, :]
+    e1, e2 = b[..., i] - b[..., j], b[..., i] - b[..., k]
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    det[det == 0.0] = 1.0
+    x = np.stack(
+        [e1 * d2[..., 1] - e2 * d1[..., 1], d1[..., 0] * e2 - d2[..., 0] * e1], axis=-1
+    ) / det[..., None]
+    clearance = (b[..., None, :] - (x[..., :, None, :] * n[..., None, :, :]).sum(-1)).min(-1)
+    best = clearance.argmax(axis=-1)[..., None]
+    x = np.take_along_axis(x, best[..., None], axis=-2)[..., 0, :]
+    r = np.take_along_axis(clearance, best, axis=-1)[..., 0]
+    return centre + scale[..., None] * x, scale * r
 
 
 # -- reference displacement --------------------------------------------------

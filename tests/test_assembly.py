@@ -20,12 +20,13 @@ from platevem.assembly import (
     global_dof_map,
     interpolate,
 )
+from platevem.generators import build_family
 from platevem.local import build_local_kernels
-from platevem.mesh import CellGroup, derive_topology
+from platevem.mesh import CellGroup, CellRows, derive_topology
 from platevem.plate import DEFAULT_MATERIAL
 
 from conftest import cell_views, dense_lower, reference_cell_dofs
-from oracles import cell_frame, edge_normal_slice
+from oracles import cell_frame, edge_normal_slice, point_interior_moments
 from reference_counts import BY_FAMILY, closed_form_count
 
 
@@ -466,6 +467,53 @@ def test_interpolation_matches_cellwise_reference(family, mesh_cache, small_corp
             values = boundary_values(mesh, dofmap, bc)
             assert np.abs(values[~mask]).max(initial=0.0) == 0.0
             assert _relative(values[mask], ref_u[mask]) <= 1e-14, (mesh.n_cells, order)
+
+
+@pytest.mark.parametrize("family", ["crisscross", "hexagonal", "octagonal", "randomquad"])
+def test_interpolation_bitwise_matches_point_mapping(family, mesh_cache):
+    """The interior unknowns of an interpolant, from coordinate-major fan
+    rules and monomial rows, are bitwise those of the point-major mapping
+    with monomials on a trailing axis, at orders 4 and 5, for polynomial and
+    transcendental data. Every family at n = 1 has a group larger than one
+    chunk and not a multiple of it."""
+    mesh = mesh_cache(family, 1)
+    sizes = np.bincount(mesh.cells.lengths)
+    assert sizes.max() > local.MOMENT_CHUNK and sizes.max() % local.MOMENT_CHUNK
+
+    def wave(x, y):
+        return np.sin(3.0 * x) * np.exp(y)
+
+    def wave_gradient(x, y):
+        return 3.0 * np.cos(3.0 * x) * np.exp(y), wave(x, y)
+
+    for w, gw in ((manufactured.displacement, manufactured.gradient), (wave, wave_gradient)):
+        for order in (4, 5):
+            dofmap = global_dof_map(mesh, order)
+            interior = interpolate(dofmap, w, gw)[dofmap.offsets[3] :]
+            assert np.array_equal(interior, point_interior_moments(mesh, order, w).ravel()), order
+
+
+def mesh_state(mesh) -> dict:
+    """Identity and size of every array a mesh holds, its row tables' included."""
+    state = {}
+    for name, value in vars(mesh).items():
+        parts = vars(value) if isinstance(value, CellRows) else {"": value}
+        for part, array in parts.items():
+            state[name, part] = (id(array), array.nbytes)
+    return state
+
+
+def test_solve_adds_no_state_to_the_mesh():
+    """The benchmark keeps every set-up's mesh, so a cache hung on it would
+    grow with every set-up: a solver, two solves and the exact solution's
+    projection leave the mesh's attributes and arrays as they were."""
+    mesh = build_family("octagonal", 1)
+    before = mesh_state(mesh)
+    solver = PlateSolver(mesh, 4, DEFAULT_MATERIAL)
+    for _ in range(2):
+        solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
+    cv.project_exact(mesh, solver.kernels, manufactured.displacement, manufactured.gradient)
+    assert mesh_state(mesh) == before
 
 
 def test_one_cell_numbering_is_local_layout(small_corpus):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from platevem import geometry
 from platevem.generators import FAMILIES, build_family
 
 from conftest import polygon_corpus
+from oracles import all_triples_chebyshev_ball
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -155,3 +158,50 @@ def test_chebyshev_ball_matches_linear_program():
             assert np.all(np.abs(radii - expected) <= 1e-12 * group.diameters)
             checked += len(radii)
     assert checked > 3000
+
+
+def regular_polygon(m: int) -> np.ndarray:
+    """Regular m-gon of circumradius 2 about (0.3, -0.1), counterclockwise."""
+    turns = 2.0 * np.pi * np.arange(m) / m
+    return 2.0 * np.column_stack([np.cos(turns), np.sin(turns)]) + [0.3, -0.1]
+
+
+@pytest.mark.parametrize("m", [48, 64])
+def test_chebyshev_ball_of_many_vertices_stays_small(m):
+    """A regular 48- or 64-gon takes its C(m, 3) edge triples in chunks:
+    under 2 MiB traced, where the all-triples pass reads 20.7 MiB at
+    m = 48, with bitwise its centre and radius. Its many tied candidates
+    check that the first maximum wins."""
+    poly = regular_polygon(m)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        centre, radius = geometry.chebyshev_ball(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    ref_centre, ref_radius = all_triples_chebyshev_ball(poly)
+    assert peak <= 2 * 2**20
+    assert centre.tobytes() == ref_centre.tobytes() and radius == ref_radius
+    assert radius == pytest.approx(2.0 * np.cos(np.pi / m), rel=1e-12)
+
+
+def test_chebyshev_ball_matches_all_triples():
+    """Every group of the four families at n = 0, 1 and of a seeded corpus,
+    and stacks of regular polygons with more triples than one chunk: the
+    chunked running best gives bitwise the all-triples centres and radii."""
+    stacks = [
+        g.vertices for f in FAMILIES for n in (0, 1) for g in build_family(f, n).cell_groups()
+    ]
+    stacks += [g.vertices for mesh in polygon_corpus(7, 40) for g in mesh.cell_groups()]
+    turns = 2.0 * np.pi * (np.arange(16) + np.random.default_rng(4).uniform(0.2, 0.8, 16)) / 16
+    jittered = np.column_stack([np.cos(turns), np.sin(turns)])
+    regular = regular_polygon(16)
+    stacks.append(np.stack([regular, np.roll(regular, 5, axis=0), jittered]))
+    for vertices in stacks:
+        centres, radii = geometry.chebyshev_ball(vertices)
+        ref_centres, ref_radii = all_triples_chebyshev_ball(vertices)
+        assert centres.tobytes() == ref_centres.tobytes()
+        assert radii.tobytes() == ref_radii.tobytes()

@@ -8,15 +8,17 @@ import pytest
 from platevem import geometry
 from platevem.generators import FAMILIES, build_family
 from platevem.mesh import (
+    REGULARITY_CHUNK,
     MeshError,
     MeshIOError,
+    RegularityReport,
     derive_topology,
     read_mesh,
     validate_regularity,
     write_mesh,
 )
 
-from oracles import cell_frame, mesh_edge, outward_normal
+from oracles import all_triples_chebyshev_ball, cell_frame, mesh_edge, outward_normal
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TWO_SQUARES = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=float)
@@ -288,6 +290,23 @@ def test_regularity_uniform_square():
     report = validate_regularity(mesh)
     assert report.min_edge_to_diameter_ratio == pytest.approx(1.0 / np.sqrt(2.0))
     assert report.passes(0.3)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_regularity_in_chunks_matches_one_pass(family):
+    """Cell chunks give exactly the report of one pass per vertex count
+    with every edge triple at once; each family at n = 1 has a group
+    larger than one chunk."""
+    mesh = build_family(family, 1)
+    assert np.bincount(mesh.cells.lengths).max() > REGULARITY_CHUNK
+    star = edge = angle = np.inf
+    for group in mesh.cell_groups():
+        _, radii = all_triples_chebyshev_ball(group.vertices)
+        star = min(star, (np.maximum(radii, 0.0) / group.diameters).min())
+        edge = min(edge, (group.edge_lengths / group.diameters[:, None]).min())
+        angle = min(angle, geometry.min_fan_angle(group.vertices, group.stars).min())
+    expected = RegularityReport(float(star), float(edge), float(angle))
+    assert validate_regularity(mesh) == expected
 
 
 def test_regularity_flags_short_edge():

@@ -8,6 +8,8 @@ from platevem.polynomials import (
     centered_power_moments,
     exponent_table,
     exponents,
+    monomial_rows,
+    monomials,
     power_table,
     space_dim,
 )
@@ -168,3 +170,16 @@ def test_centered_power_moments():
     assert sigma[2] == pytest.approx(1.0 / 12.0)
     assert sigma[3] == 0.0
     assert sigma[4] == pytest.approx(1.0 / 80.0)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_monomial_rows_are_power_table_products(degree):
+    """Both layouts hold bitwise the products of the power tables' entries
+    for each basis exponent pair."""
+    xi, eta = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 3, 50))
+    exps = exponent_table(degree)
+    ref = power_table(xi, degree)[..., exps[:, 0]] * power_table(eta, degree)[..., exps[:, 1]]
+    rows = monomial_rows(xi, eta, degree)
+    assert rows.shape == (space_dim(degree), 3, 50)
+    assert np.array_equal(rows, np.moveaxis(ref, -1, 0))
+    assert np.array_equal(monomials(xi, eta, degree), ref)

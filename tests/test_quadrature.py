@@ -4,7 +4,7 @@ import pytest
 from platevem.polynomials import exponents
 from platevem.quadrature import FanPointError, fan_rules, gauss_legendre, polygon_rule
 
-from oracles import ScaledMonomialBasis, cell_frame, edge_rule, triangle_rule
+from oracles import ScaledMonomialBasis, cell_frame, edge_rule, point_fan_rules, triangle_rule
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -105,7 +105,8 @@ def test_fan_rules_stack_is_polygon_rule_per_polygon(small_corpus):
     frames = [cell_frame(mesh, 0) for mesh in small_corpus if cell_frame(mesh, 0).n_vertices == 5]
     assert len(frames) > 1
     vertices = np.stack([f.vertices for f in frames])
-    points, weights = fan_rules(vertices, np.stack([f.star for f in frames]), 7)
+    x, y, weights = fan_rules(vertices, np.stack([f.star for f in frames]), 7)
+    points = np.stack((x, y), axis=-1)
     for k, frame in enumerate(frames):
         rule = polygon_rule(frame.vertices, frame.star, 7)
         assert np.array_equal(points[k], rule.points)
@@ -119,4 +120,23 @@ def test_fan_rules_name_first_bad_polygon():
         fan_rules(stack, centers, 2)
     assert exc.value.position == 1
     centers[1] = [1.5, 1.5]
-    assert fan_rules(stack, centers, 2)[0].shape == (3, 4 * 4, 2)
+    assert [a.shape for a in fan_rules(stack, centers, 2)] == [(3, 4 * 4)] * 3
+
+
+@pytest.mark.parametrize("degree", [0, 4, 9, 13])
+def test_fan_rules_match_point_mapping(degree, small_corpus, mesh_cache):
+    """The coordinate-major mapping gives bitwise the points and weights of
+    the point-by-point one, on the corpus's polygons stacked by vertex
+    count and on every group of the hexagonal and octagonal meshes."""
+    frames = [cell_frame(mesh, 0) for mesh in small_corpus]
+    stacks = []
+    for m in sorted({f.n_vertices for f in frames}):
+        same = [f for f in frames if f.n_vertices == m]
+        stacks.append((np.stack([f.vertices for f in same]), np.stack([f.star for f in same])))
+    for family in ("hexagonal", "octagonal"):
+        stacks += [(g.vertices, g.stars) for g in mesh_cache(family, 1).cell_groups()]
+    for vertices, centers in stacks:
+        x, y, weights = fan_rules(vertices, centers, degree)
+        points, ref_weights = point_fan_rules(vertices, centers, degree)
+        assert np.array_equal(x, points[..., 0]) and np.array_equal(y, points[..., 1])
+        assert np.array_equal(weights, ref_weights)
