@@ -147,39 +147,34 @@ def assemble_stiffness(
 
     The rows of every cell's block, one per local unknown and placed in the
     cell's global columns, form a matrix L, filled one vertex-count group
-    at a time with int32 indices. The CSR form of its transpose lists, in
-    global row i, the block column of every local unknown numbered i; by
-    the exact symmetry of the blocks that is the block row, so renaming
-    each column (cell, local unknown) to its global unknown and summing the
-    duplicates gives the matrix. Entries that cancel stay stored: the
-    pattern is the union of the cells' patterns, whatever the values. Cells
-    meet along single edges, so two distinct unknowns share at most two
-    cells; every off-diagonal entry sums at most two terms, the same in
-    either order, and the matrix is exactly symmetric.
+    at a time with int32 indices. Row i of the matrix sums the rows of L
+    whose local unknown is numbered i: one stable row gather lines them up
+    in cell order, and summing duplicates adds them. Entries that cancel
+    stay stored: the pattern is the union of the cells' patterns, whatever
+    the values. Cells meet along single edges, so two distinct unknowns
+    share at most two cells, and every off-diagonal entry sums at most two
+    terms.
     """
     shape = (dofmap.n_total, dofmap.n_total)
     unknowns = [dofmap.group_dofs(group.index) for group in kernels]
-    n_rows = sum(idx.size for idx in unknowns)
+    row_unknown = np.concatenate([idx.ravel() for idx in unknowns])
     n_entries = sum(idx.size * idx.shape[1] for idx in unknowns)
-    renamed = np.empty(n_rows, dtype=np.int32)
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    indptr = np.zeros(len(row_unknown) + 1, dtype=np.int32)
     columns = np.empty(n_entries, dtype=np.int32)
     row = entry = 0
     for idx in unknowns:
         g, n = idx.shape
-        renamed[row : row + g * n] = idx.ravel()
         indptr[row + 1 : row + g * n + 1] = n
         columns[entry : entry + g * n * n].reshape(g, n, n)[:] = idx[:, None, :]
         row, entry = row + g * n, entry + g * n * n
     np.cumsum(indptr, out=indptr)
     values = np.concatenate([blocks.ravel() for blocks in stiffness])
-    local_rows = sp.csr_matrix((values, columns, indptr), shape=(len(renamed), shape[1]))
+    local_rows = sp.csr_matrix((values, columns, indptr), shape=(len(row_unknown), shape[1]))
     del values, columns
-    by_column = local_rows.T.tocsr()
+    gathered = local_rows[np.argsort(row_unknown, kind="stable")]
     del local_rows
-    matrix = sp.csr_matrix(
-        (by_column.data, renamed[by_column.indices], by_column.indptr), shape=shape
-    )
+    starts = np.concatenate([[0], np.cumsum(np.bincount(row_unknown, minlength=shape[0]))])
+    matrix = sp.csr_matrix((gathered.data, gathered.indices, gathered.indptr[starts]), shape=shape)
     matrix.sum_duplicates()
     return matrix
 

@@ -14,8 +14,10 @@ import numpy as np
 # A star point must clear the kernel boundary by this fraction of the diameter.
 STAR_CLEARANCE = 1e-12
 
-# Edge triples per pass of chebyshev_ball: bounds its candidate arrays at
-# TRIPLE_CHUNK x m x 2 entries per polygon, whatever the vertex count m.
+# Polygons and edge triples per pass of chebyshev_ball: its candidate
+# arrays hold at most POLYGON_CHUNK x TRIPLE_CHUNK x m x 2 entries, whatever
+# the number of polygons and their vertex count m.
+POLYGON_CHUNK = 64
 TRIPLE_CHUNK = 256
 
 
@@ -93,9 +95,10 @@ def chebyshev_ball(vertices: np.ndarray):
     is a vertex, where three constraints are tight: in centroid-centred,
     diameter-scaled coordinates every triple of edges is solved exactly and
     the candidate centre with the largest clearance is kept, the first one
-    among equals. The triples are taken TRIPLE_CHUNK at a time with a
-    running best, so memory stays linear in the number of polygons. A
-    negative radius means the kernel is empty.
+    among equals. The polygons are taken POLYGON_CHUNK at a time, and their
+    triples TRIPLE_CHUNK at a time with a running best, so memory stays
+    bounded whatever the number of polygons. A negative radius means the
+    kernel is empty.
     """
     centre = polygon_centroid(vertices)
     scale = polygon_diameter(vertices)
@@ -104,11 +107,22 @@ def chebyshev_ball(vertices: np.ndarray):
     n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
     n /= np.sqrt((n**2).sum(axis=-1))[..., None]
     b = (n * a).sum(axis=-1)
+    m = vertices.shape[-2]
+    n, b = n.reshape(-1, m, 2), b.reshape(-1, m)
+    x, r = np.empty((len(b), 2)), np.empty(len(b))
+    for start in range(0, len(b), POLYGON_CHUNK):
+        block = slice(start, start + POLYGON_CHUNK)
+        x[block], r[block] = _best_vertex(n[block], b[block])
+    return centre + scale[..., None] * x.reshape(centre.shape), scale * r.reshape(scale.shape)
+
+
+def _best_vertex(n: np.ndarray, b: np.ndarray):
+    """Best candidate centres and clearances of (G, m, 2) normals and (G, m) offsets."""
     best_x = best_r = None
-    for i, j, k in _edge_triples(vertices.shape[-2]):
+    for i, j, k in _edge_triples(n.shape[1]):
         # n_i . x + r = b_i for i, j, k: subtract row i from rows j and k
-        d1, d2 = n[..., i, :] - n[..., j, :], n[..., i, :] - n[..., k, :]
-        e1, e2 = b[..., i] - b[..., j], b[..., i] - b[..., k]
+        d1, d2 = n[:, i] - n[:, j], n[:, i] - n[:, k]
+        e1, e2 = b[:, i] - b[:, j], b[:, i] - b[:, k]
         det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
         # two edges with one outward normal meet in no vertex; any finite
         # candidate will do, as each is scored by its own clearance
@@ -116,17 +130,17 @@ def chebyshev_ball(vertices: np.ndarray):
         x = np.stack(
             [e1 * d2[..., 1] - e2 * d1[..., 1], d1[..., 0] * e2 - d2[..., 0] * e1], axis=-1
         ) / det[..., None]
-        clearance = (b[..., None, :] - (x[..., :, None, :] * n[..., None, :, :]).sum(-1)).min(-1)
-        best = clearance.argmax(axis=-1)[..., None]
-        x = np.take_along_axis(x, best[..., None], axis=-2)[..., 0, :]
-        r = np.take_along_axis(clearance, best, axis=-1)[..., 0]
+        clearance = (b[:, None, :] - (x[:, :, None, :] * n[:, None, :, :]).sum(-1)).min(-1)
+        best = clearance.argmax(axis=-1)[:, None]
+        x = np.take_along_axis(x, best[..., None], axis=1)[:, 0]
+        r = np.take_along_axis(clearance, best, axis=1)[:, 0]
         if best_r is None:
             best_x, best_r = x, r
         else:
             better = r > best_r
-            best_x = np.where(better[..., None], x, best_x)
+            best_x = np.where(better[:, None], x, best_x)
             best_r = np.where(better, r, best_r)
-    return centre + scale[..., None] * best_x, scale * best_r
+    return best_x, best_r
 
 
 def star_point(vertices: np.ndarray):

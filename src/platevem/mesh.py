@@ -170,9 +170,8 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
 
     Edges are numbered in order of first traversal (cell by cell, local edge
     by local edge); ``edge_cells`` lists the traversing cells in the same
-    order. Geometry is computed once per vertex-count stack; the Chebyshev
-    ball of :func:`geometry.star_point` is solved only for cells whose
-    centroid is not a star point.
+    order. Geometry is computed once per vertex-count stack, star points
+    by :func:`geometry.star_point`.
 
     Parameters
     ----------
@@ -321,11 +320,7 @@ def _cell_geometry(vertices: np.ndarray, cells: CellRows):
     for idx, verts in stacks:
         centroids[idx] = geometry.polygon_centroid(verts)
         diameters[idx] = geometry.polygon_diameter(verts)
-        clearance[idx] = geometry.kernel_clearance(verts, centroids[idx])
-        stars[idx] = centroids[idx]
-        off = clearance[idx] <= geometry.STAR_CLEARANCE * diameters[idx]
-        if off.any():
-            stars[idx[off]], clearance[idx[off]] = geometry.star_point(verts[off])
+        stars[idx], clearance[idx] = geometry.star_point(verts)
     bad = np.flatnonzero(clearance <= geometry.STAR_CLEARANCE * diameters)
     if len(bad):
         raise MeshError(f"cell {bad[0]}: polygon has an empty kernel: no valid star point")
@@ -356,24 +351,18 @@ class RegularityReport:
         )
 
 
-# Cells per pass of validate_regularity: with geometry.TRIPLE_CHUNK, bounds
-# the Chebyshev ball's transient arrays on any mesh.
-REGULARITY_CHUNK = 64
-
-
 def validate_regularity(mesh: PolygonMesh) -> RegularityReport:
     """Compute the shape-regularity report of a mesh (never raises).
 
-    The cells of one vertex count are taken REGULARITY_CHUNK at a time.
+    One pass per vertex-count group; :func:`geometry.chebyshev_ball` takes
+    the group's cells in chunks.
     """
     star_ratio = edge_ratio = angle = np.inf
-    for cells in mesh.group_index():
-        for start in range(0, len(cells), REGULARITY_CHUNK):
-            group = mesh.cell_group(cells[start : start + REGULARITY_CHUNK])
-            _, radii = geometry.chebyshev_ball(group.vertices)
-            star_ratio = min(star_ratio, (np.maximum(radii, 0.0) / group.diameters).min())
-            edge_ratio = min(edge_ratio, (group.edge_lengths / group.diameters[:, None]).min())
-            angle = min(angle, geometry.min_fan_angle(group.vertices, group.stars).min())
+    for group in mesh.cell_groups():
+        _, radii = geometry.chebyshev_ball(group.vertices)
+        star_ratio = min(star_ratio, (np.maximum(radii, 0.0) / group.diameters).min())
+        edge_ratio = min(edge_ratio, (group.edge_lengths / group.diameters[:, None]).min())
+        angle = min(angle, geometry.min_fan_angle(group.vertices, group.stars).min())
     return RegularityReport(float(star_ratio), float(edge_ratio), float(angle))
 
 

@@ -17,6 +17,7 @@ be checked against:
 * per-edge and per-cell geometry of a mesh (:class:`CellFrame`, one cell's
   rows of its group's stacks), and the layout slices of the edge unknowns;
 * the Chebyshev ball from all edge triples of a polygon at once;
+* the stiffness scatter by a transposition of the cells' block rows;
 * the barycentric dual of a triangulation by a walk around each vertex;
 * the Hessian of the reference displacement.
 """
@@ -28,6 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 
 from platevem import local
 from platevem.geometry import polygon_centroid, polygon_diameter
@@ -600,6 +602,31 @@ def all_triples_chebyshev_ball(vertices: np.ndarray):
     x = np.take_along_axis(x, best[..., None], axis=-2)[..., 0, :]
     r = np.take_along_axis(clearance, best, axis=-1)[..., 0]
     return centre + scale[..., None] * x, scale * r
+
+
+def transposed_stiffness(kernels, stiffness, dofmap) -> sp.csr_matrix:
+    """``assembly.assemble_stiffness`` by a transposition: the CSR form of
+    the transpose of the cells' block rows L lists, in global row i, the
+    block column of every local unknown numbered i. By the exact symmetry of
+    the blocks that is the block row, so renaming each column (cell, local
+    unknown) to its global unknown and summing the duplicates gives the
+    matrix."""
+    shape = (dofmap.n_total, dofmap.n_total)
+    unknowns = [dofmap.group_dofs(group.index) for group in kernels]
+    renamed = np.concatenate([idx.ravel() for idx in unknowns]).astype(np.int32)
+    lengths = np.concatenate([np.full(idx.size, idx.shape[1]) for idx in unknowns])
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+    columns = np.concatenate(
+        [np.repeat(idx, idx.shape[1], axis=0).ravel() for idx in unknowns]
+    ).astype(np.int32)
+    values = np.concatenate([blocks.ravel() for blocks in stiffness])
+    local_rows = sp.csr_matrix((values, columns, indptr), shape=(len(renamed), shape[1]))
+    by_column = local_rows.T.tocsr()
+    matrix = sp.csr_matrix(
+        (by_column.data, renamed[by_column.indices], by_column.indptr), shape=shape
+    )
+    matrix.sum_duplicates()
+    return matrix
 
 
 # -- reference displacement --------------------------------------------------

@@ -26,7 +26,7 @@ from platevem.mesh import CellGroup, CellRows, derive_topology
 from platevem.plate import DEFAULT_MATERIAL
 
 from conftest import cell_views, dense_lower, reference_cell_dofs
-from oracles import cell_frame, edge_normal_slice, point_interior_moments
+from oracles import cell_frame, edge_normal_slice, point_interior_moments, transposed_stiffness
 from reference_counts import BY_FAMILY, closed_form_count
 
 
@@ -130,6 +130,33 @@ def test_assembly_order_independent(mesh_cache):
     diff = (a1 - a2).tocoo()
     scale = np.abs(a1.data).max()
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-15 * scale
+
+
+def assert_scatter_matches_transposition(mesh, order):
+    kernels, stiffness = build_local_kernels(mesh, order, DEFAULT_MATERIAL)
+    dofmap = global_dof_map(mesh, order)
+    got = assemble_stiffness(kernels, stiffness, dofmap)
+    want = transposed_stiffness(kernels, stiffness, dofmap)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", ["crisscross", "hexagonal", "octagonal", "randomquad"])
+def test_scatter_matches_transposition(family, order, mesh_cache):
+    """The row gather gives bitwise the matrix of the transposition route,
+    at n = 0-2; the hexagonal meshes mix vertex counts."""
+    for n in (0, 1, 2):
+        mesh = mesh_cache(family, n)
+        assert family != "hexagonal" or len(mesh.group_index()) > 1
+        assert_scatter_matches_transposition(mesh, order)
+
+
+def test_scatter_matches_transposition_on_corpus(small_corpus):
+    for mesh in small_corpus:
+        for order in (2, 3, 4, 5):
+            assert_scatter_matches_transposition(mesh, order)
 
 
 def test_stiffness_pattern_is_union_of_cell_patterns(mesh_cache):

@@ -188,6 +188,45 @@ def test_chebyshev_ball_of_many_vertices_stays_small(m):
     assert radius == pytest.approx(2.0 * np.cos(np.pi / m), rel=1e-12)
 
 
+def off_centroid_polygons(count: int, m: int, seed: int) -> np.ndarray:
+    """``count`` seeded star-shaped m-gons whose centroid lies outside the
+    kernel: radii 1.0 or 0.15 at sorted random angles, kept when the origin
+    clears the kernel boundary by at least 1e-3."""
+    rng = np.random.default_rng(seed)
+    kept, found = [], 0
+    while found < count:
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, (4 * count, m)), axis=1)
+        radii = rng.choice([1.0, 0.15], (4 * count, m))
+        polygons = radii[..., None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        star = geometry.kernel_clearance(polygons, np.zeros((len(polygons), 2))) >= 1e-3
+        centroid = geometry.kernel_clearance(polygons, geometry.polygon_centroid(polygons))
+        off = centroid <= geometry.STAR_CLEARANCE * geometry.polygon_diameter(polygons)
+        kept.append(polygons[star & off])
+        found += len(kept[-1])
+    return np.concatenate(kept)[:count]
+
+
+def test_star_points_of_many_off_centroid_polygons_stay_small():
+    """1,000 16-gons, each needing the Chebyshev ball: under 16 MiB traced,
+    where one pass over all of them reads 114.5 MiB, with bitwise the
+    all-triples centres and clearances."""
+    polygons = off_centroid_polygons(1000, 16, seed=0)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        points, clearance = geometry.star_point(polygons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    for block in np.array_split(np.arange(len(polygons)), 20):
+        centres, radii = all_triples_chebyshev_ball(polygons[block])
+        assert points[block].tobytes() == centres.tobytes()
+        assert clearance[block].tobytes() == radii.tobytes()
+
+
 def test_chebyshev_ball_matches_all_triples():
     """Every group of the four families at n = 0, 1 and of a seeded corpus,
     and stacks of regular polygons with more triples than one chunk: the

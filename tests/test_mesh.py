@@ -1,14 +1,17 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from platevem import geometry
+from platevem.assembly import BoundarySpec, PlateSolver
 from platevem.generators import FAMILIES, build_family
+from platevem.local import ProjectorError
 from platevem.mesh import (
-    REGULARITY_CHUNK,
     MeshError,
     MeshIOError,
     RegularityReport,
@@ -17,6 +20,8 @@ from platevem.mesh import (
     validate_regularity,
     write_mesh,
 )
+from platevem.multifrontal import SolverError
+from platevem.plate import DEFAULT_MATERIAL
 
 from oracles import all_triples_chebyshev_ball, cell_frame, mesh_edge, outward_normal
 
@@ -298,7 +303,7 @@ def test_regularity_in_chunks_matches_one_pass(family):
     with every edge triple at once; each family at n = 1 has a group
     larger than one chunk."""
     mesh = build_family(family, 1)
-    assert np.bincount(mesh.cells.lengths).max() > REGULARITY_CHUNK
+    assert np.bincount(mesh.cells.lengths).max() > geometry.POLYGON_CHUNK
     star = edge = angle = np.inf
     for group in mesh.cell_groups():
         _, radii = all_triples_chebyshev_ball(group.vertices)
@@ -307,6 +312,55 @@ def test_regularity_in_chunks_matches_one_pass(family):
         angle = min(angle, geometry.min_fan_angle(group.vertices, group.stars).min())
     expected = RegularityReport(float(star), float(edge), float(angle))
     assert validate_regularity(mesh) == expected
+
+
+def fuzz_polygon(rng: np.random.Generator, m: int) -> np.ndarray:
+    """A star-shaped m-gon: radii 0.1 to 1 at sorted random angles about a
+    random centre, squeezed along y by up to nine decades."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    radii = rng.uniform(0.1, 1.0, m)
+    aspect = 10.0 ** rng.uniform(-9.0, 0.0)
+    ring = np.column_stack([np.cos(angles), aspect * np.sin(angles)])
+    return rng.uniform(-1.0, 1.0, 2) + radii[:, None] * ring
+
+
+def quadratic(x, y):
+    return 1.0 + x - 2.0 * y + x * x - x * y + 0.5 * y * y
+
+
+def quadratic_gradient(x, y):
+    return 1.0 + 2.0 * x - y, -2.0 - x + y
+
+
+def test_star_polygon_fuzz_solves_or_raises_classified_errors():
+    """Seeded star-shaped one-cell meshes with 3 to 32 vertices, and a 48-
+    and a 64-gon, through the mesh build, the regularity report and one
+    order-2 solve with strong quadratic data: each gives a finite solution
+    or a MeshError, ProjectorError or SolverError, under 2 MiB traced."""
+    rng = np.random.default_rng(19)
+    outcomes = Counter()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for m in [*range(3, 33), 48, 64]:
+            vertices = fuzz_polygon(rng, m)
+            tracemalloc.reset_peak()
+            try:
+                mesh = derive_topology(vertices, [list(range(m))])
+                validate_regularity(mesh)
+                solver = PlateSolver(mesh, 2, DEFAULT_MATERIAL)
+                bc = BoundarySpec.dirichlet(quadratic, quadratic_gradient)
+                solution = solver.solve(lambda x, y: np.zeros_like(x), bc)
+                assert np.all(np.isfinite(solution)), m
+                outcome = "solved"
+            except (MeshError, ProjectorError, SolverError) as exc:
+                outcome = type(exc).__name__
+            assert tracemalloc.get_traced_memory()[1] <= 2 * 2**20, m
+            outcomes[outcome] += 1
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert outcomes["solved"] > 0 and len(outcomes) > 1, outcomes
 
 
 def test_regularity_flags_short_edge():
