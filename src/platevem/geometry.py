@@ -53,9 +53,10 @@ def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
 
 
 def polygon_diameter(vertices: np.ndarray):
-    """Largest distance between two vertices (equals the diameter for polygons)."""
-    diff = vertices[..., :, None, :] - vertices[..., None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
+    """Largest distance between two vertices (the diameter), over pairs up to m / 2 apart."""
+    shifts = range(1, vertices.shape[-2] // 2 + 1)
+    chords = (vertices - np.roll(vertices, -s, axis=-2) for s in shifts)
+    return np.max([np.sqrt((c**2).sum(axis=-1)).max(axis=-1) for c in chords], axis=0)
 
 
 def kernel_clearance(vertices: np.ndarray, point: np.ndarray):

@@ -16,7 +16,8 @@ be checked against:
 * the Morley oracle's per-triangle interpolant and broken-H2 error;
 * per-edge and per-cell geometry of a mesh (:class:`CellFrame`, one cell's
   rows of its group's stacks), and the layout slices of the edge unknowns;
-* the Chebyshev ball from all edge triples of a polygon at once;
+* the diameter from all vertex pairs, and the Chebyshev ball from all
+  edge triples of a polygon at once;
 * the stiffness scatter by a transposition of the cells' block rows;
 * the barycentric dual of a triangulation by a walk around each vertex;
 * the Hessian of the reference displacement.
@@ -576,6 +577,12 @@ def edge_value_slice(layout: DofLayout, i: int) -> slice:
     """Local positions of the trace moments of local edge i."""
     start = layout.n_vertices * (1 + layout.n_edge_normal) + i * layout.n_edge_value
     return slice(start, start + layout.n_edge_value)
+
+
+def all_pairs_diameter(vertices: np.ndarray):
+    """``geometry.polygon_diameter`` from all m^2 vertex differences at once."""
+    diff = vertices[..., :, None, :] - vertices[..., None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
 
 
 def all_triples_chebyshev_ball(vertices: np.ndarray):

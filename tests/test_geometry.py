@@ -8,7 +8,7 @@ from platevem import geometry
 from platevem.generators import FAMILIES, build_family
 
 from conftest import polygon_corpus
-from oracles import all_triples_chebyshev_ball
+from oracles import all_pairs_diameter, all_triples_chebyshev_ball
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -107,6 +107,30 @@ def test_stacked_primitives_match_one_polygon_calls():
         assert p.tobytes() == points[k].tobytes() and q == clearance[k]
         assert geometry.min_fan_angle(poly, p) == angles[k]
     assert not np.array_equal(points[1], geometry.polygon_centroid(stack[1]))
+
+
+def test_diameter_of_many_vertices_stays_small():
+    """1,000 64-gons: under 4 MiB traced, where all vertex pairs at once
+    read 156 MiB, with bitwise the all-pairs diameters; and the stacks of
+    the four families at n = 1."""
+    angles = np.sort(np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, (1000, 64)), axis=1)
+    polygons = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        diameters = geometry.polygon_diameter(polygons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert diameters[:100].tobytes() == all_pairs_diameter(polygons[:100]).tobytes()
+    stacks = [polygons[0], SQUARE, TRIANGLE, LSHAPE]
+    stacks += [g.vertices for f in FAMILIES for g in build_family(f, 1).cell_groups()]
+    for vertices in stacks:
+        want = all_pairs_diameter(vertices)
+        assert geometry.polygon_diameter(vertices).tobytes() == want.tobytes()
 
 
 def test_min_fan_angle_positive():

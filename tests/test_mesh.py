@@ -23,7 +23,13 @@ from platevem.mesh import (
 from platevem.multifrontal import SolverError
 from platevem.plate import DEFAULT_MATERIAL
 
-from oracles import all_triples_chebyshev_ball, cell_frame, mesh_edge, outward_normal
+from oracles import (
+    all_pairs_diameter,
+    all_triples_chebyshev_ball,
+    cell_frame,
+    mesh_edge,
+    outward_normal,
+)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TWO_SQUARES = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=float)
@@ -81,7 +87,7 @@ def reference_topology(vertices: np.ndarray, cells) -> dict:
         "cell_edge_signs": np.concatenate(cell_edge_signs),
         "areas": np.array([float(geometry.signed_area(p)) for p in polygons]),
         "centroids": np.array([geometry.polygon_centroid(p) for p in polygons]),
-        "diameters": np.array([float(geometry.polygon_diameter(p)) for p in polygons]),
+        "diameters": np.array([float(all_pairs_diameter(p)) for p in polygons]),
         "stars": np.array([geometry.star_point(p)[0] for p in polygons]),
         "boundary_vertices": boundary_vertices,
     }
