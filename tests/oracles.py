@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from platevem import local
-from platevem.geometry import polygon_centroid, polygon_diameter
+from platevem.geometry import polygon_centroid
 from platevem.local import DofLayout
 from platevem.manufactured import _d2g, _dg, _g
 from platevem.mesh import CellGroup, PolygonMesh, derive_topology
@@ -590,7 +590,7 @@ def all_triples_chebyshev_ball(vertices: np.ndarray):
     in one pass: centres (..., 2) and radii (...). Memory grows as m^4 for
     polygons with m vertices."""
     centre = polygon_centroid(vertices)
-    scale = polygon_diameter(vertices)
+    scale = all_pairs_diameter(vertices)
     a = (vertices - centre[..., None, :]) / scale[..., None, None]
     t = np.roll(a, -1, axis=-2) - a
     n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
