@@ -141,22 +141,23 @@ class BoundarySpec:
 
 
 def assemble_stiffness(
-    kernels: list[KernelGroup], stiffness: list[np.ndarray], dofmap: GlobalDofMap
+    cells: list[np.ndarray], stiffness: list[np.ndarray], dofmap: GlobalDofMap
 ) -> sp.csr_matrix:
-    """Scatter the stiffness stacks of the kernel groups into the full matrix.
+    """Scatter stacks of cell blocks into the full matrix.
 
-    The rows of every cell's block, one per local unknown and placed in the
-    cell's global columns, form a matrix L, filled one vertex-count group
-    at a time with int32 indices. Row i of the matrix sums the rows of L
-    whose local unknown is numbered i: one stable row gather lines them up
-    in cell order, and summing duplicates adds them. Entries that cancel
-    stay stored: the pattern is the union of the cells' patterns, whatever
-    the values. Cells meet along single edges, so two distinct unknowns
-    share at most two cells, and every off-diagonal entry sums at most two
-    terms.
+    ``stiffness[k]`` holds the blocks of the cells ``cells[k]``, which share
+    one vertex count, in local layout order. The rows of every cell's
+    block, one per local unknown and placed in the cell's global columns,
+    form a matrix L, filled one stack at a time with int32 indices. Row i
+    of the matrix sums the rows of L whose local unknown is numbered i: one
+    stable row gather lines them up in cell order, and summing duplicates
+    adds them. Entries that cancel stay stored: the pattern is the union of
+    the cells' patterns, whatever the values. Cells meet along single edges,
+    so two distinct unknowns share at most two cells, and every
+    off-diagonal entry sums at most two terms.
     """
     shape = (dofmap.n_total, dofmap.n_total)
-    unknowns = [dofmap.group_dofs(group.index) for group in kernels]
+    unknowns = [dofmap.group_dofs(index) for index in cells]
     row_unknown = np.concatenate([idx.ravel() for idx in unknowns])
     n_entries = sum(idx.size * idx.shape[1] for idx in unknowns)
     indptr = np.zeros(len(row_unknown) + 1, dtype=np.int32)
@@ -267,10 +268,6 @@ class SpdFactor:
         """Smallest over largest pivot, diag(L)²."""
         return self.cholesky.pivot_ratio
 
-    @property
-    def n_fronts(self) -> int:
-        return self.cholesky.tree.n_fronts
-
     def product(self, x: np.ndarray) -> np.ndarray:
         """The factored block times x, as ``(matrix @ x_full)[free]``.
 
@@ -358,29 +355,23 @@ def _norm_1(matrix: sp.csr_matrix, free: np.ndarray) -> float:
     return float((magnitude @ mask)[free].max(initial=0.0))
 
 
-class PlateSolver:
-    """Reusable discrete plate problem on a fixed mesh, order, and material.
+class PlateSystem:
+    """A stiffness matrix over the unknowns of a numbering, solved on its
+    free block; shared by :class:`PlateSolver` and the Morley oracle.
 
-    Builds the kernel groups, the global numbering, and the stiffness
-    matrix once, and drops the local stiffness stacks after the scatter;
-    each :meth:`solve` call assembles a load, applies boundary data, and
-    solves with the factor of the free block, made by
+    Each :meth:`solve_load` call applies boundary data to an assembled load
+    and solves with the factor of the free block, made by
     :func:`factor_spd` on the first solve and kept in :attr:`factor`.
     :attr:`refine_steps` holds the refinement steps of the last solve.
-    :attr:`matrix` is the only sparse matrix the solver and its factor keep:
-    the free block is never built, and the coupling to strong boundary data
-    is read off :attr:`matrix` at each solve.
+    :attr:`matrix` is the only sparse matrix the system and its factor
+    keep: the free block is never built, and the coupling to strong
+    boundary data is read off :attr:`matrix` at each solve.
     """
 
-    def __init__(self, mesh: PolygonMesh, order: int, material: MaterialParams):
-        self.mesh = mesh
-        self.order = order
-        self.material = material
-        self.kernels, stiffness = build_local_kernels(mesh, order, material)
-        self.dofmap = global_dof_map(mesh, order)
-        self.matrix = assemble_stiffness(self.kernels, stiffness, self.dofmap)
-        del stiffness
-        mask = self.dofmap.boundary_mask
+    def __init__(self, matrix: sp.csr_matrix, dofmap: GlobalDofMap):
+        self.matrix = matrix
+        self.dofmap = dofmap
+        mask = dofmap.boundary_mask
         self.free = np.flatnonzero(~mask)
         self.constrained = np.flatnonzero(mask)
         self.factor: SpdFactor | None = None
@@ -395,10 +386,9 @@ class PlateSolver:
         """Stored entries of the factor of the free block, once factored."""
         return None if self.factor is None else self.factor.nnz
 
-    def solve(self, f, bc: BoundarySpec) -> np.ndarray:
-        """Solve for the full unknown vector under the given load and data."""
-        load = assemble_load(self.mesh, self.kernels, self.dofmap, f)
-        values = boundary_values(self.mesh, self.dofmap, bc)
+    def solve_load(self, load: np.ndarray, bc: BoundarySpec) -> np.ndarray:
+        """Solve for the full unknown vector under an assembled load and data."""
+        values = boundary_values(self.dofmap.mesh, self.dofmap, bc)
         rhs = load[self.free]
         vals = values[self.constrained]
         if np.any(vals):
@@ -412,6 +402,30 @@ class PlateSolver:
         full[self.free] = x
         full[self.constrained] = vals
         return full
+
+
+class PlateSolver(PlateSystem):
+    """Reusable discrete plate problem on a fixed mesh, order, and material.
+
+    Builds the kernel groups, the global numbering, and the stiffness
+    matrix once, and drops the local stiffness stacks after the scatter;
+    each :meth:`solve` call assembles a load and solves it as a
+    :class:`PlateSystem`.
+    """
+
+    def __init__(self, mesh: PolygonMesh, order: int, material: MaterialParams):
+        self.mesh = mesh
+        self.order = order
+        self.material = material
+        self.kernels, stiffness = build_local_kernels(mesh, order, material)
+        dofmap = global_dof_map(mesh, order)
+        matrix = assemble_stiffness([group.index for group in self.kernels], stiffness, dofmap)
+        del stiffness
+        super().__init__(matrix, dofmap)
+
+    def solve(self, f, bc: BoundarySpec) -> np.ndarray:
+        """Solve for the full unknown vector under the given load and data."""
+        return self.solve_load(assemble_load(self.mesh, self.kernels, self.dofmap, f), bc)
 
 
 def dump_matrix(matrix: sp.spmatrix, path) -> None:

@@ -81,7 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve the benchmark problem on one mesh")
     add_common(p_solve)
     p_solve.add_argument("--n", type=int, help="refinement index")
-    p_solve.add_argument("--dump-matrix", help="also write the reduced matrix in coordinate format")
+    p_solve.add_argument(
+        "--dump-matrix",
+        help="also write the full matrix, over all unknowns, in coordinate format",
+    )
 
     p_study = sub.add_parser("study", help="run a refinement study and write CSV")
     add_common(p_study)
@@ -126,7 +129,8 @@ def _merge_config(args) -> None:
                 raise ConfigError(f"config key {key}: {exc}") from exc
 
 
-# Admissible values of the numeric options, checked before any work starts.
+# Admissible values of the numeric options and the mesh family, checked
+# before any work starts: a config file sets them unchecked by argparse.
 # NaN fails every comparison and so every range. A notch ratio of 0.5 or
 # more is finite and positive but folds the octagon; the generator rejects
 # it as a mesh construction error.
@@ -139,6 +143,7 @@ _RANGES = {
     "poisson": (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
     "rigidity": (lambda v: 0.0 < v < np.inf, "positive and finite"),
     "notch": (lambda v: 0.0 < v < np.inf, "positive and finite"),
+    "family": (lambda v: v in generators.FAMILIES, f"one of {', '.join(generators.FAMILIES)}"),
 }
 
 
@@ -210,15 +215,9 @@ def _cmd_solve(args) -> int:
     _config_check(cv.check_order, args.order)
     material = _material(args)
     mesh = _build_mesh(args)
-    solver, solution, err = cv.run_single(
-        mesh,
-        args.order,
-        material,
-        manufactured.load(material),
-        BoundarySpec.clamped(),
-        manufactured.displacement,
-        manufactured.gradient,
-    )
+    solver = PlateSolver(mesh, args.order, material)
+    solution = solver.solve(manufactured.load(material), BoundarySpec.clamped())
+    err = cv.measured_error(solver, solution, manufactured.displacement, manufactured.gradient)
     if args.dump_matrix:
         from .assembly import dump_matrix
 
@@ -270,9 +269,7 @@ def _cmd_patch(args) -> int:
     for p, q in manufactured.monomial_exponent_pairs(args.order):
         u, grad, f = manufactured.monomial_solution(p, q, material)
         solution = solver.solve(f, BoundarySpec.dirichlet(u, grad))
-        proj_u = cv.project_exact(mesh, solver.kernels, u, grad)
-        proj_uh = cv.project_solution(mesh, solver.kernels, solver.dofmap, solution)
-        worst = max(worst, cv.relative_or_absolute_error(solver.kernels, proj_u, proj_uh))
+        worst = max(worst, cv.measured_error(solver, solution, u, grad))
     path = _out_path(args, f"patch_{args.family}_n{args.n}_o{args.order}.json")
     with open(path, "w") as fh:
         json.dump({"family": args.family, "n": args.n, "order": args.order, "max_error": worst}, fh)

@@ -173,25 +173,13 @@ def windowed_rate(records: list[ConvergenceRecord], versus: str = "h") -> float:
     return float(-np.polyfit(x, errs, 1)[0])
 
 
-def run_single(
-    mesh: PolygonMesh,
-    order: int,
-    material: MaterialParams,
-    f,
-    bc: BoundarySpec,
-    exact,
-    exact_grad,
-):
-    """Solve one problem and measure the projected relative error.
-
-    Returns (solver, solution vector, error).
-    """
-    solver = PlateSolver(mesh, order, material)
-    solution = solver.solve(f, bc)
-    proj_u = project_exact(mesh, solver.kernels, exact, exact_grad)
-    proj_uh = project_solution(mesh, solver.kernels, solver.dofmap, solution)
-    err = relative_or_absolute_error(solver.kernels, proj_u, proj_uh)
-    return solver, solution, err
+def measured_error(solver: PlateSolver, solution: np.ndarray, exact, exact_grad) -> float:
+    """:func:`relative_or_absolute_error` of a solution of ``solver``
+    against the smooth field given by ``exact`` and ``exact_grad``, both
+    projected on the solver's kernel groups."""
+    proj_u = project_exact(solver.mesh, solver.kernels, exact, exact_grad)
+    proj_uh = project_solution(solver.mesh, solver.kernels, solver.dofmap, solution)
+    return relative_or_absolute_error(solver.kernels, proj_u, proj_uh)
 
 
 # Largest refinement index of any mesh a study or a command builds.
@@ -228,15 +216,9 @@ def convergence_study(
     records = []
     for n in range(n_max + 1):
         mesh = build_family(family, n, seed)
-        solver, _, err = run_single(
-            mesh,
-            order,
-            material,
-            f,
-            BoundarySpec.clamped(),
-            manufactured.displacement,
-            manufactured.gradient,
-        )
+        solver = PlateSolver(mesh, order, material)
+        solution = solver.solve(f, BoundarySpec.clamped())
+        err = measured_error(solver, solution, manufactured.displacement, manufactured.gradient)
         records.append(
             ConvergenceRecord(
                 family, n, mesh.h, solver.n_dofs, err, float("nan"), float("nan")

@@ -343,13 +343,6 @@ class RegularityReport:
     min_edge_to_diameter_ratio: float
     min_subtriangle_quality: float
 
-    def passes(self, rho0: float, angle_floor: float = 0.1) -> bool:
-        return (
-            self.min_star_radius_ratio >= rho0
-            and self.min_edge_to_diameter_ratio >= rho0
-            and self.min_subtriangle_quality >= angle_floor
-        )
-
 
 def validate_regularity(mesh: PolygonMesh) -> RegularityReport:
     """Compute the shape-regularity report of a mesh (never raises).

@@ -11,9 +11,8 @@ and quadratics.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import BoundarySpec, boundary_values, factor_spd, global_dof_map
+from .assembly import BoundarySpec, PlateSystem, assemble_stiffness, global_dof_map
 from .mesh import PolygonMesh
 from .plate import MaterialParams
 
@@ -167,45 +166,27 @@ def morley_solve(
     mesh: PolygonMesh,
     material: MaterialParams,
     f,
-    clamped: bool = True,
-    boundary_value=None,
-    boundary_gradient=None,
+    bc: BoundarySpec = BoundarySpec.clamped(),
 ):
     """Assemble and solve the Morley discretization on a triangular mesh.
 
-    Shares the global numbering and elimination rules of the order-2
-    polygonal method (vertex unknowns then one normal moment per edge), so
-    solution vectors are directly comparable entry by entry.
+    Shares the global numbering, the stiffness scatter and the reduced
+    solve of the order-2 polygonal method (vertex unknowns then one normal
+    moment per edge), so solution vectors are directly comparable entry by
+    entry.
 
     Returns (solution vector, dofmap).
     """
     _check_triangular(mesh)
     dofmap = global_dof_map(mesh, 2)
-    unknowns = dofmap.group_dofs(np.arange(mesh.n_cells))  # (n_cells, 6)
+    cells = np.arange(mesh.n_cells)
     stiff, loads = [], []
-    for c in range(mesh.n_cells):
+    for c in cells:
         ids = mesh.cells[c]
         verts = mesh.vertices[ids]
         stiff.append(morley_local_stiffness(verts, material, ids))
         loads.append(morley_local_load(verts, f, ids))
-    rows = np.broadcast_to(unknowns[:, :, None], (mesh.n_cells, 6, 6))
-    cols = np.broadcast_to(unknowns[:, None, :], (mesh.n_cells, 6, 6))
-    full = sp.coo_matrix(
-        (np.ravel(stiff), (rows.ravel(), cols.ravel())),
-        shape=(dofmap.n_total, dofmap.n_total),
-    ).tocsr()
+    system = PlateSystem(assemble_stiffness([cells], [np.array(stiff)], dofmap), dofmap)
+    unknowns = dofmap.group_dofs(cells)  # (n_cells, 6)
     load = np.bincount(unknowns.ravel(), weights=np.ravel(loads), minlength=dofmap.n_total)
-    mask = dofmap.boundary_mask
-    free = np.flatnonzero(~mask)
-    constrained = np.flatnonzero(mask)
-    values = np.zeros(dofmap.n_total)
-    if not clamped:
-        values = boundary_values(
-            mesh, dofmap, BoundarySpec.dirichlet(boundary_value, boundary_gradient)
-        )
-    rhs = load[free] - (full @ values)[free]
-    x, _ = factor_spd(full, free, dofmap).solve(rhs)
-    solution = np.zeros(dofmap.n_total)
-    solution[free] = x
-    solution[constrained] = values[constrained]
-    return solution, dofmap
+    return system.solve_load(load, bc), dofmap

@@ -23,6 +23,7 @@ from oracles import (
     group_frame,
     normal_moment_matrix,
     outward_normal,
+    regularity_passes,
     shear_matrix,
     traversal_tangent,
     twist_matrix,
@@ -58,7 +59,7 @@ def random_star_polygon(rng: np.random.Generator, n_vertices: int) -> np.ndarray
             [radii * np.cos(angles), radii * np.sin(angles)]
         )
         mesh = derive_topology(verts, [list(range(n_vertices))])
-        if validate_regularity(mesh).passes(0.15):
+        if regularity_passes(validate_regularity(mesh), 0.15):
             return verts
     raise RuntimeError("could not draw a shape-regular polygon")
 

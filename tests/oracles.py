@@ -36,7 +36,7 @@ from platevem import local
 from platevem.geometry import polygon_centroid
 from platevem.local import DofLayout
 from platevem.manufactured import _d2g, _dg, _g
-from platevem.mesh import CellGroup, PolygonMesh, derive_topology
+from platevem.mesh import CellGroup, PolygonMesh, RegularityReport, derive_topology
 from platevem.morley import _hessians, _triangle_area, morley_dof_matrix
 from platevem.plate import MaterialParams
 from platevem.polynomials import (
@@ -579,6 +579,16 @@ def edge_value_slice(layout: DofLayout, i: int) -> slice:
     return slice(start, start + layout.n_edge_value)
 
 
+def regularity_passes(report: RegularityReport, rho0: float, angle_floor: float = 0.1) -> bool:
+    """Whether a mesh's regularity report meets the star and edge ratio
+    ``rho0`` and the sub-triangle angle floor (radians)."""
+    return (
+        report.min_star_radius_ratio >= rho0
+        and report.min_edge_to_diameter_ratio >= rho0
+        and report.min_subtriangle_quality >= angle_floor
+    )
+
+
 def all_pairs_diameter(vertices: np.ndarray):
     """``geometry.polygon_diameter`` from all m^2 vertex differences at once."""
     diff = vertices[..., :, None, :] - vertices[..., None, :, :]
@@ -611,7 +621,7 @@ def all_triples_chebyshev_ball(vertices: np.ndarray):
     return centre + scale[..., None] * x, scale * r
 
 
-def transposed_stiffness(kernels, stiffness, dofmap) -> sp.csr_matrix:
+def transposed_stiffness(cells, stiffness, dofmap) -> sp.csr_matrix:
     """``assembly.assemble_stiffness`` by a transposition: the CSR form of
     the transpose of the cells' block rows L lists, in global row i, the
     block column of every local unknown numbered i. By the exact symmetry of
@@ -619,7 +629,7 @@ def transposed_stiffness(kernels, stiffness, dofmap) -> sp.csr_matrix:
     unknown) to its global unknown and summing the duplicates gives the
     matrix."""
     shape = (dofmap.n_total, dofmap.n_total)
-    unknowns = [dofmap.group_dofs(group.index) for group in kernels]
+    unknowns = [dofmap.group_dofs(index) for index in cells]
     renamed = np.concatenate([idx.ravel() for idx in unknowns]).astype(np.int32)
     lengths = np.concatenate([np.full(idx.size, idx.shape[1]) for idx in unknowns])
     indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
@@ -634,6 +644,23 @@ def transposed_stiffness(kernels, stiffness, dofmap) -> sp.csr_matrix:
     )
     matrix.sum_duplicates()
     return matrix
+
+
+def coo_stiffness(cells, stiffness, dofmap) -> sp.csr_matrix:
+    """``assembly.assemble_stiffness`` by SciPy's coordinate format: every
+    entry of every cell block, at its global row and column, converted to
+    CSR, which sums the duplicates."""
+    rows, cols = [], []
+    for index in cells:
+        idx = dofmap.group_dofs(index)
+        shape = idx.shape + idx.shape[1:]
+        rows.append(np.broadcast_to(idx[:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(idx[:, None, :], shape).ravel())
+    values = np.concatenate([blocks.ravel() for blocks in stiffness])
+    return sp.coo_matrix(
+        (values, (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dofmap.n_total, dofmap.n_total),
+    ).tocsr()
 
 
 # -- reference displacement --------------------------------------------------

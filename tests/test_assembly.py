@@ -102,7 +102,7 @@ def test_assembled_matrix_symmetric(mesh_cache):
     mesh = mesh_cache("octagonal", 0)
     kernels, stiffness = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 3)
-    full = assemble_stiffness(kernels, stiffness, dofmap)
+    full = assemble_stiffness([group.index for group in kernels], stiffness, dofmap)
     asym = (full - full.T).tocoo()
     max_asym = np.abs(asym.data).max() if asym.nnz else 0.0
     assert max_asym == 0.0
@@ -112,7 +112,7 @@ def test_assembly_order_independent(mesh_cache):
     mesh = mesh_cache("randomquad", 0)
     kernels, stiffness = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 3)
-    a1 = assemble_stiffness(kernels, stiffness, dofmap)
+    a1 = assemble_stiffness([group.index for group in kernels], stiffness, dofmap)
 
     views = cell_views(mesh, 3)
     order = np.random.default_rng(0).permutation(mesh.n_cells)
@@ -135,8 +135,9 @@ def test_assembly_order_independent(mesh_cache):
 def assert_scatter_matches_transposition(mesh, order):
     kernels, stiffness = build_local_kernels(mesh, order, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, order)
-    got = assemble_stiffness(kernels, stiffness, dofmap)
-    want = transposed_stiffness(kernels, stiffness, dofmap)
+    cells = [group.index for group in kernels]
+    got = assemble_stiffness(cells, stiffness, dofmap)
+    want = transposed_stiffness(cells, stiffness, dofmap)
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -165,7 +166,7 @@ def test_stiffness_pattern_is_union_of_cell_patterns(mesh_cache):
     mesh = mesh_cache("crisscross", 1)
     kernels, stiffness = build_local_kernels(mesh, 3, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 3)
-    full = assemble_stiffness(kernels, stiffness, dofmap)
+    full = assemble_stiffness([group.index for group in kernels], stiffness, dofmap)
     dofs = [view.dofs for view in cell_views(mesh, 3)]
     cells = np.repeat(np.arange(mesh.n_cells), [len(d) for d in dofs])
     incidence = sp.csr_matrix((np.ones(len(cells)), (np.concatenate(dofs), cells)))
@@ -366,7 +367,7 @@ def test_unconstrained_system_rejected(mesh_cache):
     mesh = mesh_cache("crisscross", 0)
     kernels, stiffness = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 2)
-    full = assemble_stiffness(kernels, stiffness, dofmap).tocsr()
+    full = assemble_stiffness([group.index for group in kernels], stiffness, dofmap).tocsr()
     rng = np.random.default_rng(1)
     with pytest.raises(SolverError):
         factor_spd(full, np.arange(dofmap.n_total), dofmap).solve(
@@ -569,7 +570,7 @@ def test_dump_matrix_roundtrip(tmp_path, mesh_cache):
     mesh = mesh_cache("randomquad", 0)
     kernels, stiffness = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 2)
-    full = assemble_stiffness(kernels, stiffness, dofmap)
+    full = assemble_stiffness([group.index for group in kernels], stiffness, dofmap)
     path = tmp_path / "matrix.txt"
     dump_matrix(full, path)
     rows, cols, vals = [], [], []

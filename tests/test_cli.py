@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from platevem import generators
@@ -93,6 +94,20 @@ def test_solve_command(tmp_path):
     assert data["nnz_factor"] > 0
     assert 1e-12 < data["pivot_ratio"] <= 1.0
     assert data["refine_steps"] in range(4)
+
+
+def test_solve_dump_matrix_is_the_full_matrix(tmp_path):
+    """``--dump-matrix`` writes the matrix over all unknowns, constrained
+    ones included: its largest row and column index is ``n_dofs - 1``."""
+    out = tmp_path / "solution.json"
+    dump = tmp_path / "matrix.txt"
+    argv = ["solve", "--family", "crisscross", "--n", "0", "--order", "2"]
+    assert main(argv + ["--dump-matrix", str(dump), "--out", str(out)]) == 0
+    n_dofs = json.loads(out.read_text())["n_dofs"]
+    entries = np.loadtxt(dump)
+    rows, cols = entries[:, 0].astype(int), entries[:, 1].astype(int)
+    assert rows.max() == cols.max() == n_dofs - 1
+    assert set(rows) == set(range(n_dofs))
 
 
 def test_study_command_rates(tmp_path):
@@ -211,6 +226,34 @@ def test_n_above_largest_refinement_is_config_error(
     code = main(argv + extra + ["--out", str(out)])
     assert code == EXIT_CONFIG
     assert f"--n must be a nonnegative integer at most 8, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+FAMILY_ARGV = [
+    ["mesh", "--n", "0"],
+    ["solve", "--n", "0", "--order", "2"],
+    ["study", "--nmax", "0", "--order", "2"],
+    ["patch", "--n", "0", "--order", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", FAMILY_ARGV, ids=[a[0] for a in FAMILY_ARGV])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_family_is_config_error(tmp_path, capsys, argv, source):
+    """An unknown mesh family, as a flag or a config key, exits 2 before
+    any mesh is built and writes no output file."""
+    out = tmp_path / "out" / "x.json"
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:  # argparse checks the choices
+            main(argv + ["--family", "foo", "--out", str(out)])
+        code = exc.value.code
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = foo\n")
+        code = main(argv + ["--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--family" in err and "foo" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -29,6 +29,7 @@ from oracles import (
     cell_frame,
     mesh_edge,
     outward_normal,
+    regularity_passes,
 )
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -300,7 +301,7 @@ def test_regularity_uniform_square():
     mesh = derive_topology(TWO_SQUARES, [[0, 1, 4, 5], [1, 2, 3, 4]])
     report = validate_regularity(mesh)
     assert report.min_edge_to_diameter_ratio == pytest.approx(1.0 / np.sqrt(2.0))
-    assert report.passes(0.3)
+    assert regularity_passes(report, 0.3)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -374,7 +375,7 @@ def test_regularity_flags_short_edge():
     verts = np.array([[0, 0], [1, 0], [1 + eps, eps], [0, 1]], dtype=float)
     mesh = derive_topology(verts, [[0, 1, 2, 3]])
     report = validate_regularity(mesh)
-    assert not report.passes(0.01)
+    assert not regularity_passes(report, 0.01)
 
 
 def test_mesh_io_roundtrip(tmp_path):

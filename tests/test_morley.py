@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from platevem import assembly, manufactured, morley
-from platevem.assembly import BoundarySpec, PlateSolver, SolverError
+from platevem.assembly import (
+    BoundarySpec,
+    PlateSolver,
+    SolverError,
+    assemble_stiffness,
+    global_dof_map,
+)
 from platevem.plate import DEFAULT_MATERIAL
 from platevem.quadrature import polygon_rule
 
 from conftest import cell_views, group_stabilization
-from oracles import morley_error_2h, morley_interpolation_dofs
+from oracles import coo_stiffness, morley_error_2h, morley_interpolation_dofs
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -98,13 +104,13 @@ def test_oracle_free_block_is_exactly_symmetric(mesh_cache, monkeypatch):
     is the block only where it is exactly symmetric: so it is on the
     criss-cross meshes, the one triangular family."""
     seen = []
-    factor_spd = morley.factor_spd
+    factor_spd = assembly.factor_spd
 
     def capturing(matrix, free, dofmap):
         seen.append((matrix, free))
         return factor_spd(matrix, free, dofmap)
 
-    monkeypatch.setattr(morley, "factor_spd", capturing)
+    monkeypatch.setattr(assembly, "factor_spd", capturing)
     f = manufactured.load(DEFAULT_MATERIAL)
     for n in (0, 1, 2):
         seen.clear()
@@ -115,14 +121,35 @@ def test_oracle_free_block_is_exactly_symmetric(mesh_cache, monkeypatch):
         assert (block != block.T).nnz == 0, n
 
 
+def test_oracle_scatter_matches_coordinate_format(mesh_cache):
+    """The row gather of the oracle's (n_cells, 6, 6) stack gives bitwise
+    the matrix of SciPy's coordinate-format conversion, at n = 0-2."""
+    for n in (0, 1, 2):
+        mesh = mesh_cache("crisscross", n)
+        dofmap = global_dof_map(mesh, 2)
+        cells = [np.arange(mesh.n_cells)]
+        stiffness = [
+            np.array(
+                [
+                    morley.morley_local_stiffness(mesh.vertices[ids], DEFAULT_MATERIAL, ids)
+                    for ids in mesh.cells
+                ]
+            )
+        ]
+        got = assemble_stiffness(cells, stiffness, dofmap)
+        want = coo_stiffness(cells, stiffness, dofmap)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
+
+
 def test_quadratic_patch():
     from platevem.generators import build_criss_cross
 
     mesh = build_criss_cross(0)
     u, grad, f = manufactured.monomial_solution(1, 1, DEFAULT_MATERIAL)
-    solution, dofmap = morley.morley_solve(
-        mesh, DEFAULT_MATERIAL, f, clamped=False, boundary_value=u, boundary_gradient=grad
-    )
+    bc = BoundarySpec.dirichlet(u, grad)
+    solution, dofmap = morley.morley_solve(mesh, DEFAULT_MATERIAL, f, bc)
     err = morley_error_2h(mesh, dofmap, solution, u, grad)
     assert err <= 1e-10
 
