@@ -7,8 +7,6 @@ polygon.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, islice
-
 import numpy as np
 
 # A star point must clear the kernel boundary by this fraction of the diameter.
@@ -78,13 +76,21 @@ def kernel_clearance(vertices: np.ndarray, point: np.ndarray):
 
 def _edge_triples(m: int):
     """The C(m, 3) edge triples i < j < k in lexicographic order, as index
-    arrays i, j, k of at most TRIPLE_CHUNK triples each."""
-    triples = combinations(range(m), 3)
-    while True:
-        chunk = np.fromiter(chain.from_iterable(islice(triples, TRIPLE_CHUNK)), dtype=np.intp)
-        if not len(chunk):
-            return
-        yield chunk.reshape(-1, 3).T
+    arrays i, j, k of at most TRIPLE_CHUNK triples each.
+
+    Triple number t of first index i pairs i with the (j, k) pairs j > i,
+    a suffix of the lexicographic pairs j < k, so each chunk is found by
+    arithmetic on the C(m, 2) pairs, never holding all triples at once.
+    """
+    r = np.arange(m)
+    j, k = np.nonzero(r[:, None] < r)
+    suffix = np.searchsorted(j, r, side="right")  # first pair with j > i
+    starts = np.concatenate([[0], np.cumsum(len(j) - suffix)])
+    for t0 in range(0, starts[-1], TRIPLE_CHUNK):
+        t = np.arange(t0, min(t0 + TRIPLE_CHUNK, starts[-1]))
+        i = np.searchsorted(starts, t, side="right") - 1
+        pair = suffix[i] + t - starts[i]
+        yield i, j[pair], k[pair]
 
 
 def chebyshev_ball(vertices: np.ndarray):

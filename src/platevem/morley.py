@@ -5,7 +5,8 @@ The element basis inverts the 6x6 matrix of quadratic monomial unknowns
 derivative in the global edge convention) on each triangle, so the stiffness
 path shares no code with the polygonal kernels: areas, normals, monomial
 energies, and interior integrals all use closed forms special to triangles
-and quadratics.
+and quadratics. Every routine takes a stack of triangles, (n, 3, 2) vertices
+with their (n, 3) vertex ids, and returns one block per triangle.
 """
 
 from __future__ import annotations
@@ -21,145 +22,112 @@ class MorleyError(Exception):
     """Mesh not suitable for the triangular oracle."""
 
 
-# quadratic monomials 1, x, y, x^2, xy, y^2 centered at the triangle centroid
+def triangle_areas(vertices: np.ndarray) -> np.ndarray:
+    """Signed areas, positive for counterclockwise triangles."""
+    u = vertices[:, 1] - vertices[:, 0]
+    w = vertices[:, 2] - vertices[:, 0]
+    return 0.5 * (u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
 
 
-def _hessians():
-    # (u_xx, u_xy, u_yy) of each centered monomial; constants on a triangle
-    return np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0],
-            [2.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 2.0],
-        ]
-    )
+def _monomials(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # quadratic monomials 1, x, y, x^2, xy, y^2 in coordinates about the centroid
+    return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
 
 
-def _monomial_values(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    x = points[:, 0] - center[0]
-    y = points[:, 1] - center[1]
-    one = np.ones_like(x)
-    return np.column_stack([one, x, y, x * x, x * y, y * y])
-
-
-def _monomial_gradients(points: np.ndarray, center: np.ndarray):
-    x = points[:, 0] - center[0]
-    y = points[:, 1] - center[1]
-    zero = np.zeros_like(x)
-    one = np.ones_like(x)
-    gx = np.column_stack([zero, one, zero, 2.0 * x, y, zero])
-    gy = np.column_stack([zero, zero, one, zero, x, 2.0 * y])
-    return gx, gy
-
-
-def morley_dof_matrix(vertices: np.ndarray, vertex_ids=(0, 1, 2)) -> np.ndarray:
-    """6x6 matrix of the monomial unknowns: vertex values, then edge integrals.
+def morley_dof_matrix(vertices: np.ndarray, vertex_ids: np.ndarray) -> np.ndarray:
+    """(n, 6, 6) matrices of the monomial unknowns: vertex values, then edge integrals.
 
     Edge i joins vertices i and i+1; its normal derivative integral uses the
     normal induced by the traversal of the pair from the lower to the higher
     of their ``vertex_ids``, evaluated at the edge midpoint (exact: gradients
     of quadratics are linear).
     """
-    center = vertices.mean(axis=0)
-    mat = np.empty((6, 6))
-    mat[:3] = _monomial_values(vertices, center)
-    for i in range(3):
-        ia, ib = vertex_ids[i], vertex_ids[(i + 1) % 3]
-        a, b = vertices[i], vertices[(i + 1) % 3]
-        if ia > ib:
-            a, b = b, a
-        vec = b - a
-        length = float(np.linalg.norm(vec))
-        normal = np.array([vec[1], -vec[0]]) / length
-        mid = 0.5 * (a + b)[None, :]
-        gx, gy = _monomial_gradients(mid, center)
-        mat[3 + i] = length * (normal[0] * gx[0] + normal[1] * gy[0])
-    return mat
+    center = vertices.mean(axis=1, keepdims=True)
+    ahead = np.roll(vertices, -1, axis=1)
+    sign = np.where(vertex_ids < np.roll(vertex_ids, -1, axis=1), 1.0, -1.0)
+    vec = sign[..., None] * (ahead - vertices)
+    # each length by a dot product, rounded as np.linalg.norm rounds one vector
+    length = np.sqrt(vec[..., None, :] @ vec[..., :, None])[..., 0, 0]
+    nx, ny = vec[..., 1] / length, -vec[..., 0] / length
+    x, y = (0.5 * (vertices + ahead) - center).transpose(2, 0, 1)
+    zero = np.zeros_like(x)
+    edge = np.stack([zero, nx, ny, nx * (2.0 * x), nx * y + ny * x, ny * (2.0 * y)], axis=-1)
+    rel = vertices - center
+    return np.concatenate([_monomials(rel[..., 0], rel[..., 1]), length[..., None] * edge], axis=1)
 
 
-def _triangle_area(vertices: np.ndarray) -> float:
-    a, b, c = vertices
-    return 0.5 * float(
-        (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    )
+def _require(ok: np.ndarray, problem: str) -> None:
+    """Raise MorleyError naming the first cell where ``ok`` is false."""
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        raise MorleyError(f"cell {bad[0]}: {problem}")
+
+
+def morley_basis(vertices: np.ndarray, vertex_ids: np.ndarray) -> np.ndarray:
+    """Inverse unknown matrices: column j holds the monomial coefficients of
+    basis function j.
+
+    Raises MorleyError naming the first degenerate or clockwise triangle,
+    or the first triangle whose inverse is not finite (an unknown matrix
+    singular in floating point), and on an exactly singular one.
+    """
+    _require(triangle_areas(vertices) > 0.0, "degenerate or negatively oriented triangle")
+    try:
+        basis = np.linalg.inv(morley_dof_matrix(vertices, vertex_ids))
+    except np.linalg.LinAlgError as exc:
+        raise MorleyError("singular unknown matrix: degenerate triangle") from exc
+    _require(np.isfinite(basis).all(axis=(1, 2)), "singular unknown matrix")
+    return basis
 
 
 def morley_local_stiffness(
-    vertices: np.ndarray, material: MaterialParams, vertex_ids=(0, 1, 2)
+    vertices: np.ndarray, basis: np.ndarray, material: MaterialParams
 ) -> np.ndarray:
-    """Exact plate energy of the Morley basis functions on one triangle."""
-    area = _triangle_area(vertices)
-    if area <= 0.0:
-        raise MorleyError("degenerate or negatively oriented triangle")
-    hess = _hessians()
-    lap = hess[:, 0] + hess[:, 2]
+    """Exact plate energy of the Morley basis functions, (n, 6, 6).
+
+    Only the second-degree coefficients (c_x2, c_xy, c_y2) carry energy: the
+    Hessian (u_xx, u_xy, u_yy) = (2 c_x2, c_xy, 2 c_y2) is constant on each
+    triangle, so the energy is the area times a fixed quadratic form.
+    """
     nu = material.poisson
-    energy = material.rigidity * area * (
-        nu * np.outer(lap, lap)
-        + (1.0 - nu)
-        * (
-            np.outer(hess[:, 0], hess[:, 0])
-            + 2.0 * np.outer(hess[:, 1], hess[:, 1])
-            + np.outer(hess[:, 2], hess[:, 2])
-        )
-    )
-    try:
-        inv = np.linalg.inv(morley_dof_matrix(vertices, vertex_ids))
-    except np.linalg.LinAlgError as exc:
-        raise MorleyError("singular unknown matrix: degenerate triangle") from exc
-    stiff = inv.T @ energy @ inv
-    return 0.5 * (stiff + stiff.T)
+    lap = np.array([2.0, 0.0, 2.0])
+    density = nu * np.outer(lap, lap) + (1.0 - nu) * np.diag([4.0, 2.0, 4.0])
+    energy = material.rigidity * triangle_areas(vertices)[:, None, None] * density
+    quad = basis[:, 3:]
+    stiff = quad.transpose(0, 2, 1) @ energy @ quad
+    return 0.5 * (stiff + stiff.transpose(0, 2, 1))
 
 
-# degree-5 symmetric triangle rule (7 points): exact source integrals for
-# polynomial loads up to degree 5
+# degree-5 symmetric triangle rule (7 points) in barycentric coordinates:
+# exact source integrals for polynomial loads up to degree 5
 _SQRT15 = np.sqrt(15.0)
+_RULE_BARY = np.array(
+    [(1 / 3, 1 / 3, 1 / 3)]
+    + [
+        perm
+        for a in ((6.0 + _SQRT15) / 21.0, (6.0 - _SQRT15) / 21.0)
+        for perm in ((a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a))
+    ]
+)
+_RULE_WEIGHTS = np.array(
+    [9.0 / 40.0] + 3 * [(155.0 + _SQRT15) / 1200.0] + 3 * [(155.0 - _SQRT15) / 1200.0]
+)
 
 
-def _degree5_rule(vertices: np.ndarray):
-    a1 = (6.0 + _SQRT15) / 21.0
-    a2 = (6.0 - _SQRT15) / 21.0
-    w1 = (155.0 + _SQRT15) / 1200.0
-    w2 = (155.0 - _SQRT15) / 1200.0
-    bary = [np.array([1 / 3, 1 / 3, 1 / 3])]
-    weights = [9.0 / 40.0]
-    for a, w in ((a1, w1), (a2, w2)):
-        for perm in ((a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a)):
-            bary.append(np.array(perm))
-            weights.append(w)
-    area = _triangle_area(vertices)
-    points = np.array([b @ vertices for b in bary])
-    return points, area * np.array(weights)
-
-
-def _interior_monomial_integrals(vertices: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Exact integrals of the centered quadratic monomials (midpoint rule)."""
-    area = _triangle_area(vertices)
-    mids = 0.5 * (vertices + np.roll(vertices, -1, axis=0))
-    vals = _monomial_values(mids, center)
-    return area * vals.mean(axis=0)
-
-
-def morley_local_load(vertices: np.ndarray, f, vertex_ids=(0, 1, 2)) -> np.ndarray:
-    """Load pairings against the cell average of f (matching the order-2 pairing).
+def morley_local_load(vertices: np.ndarray, basis: np.ndarray, f) -> np.ndarray:
+    """Load pairings against the cell average of f (matching the order-2 pairing), (n, 6).
 
     Uses ``(mean of f) * (integral of each basis function)`` so the oracle
-    discretization matches the moment-based load of the polygonal method.
+    discretization matches the moment-based load of the polygonal method;
+    the monomial integrals are exact by the edge-midpoint rule.
     """
-    area = _triangle_area(vertices)
-    points, weights = _degree5_rule(vertices)
-    favg = float(weights @ f(points[:, 0], points[:, 1])) / area
-    integrals = _interior_monomial_integrals(vertices, vertices.mean(axis=0))
-    return favg * np.linalg.solve(morley_dof_matrix(vertices, vertex_ids).T, integrals)
-
-
-def _check_triangular(mesh: PolygonMesh):
-    for ids in mesh.cells:
-        if len(ids) != 3:
-            raise MorleyError("oracle requires a triangular mesh")
+    points = _RULE_BARY @ vertices
+    favg = f(points[..., 0], points[..., 1]) @ _RULE_WEIGHTS
+    rel = vertices - vertices.mean(axis=1, keepdims=True)
+    mids = 0.5 * (rel + np.roll(rel, -1, axis=1))
+    areas = triangle_areas(vertices)
+    integrals = areas[:, None] * _monomials(mids[..., 0], mids[..., 1]).mean(axis=1)
+    return favg[:, None] * np.einsum("nji,nj->ni", basis, integrals)
 
 
 def morley_solve(
@@ -177,16 +145,15 @@ def morley_solve(
 
     Returns (solution vector, dofmap).
     """
-    _check_triangular(mesh)
+    _require(mesh.cells.lengths == 3, "not a triangle; the oracle requires a triangular mesh")
     dofmap = global_dof_map(mesh, 2)
     cells = np.arange(mesh.n_cells)
-    stiff, loads = [], []
-    for c in cells:
-        ids = mesh.cells[c]
-        verts = mesh.vertices[ids]
-        stiff.append(morley_local_stiffness(verts, material, ids))
-        loads.append(morley_local_load(verts, f, ids))
-    system = PlateSystem(assemble_stiffness([cells], [np.array(stiff)], dofmap), dofmap)
+    ids = mesh.cells.stack(cells)
+    vertices = mesh.vertices[ids]
+    basis = morley_basis(vertices, ids)
+    stiffness = morley_local_stiffness(vertices, basis, material)
+    system = PlateSystem(assemble_stiffness([cells], [stiffness], dofmap), dofmap)
+    loads = morley_local_load(vertices, basis, f)
     unknowns = dofmap.group_dofs(cells)  # (n_cells, 6)
-    load = np.bincount(unknowns.ravel(), weights=np.ravel(loads), minlength=dofmap.n_total)
+    load = np.bincount(unknowns.ravel(), weights=loads.ravel(), minlength=dofmap.n_total)
     return system.solve_load(load, bc), dofmap

@@ -13,7 +13,7 @@ be checked against:
   that the coordinate-major library routines must match bitwise;
 * the plate energy and seminorm Grams by cell quadrature, and the bending
   moment, effective shear and corner twist operators on polynomials;
-* the Morley oracle's per-triangle interpolant and broken-H2 error;
+* the Morley oracle's interpolant and broken-H2 error over a stack of triangles;
 * per-edge and per-cell geometry of a mesh (:class:`CellFrame`, one cell's
   rows of its group's stacks), and the layout slices of the edge unknowns;
 * the diameter from all vertex pairs, and the Chebyshev ball from all
@@ -37,7 +37,7 @@ from platevem.geometry import polygon_centroid
 from platevem.local import DofLayout
 from platevem.manufactured import _d2g, _dg, _g
 from platevem.mesh import CellGroup, PolygonMesh, RegularityReport, derive_topology
-from platevem.morley import _hessians, _triangle_area, morley_dof_matrix
+from platevem.morley import morley_basis, triangle_areas
 from platevem.plate import MaterialParams
 from platevem.polynomials import (
     _derivative_factors,
@@ -356,53 +356,35 @@ def exact_bilinear(
 
 
 def morley_interpolation_dofs(vertices: np.ndarray, vertex_ids, w, grad_w) -> np.ndarray:
-    """Unknowns of a smooth function: vertex values and edge normal integrals."""
-    out = np.empty(6)
-    out[:3] = w(vertices[:, 0], vertices[:, 1])
+    """Unknowns of a smooth function on a stack of triangles, (n, 6): vertex
+    values, then the edge integrals of the normal derivative by 5-point Gauss."""
+    ahead = np.roll(vertices, -1, axis=1)
+    flip = vertex_ids > np.roll(vertex_ids, -1, axis=1)
+    vec = np.where(flip[..., None], vertices - ahead, ahead - vertices)
     nodes, wts = np.polynomial.legendre.leggauss(5)
-    for i in range(3):
-        ia, ib = vertex_ids[i], vertex_ids[(i + 1) % 3]
-        a, b = vertices[i], vertices[(i + 1) % 3]
-        if ia > ib:
-            a, b = b, a
-        vec = b - a
-        length = float(np.linalg.norm(vec))
-        normal = np.array([vec[1], -vec[0]]) / length
-        pts = 0.5 * (a + b)[None, :] + 0.5 * nodes[:, None] * vec[None, :]
-        gx, gy = grad_w(pts[:, 0], pts[:, 1])
-        out[3 + i] = 0.5 * length * float(wts @ (normal[0] * gx + normal[1] * gy))
-    return out
+    pts = 0.5 * (vertices + ahead)[:, :, None] + 0.5 * nodes[:, None] * vec[:, :, None]
+    gx, gy = grad_w(pts[..., 0], pts[..., 1])
+    # length times the unit normal is the rotated edge vector (vy, -vx)
+    flux = 0.5 * (vec[..., 1:] * gx - vec[..., :1] * gy) @ wts
+    return np.concatenate([w(vertices[..., 0], vertices[..., 1]), flux], axis=1)
 
 
 def morley_error_2h(mesh: PolygonMesh, dofmap, solution, exact, exact_grad) -> float:
     """Relative broken H2 error of a Morley solution against the interpolated
     exact solution.
 
-    Quadratics have constant second derivatives, so the elementwise seminorm
-    is a closed form in the coefficients.
+    Quadratics have constant second derivatives (u_xx, u_xy, u_yy) =
+    (2 c_x2, c_xy, 2 c_y2), so the elementwise seminorm is a closed form in
+    the coefficients.
     """
-    hess = _hessians()
-    unknowns = dofmap.group_dofs(np.arange(mesh.n_cells))
-    num = 0.0
-    den = 0.0
-    for c in range(mesh.n_cells):
-        ids = mesh.cells[c]
-        verts = mesh.vertices[ids]
-        dof = morley_dof_matrix(verts, ids)
-        sol_c = np.linalg.solve(dof, solution[unknowns[c]])
-        exact_dofs = morley_interpolation_dofs(verts, ids, exact, exact_grad)
-        exa_c = np.linalg.solve(dof, exact_dofs)
-        area = _triangle_area(verts)
-        diff = exa_c - sol_c
-        for coeffs, acc in ((diff, "num"), (exa_c, "den")):
-            uxx = coeffs @ hess[:, 0]
-            uxy = coeffs @ hess[:, 1]
-            uyy = coeffs @ hess[:, 2]
-            val = area * (uxx**2 + uxy**2 + uyy**2)
-            if acc == "num":
-                num += val
-            else:
-                den += val
+    cells = np.arange(mesh.n_cells)
+    ids = mesh.cells.stack(cells)
+    verts = mesh.vertices[ids]
+    basis = morley_basis(verts, ids)
+    sol = np.einsum("nij,nj->ni", basis, solution[dofmap.group_dofs(cells)])
+    exa = np.einsum("nij,nj->ni", basis, morley_interpolation_dofs(verts, ids, exact, exact_grad))
+    areas = triangle_areas(verts)
+    num, den = (areas @ ((c[:, 3:] * [2.0, 1.0, 2.0]) ** 2).sum(axis=1) for c in (exa - sol, exa))
     if den == 0.0:
         return float(np.sqrt(num))
     return float(np.sqrt(num / den))

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -268,3 +269,13 @@ def test_chebyshev_ball_matches_all_triples():
         ref_centres, ref_radii = all_triples_chebyshev_ball(vertices)
         assert centres.tobytes() == ref_centres.tobytes()
         assert radii.tobytes() == ref_radii.tobytes()
+
+
+def test_edge_triples_are_the_lexicographic_combinations():
+    """The arithmetic triples are ``itertools.combinations`` in the same
+    order, cut into chunks of TRIPLE_CHUNK with only the last one shorter."""
+    for m in range(3, 65):
+        chunks = [np.stack(chunk, axis=1) for chunk in geometry._edge_triples(m)]
+        assert all(len(chunk) == geometry.TRIPLE_CHUNK for chunk in chunks[:-1]), m
+        assert 0 < len(chunks[-1]) <= geometry.TRIPLE_CHUNK, m
+        assert np.array_equal(np.concatenate(chunks), list(combinations(range(m), 3))), m

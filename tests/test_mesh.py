@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from platevem import geometry
-from platevem.assembly import BoundarySpec, PlateSolver
+from platevem.assembly import BoundarySpec, PlateSolver, interpolate
 from platevem.generators import FAMILIES, build_family
 from platevem.local import ProjectorError
 from platevem.mesh import (
@@ -368,6 +368,32 @@ def test_star_polygon_fuzz_solves_or_raises_classified_errors():
         if not tracing:
             tracemalloc.stop()
     assert outcomes["solved"] > 0 and len(outcomes) > 1, outcomes
+
+
+@pytest.mark.parametrize("order, n_free", [(4, 1), (5, 3)])
+def test_star_polygon_fuzz_reproduces_the_quadratic_at_high_order(order, n_free):
+    """The fuzz polygons at orders 4 and 5, where one or three interior
+    moments of the one cell are free: each case that solves reproduces the
+    quadratic's interpolant within the 1e-8 patch gate, relative to the
+    interpolant's largest entry; the others raise MeshError,
+    ProjectorError or SolverError."""
+    rng = np.random.default_rng(19)
+    outcomes = Counter()
+    for m in [*range(3, 33), 48, 64]:
+        vertices = fuzz_polygon(rng, m)
+        try:
+            mesh = derive_topology(vertices, [list(range(m))])
+            solver = PlateSolver(mesh, order, DEFAULT_MATERIAL)
+            bc = BoundarySpec.dirichlet(quadratic, quadratic_gradient)
+            solution = solver.solve(lambda x, y: np.zeros_like(x), bc)
+        except (MeshError, ProjectorError, SolverError) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        want = interpolate(solver.dofmap, quadratic, quadratic_gradient)
+        assert len(solver.free) == n_free, m
+        assert np.abs(solution - want).max() <= 1e-8 * np.abs(want).max(), m
+        outcomes["solved"] += 1
+    assert outcomes["solved"] > 0, outcomes
 
 
 def test_regularity_flags_short_edge():
