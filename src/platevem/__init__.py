@@ -10,14 +10,7 @@ from .mesh import (
     read_mesh,
     write_mesh,
 )
-from .generators import (
-    FAMILIES,
-    build_criss_cross,
-    build_family,
-    build_nonconvex_octagonal,
-    build_randomized_quadrilateral,
-    build_remapped_hexagonal,
-)
+from .generators import FAMILIES, build_family
 from .assembly import BoundarySpec, PlateSolver, SolverError
 from .convergence import convergence_study, error_2h
 
@@ -32,11 +25,7 @@ __all__ = [
     "read_mesh",
     "write_mesh",
     "FAMILIES",
-    "build_criss_cross",
     "build_family",
-    "build_nonconvex_octagonal",
-    "build_randomized_quadrilateral",
-    "build_remapped_hexagonal",
     "BoundarySpec",
     "PlateSolver",
     "SolverError",

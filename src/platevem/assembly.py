@@ -407,18 +407,19 @@ class PlateSystem:
 class PlateSolver(PlateSystem):
     """Reusable discrete plate problem on a fixed mesh, order, and material.
 
-    Builds the kernel groups, the global numbering, and the stiffness
+    Builds the global numbering, the kernel groups and the stiffness
     matrix once, and drops the local stiffness stacks after the scatter;
     each :meth:`solve` call assembles a load and solves it as a
-    :class:`PlateSystem`.
+    :class:`PlateSystem`. The numbering comes first, so an order below 2
+    raises its :class:`AssemblyError`.
     """
 
     def __init__(self, mesh: PolygonMesh, order: int, material: MaterialParams):
         self.mesh = mesh
         self.order = order
         self.material = material
-        self.kernels, stiffness = build_local_kernels(mesh, order, material)
         dofmap = global_dof_map(mesh, order)
+        self.kernels, stiffness = build_local_kernels(mesh, order, material)
         matrix = assemble_stiffness([group.index for group in self.kernels], stiffness, dofmap)
         del stiffness
         super().__init__(matrix, dofmap)

@@ -282,7 +282,7 @@ def _cmd_morley_compare(args) -> int:
     if args.family not in (None, "crisscross"):
         raise ConfigError("the triangular oracle runs on the crisscross family")
     material = _material(args)
-    mesh = generators.build_criss_cross(args.n)
+    mesh = generators.build_family("crisscross", args.n)
     f = manufactured.load(material)
     solver = PlateSolver(mesh, 2, material)
     vem = solver.solve(f, BoundarySpec.clamped())

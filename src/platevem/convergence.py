@@ -18,29 +18,21 @@ class ZeroSeminormError(Exception):
     """Reference field projects to piecewise linears: relative error undefined."""
 
 
-@dataclass
-class ProjectedField:
-    """Cellwise polynomial coefficients of a projection, each in its cell's
-    element basis (see :mod:`platevem.local`), the basis of the kernel
-    groups' seminorm Grams."""
-
-    mesh: PolygonMesh
-    order: int
-    coefficients: np.ndarray  # (n_cells, dim)
-
-
 def project_solution(
     mesh: PolygonMesh,
     kernels: list[KernelGroup],
     dofmap,
     solution: np.ndarray,
-) -> ProjectedField:
-    """Cellwise energy projection of a discrete solution vector."""
+) -> np.ndarray:
+    """Cellwise energy projection of a discrete solution vector: the
+    (n_cells, dim) polynomial coefficients, each row in its cell's element
+    basis (see :mod:`platevem.local`), the basis of the kernel groups'
+    seminorm Grams."""
     coeffs = np.empty((mesh.n_cells, kernels[0].dim))
     for group in kernels:
         unknowns = solution[dofmap.group_dofs(group.index)]
         coeffs[group.index] = np.einsum("gdn,gn->gd", group.pi, unknowns)
-    return ProjectedField(mesh, kernels[0].layout.order, coeffs)
+    return coeffs
 
 
 def project_exact(
@@ -48,8 +40,9 @@ def project_exact(
     kernels: list[KernelGroup],
     w,
     grad_w,
-) -> ProjectedField:
-    """Cellwise energy projection of a smooth function given by callbacks."""
+) -> np.ndarray:
+    """Cellwise energy projection of a smooth function given by callbacks,
+    as :func:`project_solution` returns it."""
     dofmap = global_dof_map(mesh, kernels[0].layout.order)
     return project_solution(mesh, kernels, dofmap, interpolate(dofmap, w, grad_w))
 
@@ -83,8 +76,8 @@ LINEAR_NOISE = 1e-9
 
 def error_2h(
     kernels: list[KernelGroup],
-    exact: ProjectedField,
-    discrete: ProjectedField,
+    exact: np.ndarray,
+    discrete: np.ndarray,
 ) -> float:
     """Relative broken H2 distance between two projected fields.
 
@@ -94,30 +87,10 @@ def error_2h(
         When the reference field has (numerically) zero broken seminorm,
         i.e. it projects to a piecewise linear field.
     """
-    denom, num, scale = seminorm_terms(
-        kernels, exact.coefficients, exact.coefficients - discrete.coefficients
-    )
+    denom, num, scale = seminorm_terms(kernels, exact, exact - discrete)
     if denom <= LINEAR_NOISE * scale:
         raise ZeroSeminormError("reference projection is piecewise linear")
     return num / denom
-
-
-def relative_or_absolute_error(
-    kernels: list[KernelGroup],
-    exact: ProjectedField,
-    discrete: ProjectedField,
-) -> float:
-    """:func:`error_2h`, or the absolute error when the reference is linear.
-
-    Falls back to the absolute broken seminorm of the difference whenever
-    the reference seminorm sits at rounding-noise level, which keeps
-    consistency sweeps meaningful for linear solutions. Both seminorms
-    come from one :func:`seminorm_terms` pass.
-    """
-    denom, num, scale = seminorm_terms(
-        kernels, exact.coefficients, exact.coefficients - discrete.coefficients
-    )
-    return num if denom <= LINEAR_NOISE * scale else num / denom
 
 
 @dataclass
@@ -174,12 +147,16 @@ def windowed_rate(records: list[ConvergenceRecord], versus: str = "h") -> float:
 
 
 def measured_error(solver: PlateSolver, solution: np.ndarray, exact, exact_grad) -> float:
-    """:func:`relative_or_absolute_error` of a solution of ``solver``
-    against the smooth field given by ``exact`` and ``exact_grad``, both
-    projected on the solver's kernel groups."""
-    proj_u = project_exact(solver.mesh, solver.kernels, exact, exact_grad)
-    proj_uh = project_solution(solver.mesh, solver.kernels, solver.dofmap, solution)
-    return relative_or_absolute_error(solver.kernels, proj_u, proj_uh)
+    """:func:`error_2h` of a solution of ``solver`` against the smooth field
+    given by ``exact`` and ``exact_grad``, both projected on the solver's
+    kernel groups; the absolute broken seminorm of the difference when the
+    reference projects to a piecewise linear field, which keeps consistency
+    sweeps meaningful for linear solutions. Both seminorms come from one
+    :func:`seminorm_terms` pass."""
+    u = project_exact(solver.mesh, solver.kernels, exact, exact_grad)
+    uh = project_solution(solver.mesh, solver.kernels, solver.dofmap, solution)
+    denom, num, scale = seminorm_terms(solver.kernels, u, u - uh)
+    return num if denom <= LINEAR_NOISE * scale else num / denom
 
 
 # Largest refinement index of any mesh a study or a command builds.

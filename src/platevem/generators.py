@@ -2,7 +2,8 @@
 
 Every family starts from a 5x5 grid (refinement index n = 0) and uses a
 10n x 10n grid for n >= 1. All generators return a fully derived
-:class:`~platevem.mesh.PolygonMesh`.
+:class:`~platevem.mesh.PolygonMesh`; :func:`build_family` builds one family
+by name and refinement index.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import numpy as np
 
 from . import geometry
 from .mesh import MeshError, PolygonMesh, derive_topology
-
-FAMILIES = ("crisscross", "hexagonal", "octagonal", "randomquad")
 
 DEFAULT_NOTCH_RATIO = 0.25
 RANDOM_BOX_RATIO = 0.8
@@ -249,36 +248,19 @@ def _barycentric_dual(points: np.ndarray, triangles: np.ndarray) -> PolygonMesh:
     return derive_topology(vertices, cells)
 
 
-def build_criss_cross(n: int) -> PolygonMesh:
-    """Criss-cross triangular mesh at refinement index n."""
-    return criss_cross_mesh(resolution(n))
-
-
-def build_remapped_hexagonal(n: int) -> PolygonMesh:
-    """Remapped mainly hexagonal mesh at refinement index n."""
-    return remapped_hexagonal_mesh(resolution(n))
-
-
-def build_nonconvex_octagonal(
-    n: int, notch_ratio: float = DEFAULT_NOTCH_RATIO
-) -> PolygonMesh:
-    """Non-convex octagonal mesh at refinement index n."""
-    return nonconvex_octagonal_mesh(resolution(n), notch_ratio)
-
-
-def build_randomized_quadrilateral(n: int, seed: int) -> PolygonMesh:
-    """Randomized quadrilateral mesh at refinement index n, seeded."""
-    return randomized_quadrilateral_mesh(resolution(n), seed)
+# Builder of each family from a grid resolution r and a seed; only the
+# randomized family reads the seed.
+_BUILDERS = {
+    "crisscross": lambda r, seed: criss_cross_mesh(r),
+    "hexagonal": lambda r, seed: remapped_hexagonal_mesh(r),
+    "octagonal": lambda r, seed: nonconvex_octagonal_mesh(r),
+    "randomquad": randomized_quadrilateral_mesh,
+}
+FAMILIES = tuple(_BUILDERS)
 
 
 def build_family(family: str, n: int, seed: int = 0) -> PolygonMesh:
     """Build a mesh of one of the named families at refinement index n."""
-    if family == "crisscross":
-        return build_criss_cross(n)
-    if family == "hexagonal":
-        return build_remapped_hexagonal(n)
-    if family == "octagonal":
-        return build_nonconvex_octagonal(n)
-    if family == "randomquad":
-        return build_randomized_quadrilateral(n, seed)
-    raise MeshError(f"unknown mesh family {family!r}; choose from {FAMILIES}")
+    if family not in FAMILIES:
+        raise MeshError(f"unknown mesh family {family!r}; choose from {FAMILIES}")
+    return _BUILDERS[family](resolution(n), seed)

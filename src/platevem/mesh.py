@@ -107,6 +107,7 @@ class PolygonMesh:
     centroids: np.ndarray
     diameters: np.ndarray
     stars: np.ndarray
+    clearances: np.ndarray  # star point to kernel boundary (ball radius off the centroid)
     boundary_vertices: np.ndarray = field(repr=False)  # bool mask
 
     @property
@@ -256,7 +257,7 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
         )
 
     cell_rows = CellRows(flat, offsets)
-    areas, centroids, diameters, stars = _cell_geometry(vertices, cell_rows)
+    areas, centroids, diameters, stars, clearances = _cell_geometry(vertices, cell_rows)
     boundary_vertices = np.zeros(n_vert, dtype=bool)
     boundary_vertices[edge_vertices[edge_cells[:, 1] < 0].ravel()] = True
     return PolygonMesh(
@@ -270,6 +271,7 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
         centroids=centroids,
         diameters=diameters,
         stars=stars,
+        clearances=clearances,
         boundary_vertices=boundary_vertices,
     )
 
@@ -298,7 +300,8 @@ def _check_cell_lists(flat, cell_of, lengths, n_vert) -> None:
 
 
 def _cell_geometry(vertices: np.ndarray, cells: CellRows):
-    """Areas, centroids, diameters and star points, one stack per vertex count.
+    """Areas, centroids, diameters, star points and their clearances, one
+    stack per vertex count.
 
     Every area is checked before any centroid divides by it, and every star
     point before the first cell without one is reported.
@@ -324,7 +327,7 @@ def _cell_geometry(vertices: np.ndarray, cells: CellRows):
     bad = np.flatnonzero(clearance <= geometry.STAR_CLEARANCE * diameters)
     if len(bad):
         raise MeshError(f"cell {bad[0]}: polygon has an empty kernel: no valid star point")
-    return areas, centroids, diameters, stars
+    return areas, centroids, diameters, stars, clearance
 
 
 @dataclass(frozen=True)
@@ -347,12 +350,16 @@ class RegularityReport:
 def validate_regularity(mesh: PolygonMesh) -> RegularityReport:
     """Compute the shape-regularity report of a mesh (never raises).
 
-    One pass per vertex-count group; :func:`geometry.chebyshev_ball` takes
-    the group's cells in chunks.
+    One pass per vertex-count group. A star point off its cell's centroid is
+    the centre of the cell's Chebyshev ball, and its clearance is the ball's
+    radius, so :func:`geometry.chebyshev_ball` solves only the cells whose
+    star point is the centroid, in chunks.
     """
     star_ratio = edge_ratio = angle = np.inf
     for group in mesh.cell_groups():
-        _, radii = geometry.chebyshev_ball(group.vertices)
+        radii = mesh.clearances[group.index]
+        at_centroid = (group.stars == group.centroids).all(axis=1)
+        radii[at_centroid] = geometry.chebyshev_ball(group.vertices[at_centroid])[1]
         star_ratio = min(star_ratio, (np.maximum(radii, 0.0) / group.diameters).min())
         edge_ratio = min(edge_ratio, (group.edge_lengths / group.diameters[:, None]).min())
         angle = min(angle, geometry.min_fan_angle(group.vertices, group.stars).min())

@@ -59,6 +59,13 @@ def test_rejects_order_one(mesh_cache):
         global_dof_map(mesh_cache("crisscross", 0), 1)
 
 
+def test_solver_rejects_order_one(mesh_cache):
+    """The solver numbers the unknowns before it builds the kernels, so a
+    bad order raises the numbering's classified error."""
+    with pytest.raises(AssemblyError, match="order must be at least 2"):
+        PlateSolver(mesh_cache("crisscross", 0), 1, DEFAULT_MATERIAL)
+
+
 def test_cell_dofs_disjoint_blocks(mesh_cache):
     mesh = mesh_cache("crisscross", 0)
     dofmap = global_dof_map(mesh, 4)
@@ -482,7 +489,7 @@ def test_interpolation_matches_cellwise_reference(family, mesh_cache, small_corp
                 ref[view.dofs] = dofs
             assert _relative(interpolate(dofmap, w, gw), ref) <= 1e-14, (mesh.n_cells, order)
 
-            coeffs = cv.project_exact(mesh, kernels, w, gw).coefficients
+            coeffs = cv.project_exact(mesh, kernels, w, gw)
             ref_coeffs = np.array([v.pi @ d for v, d in zip(views, cellwise)])
             assert _relative(coeffs, ref_coeffs) <= 1e-10, (mesh.n_cells, order)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_n_above_largest_refinement_is_config_error(
     def no_mesh(*args, **kwargs):
         raise AssertionError("a mesh was built for a rejected --n")
 
-    for name in ("build_family", "build_criss_cross", "nonconvex_octagonal_mesh"):
+    for name in ("build_family", "nonconvex_octagonal_mesh"):
         monkeypatch.setattr(generators, name, no_mesh)
     out = tmp_path / "out" / "x.json"
     if source == "flag":
@@ -327,3 +328,15 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     code = main(["mesh", "--family", "crisscross", "--n", "0"])
     assert code == 0
     assert (tmp_path / "crisscross_n0.json").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    """The fenced Python block under README's "Library use" heading runs
+    as written and prints the error of its solve."""
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    assert 0.0 < float(capsys.readouterr().out) < 1.0

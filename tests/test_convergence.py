@@ -32,7 +32,7 @@ def test_projection_reproduces_polynomials(mesh_cache):
     field = cv.project_exact(mesh, kernels, u, gu)
     for c, kern in enumerate(cell_views(mesh, 3)):
         pts = kern.frame.vertices * 0.5 + kern.frame.centroid * 0.5
-        got = kern.element_values(pts) @ field.coefficients[c]
+        got = kern.element_values(pts) @ field[c]
         assert np.allclose(got, u(pts[:, 0], pts[:, 1]), atol=1e-11)
 
 
@@ -53,8 +53,7 @@ def test_scaled_field_ratio_one(mesh_cache):
     field = cv.project_exact(
         mesh, kernels, manufactured.displacement, manufactured.gradient
     )
-    doubled = cv.ProjectedField(mesh, 2, 2.0 * field.coefficients)
-    assert cv.error_2h(kernels, field, doubled) == pytest.approx(1.0, rel=1e-12)
+    assert cv.error_2h(kernels, field, 2.0 * field) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_linear_reference_raises(mesh_cache):
@@ -63,9 +62,8 @@ def test_linear_reference_raises(mesh_cache):
     u = lambda x, y: 1.0 + x - 2.0 * y
     gu = lambda x, y: (np.ones_like(x), -2.0 * np.ones_like(x))
     field = cv.project_exact(mesh, kernels, u, gu)
-    other = cv.ProjectedField(mesh, 2, 0.0 * field.coefficients)
     with pytest.raises(cv.ZeroSeminormError):
-        cv.error_2h(kernels, field, other)
+        cv.error_2h(kernels, field, 0.0 * field)
 
 
 def test_error_invariant_under_global_linear_shift(mesh_cache):
@@ -75,18 +73,12 @@ def test_error_invariant_under_global_linear_shift(mesh_cache):
         mesh, kernels, manufactured.displacement, manufactured.gradient
     )
     rng = np.random.default_rng(0)
-    uh = cv.ProjectedField(
-        mesh, 3, u.coefficients + 1e-3 * rng.standard_normal(u.coefficients.shape)
-    )
+    uh = u + 1e-3 * rng.standard_normal(u.shape)
     base = cv.error_2h(kernels, u, uh)
     lin = lambda x, y: 0.7 - 1.3 * x + 0.2 * y
     glin = lambda x, y: (-1.3 * np.ones_like(x), 0.2 * np.ones_like(x))
     shift = cv.project_exact(mesh, kernels, lin, glin)
-    shifted_u = cv.ProjectedField(mesh, 3, u.coefficients + shift.coefficients)
-    shifted_uh = cv.ProjectedField(mesh, 3, uh.coefficients + shift.coefficients)
-    assert cv.error_2h(kernels, shifted_u, shifted_uh) == pytest.approx(
-        base, rel=1e-9
-    )
+    assert cv.error_2h(kernels, u + shift, uh + shift) == pytest.approx(base, rel=1e-9)
 
 
 def test_piecewise_linear_seminorm_zero(mesh_cache):
@@ -146,7 +138,7 @@ def test_projection_matches_dense_oracle(mesh_cache):
         saddle[:n, n:] = constraints.T
         saddle[n:, :n] = constraints
         oracle = np.linalg.solve(saddle, np.concatenate([rhs, d]))[:n]
-        monomial = kern.transform.T @ field.coefficients[c]  # q = T m
+        monomial = kern.transform.T @ field[c]  # q = T m
         assert np.abs(oracle - monomial).max() <= 1e-10
 
 
@@ -171,7 +163,7 @@ def test_batched_consumers_match_cellwise_reference(family, mesh_cache):
         dofmap = global_dof_map(mesh, order)
         smooth = interpolate(dofmap, manufactured.displacement, manufactured.gradient)
         for unknowns in (smooth, rng.standard_normal(dofmap.n_total)):
-            got = cv.project_solution(mesh, kernels, dofmap, unknowns).coefficients
+            got = cv.project_solution(mesh, kernels, dofmap, unknowns)
             ref = reference_project_solution(views, unknowns)
             rounding = max((np.abs(v.pi) @ np.abs(unknowns[v.dofs])).max() for v in views)
             assert np.abs(got - ref).max() <= 1e-14 * rounding, order
@@ -220,12 +212,37 @@ def test_error_ratio_between_refinements(mesh_cache):
         mesh = mesh_cache("crisscross", n)
         solver = PlateSolver(mesh, 2, DEFAULT_MATERIAL)
         sol = solver.solve(f, BoundarySpec.clamped())
-        pu = cv.project_exact(
-            mesh, solver.kernels, manufactured.displacement, manufactured.gradient
+        errors.append(
+            cv.measured_error(solver, sol, manufactured.displacement, manufactured.gradient)
         )
-        puh = cv.project_solution(mesh, solver.kernels, solver.dofmap, sol)
-        errors.append(cv.relative_or_absolute_error(solver.kernels, pu, puh))
     assert 1.6 <= errors[0] / errors[1] <= 2.6
+
+
+def test_measured_error_policies_on_monomials(mesh_cache):
+    """``measured_error`` is ``error_2h`` on the quadratic and cubic
+    monomials. On the linear ones (p + q <= 1) ``error_2h`` raises and
+    ``measured_error`` returns the absolute broken H2 seminorm of the
+    difference, here held against its cell-by-cell reference. The solutions
+    are perturbed so that no error is at rounding level."""
+    mesh = mesh_cache("hexagonal", 0)
+    solver = PlateSolver(mesh, 3, DEFAULT_MATERIAL)
+    views = cell_views(mesh, 3)
+    rng = np.random.default_rng(4)
+    for p, q in manufactured.monomial_exponent_pairs(3):
+        u, grad, f = manufactured.monomial_solution(p, q, DEFAULT_MATERIAL)
+        sol = solver.solve(f, BoundarySpec.dirichlet(u, grad))
+        sol += 1e-3 * rng.standard_normal(sol.shape)
+        measured = cv.measured_error(solver, sol, u, grad)
+        pu = cv.project_exact(mesh, solver.kernels, u, grad)
+        puh = cv.project_solution(mesh, solver.kernels, solver.dofmap, sol)
+        if p + q <= 1:
+            with pytest.raises(cv.ZeroSeminormError):
+                cv.error_2h(solver.kernels, pu, puh)
+            absolute = reference_seminorm_2h(views, pu - puh)
+            assert absolute > 0.0
+            assert measured == pytest.approx(absolute, rel=1e-12), (p, q)
+        else:
+            assert measured == cv.error_2h(solver.kernels, pu, puh), (p, q)
 
 
 def test_csv_and_plot_output(tmp_path):

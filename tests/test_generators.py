@@ -22,7 +22,7 @@ def test_criss_cross_single_square():
 
 
 def test_criss_cross_interior_edges():
-    mesh = gen.build_criss_cross(0)
+    mesh = gen.build_family("crisscross", 0)
     # recount adjacency by brute force over cell edge traversals
     seen: dict = {}
     for ids in mesh.cells:
@@ -37,8 +37,8 @@ def test_criss_cross_interior_edges():
 
 
 def test_criss_cross_h():
-    assert gen.build_criss_cross(0).h == pytest.approx(0.2)
-    assert gen.build_criss_cross(1).h == pytest.approx(0.1)
+    assert gen.build_family("crisscross", 0).h == pytest.approx(0.2)
+    assert gen.build_family("crisscross", 1).h == pytest.approx(0.1)
 
 
 def test_hexagonal_one_cell_per_primal_vertex():
@@ -149,7 +149,7 @@ def test_octagonal_vertex_formula():
 
 
 def test_octagonal_interior_cells_nonconvex():
-    mesh = gen.build_nonconvex_octagonal(0)
+    mesh = gen.build_family("octagonal", 0)
     r = 5
     n_nonconvex = 0
     for ids in mesh.cells:
@@ -169,7 +169,7 @@ def test_octagonal_interior_cells_nonconvex():
 def test_octagonal_cell_area_equals_square():
     # the notches displace area into the neighbors, so each interior cell
     # keeps the full grid-cell area; verified with an independent shoelace
-    mesh = gen.build_nonconvex_octagonal(0)
+    mesh = gen.build_family("octagonal", 0)
     side = 1.0 / 5
     interior_cell = 12  # cell (2, 2)
     verts = mesh.vertices[mesh.cells[interior_cell]]
@@ -186,16 +186,16 @@ def test_octagonal_rejects_bad_notch():
 
 
 def test_randomized_determinism():
-    a = gen.build_randomized_quadrilateral(0, seed=123)
-    b = gen.build_randomized_quadrilateral(0, seed=123)
+    a = gen.build_family("randomquad", 0, seed=123)
+    b = gen.build_family("randomquad", 0, seed=123)
     assert np.array_equal(a.vertices, b.vertices)
-    c = gen.build_randomized_quadrilateral(0, seed=124)
+    c = gen.build_family("randomquad", 0, seed=124)
     assert not np.array_equal(a.vertices, c.vertices)
 
 
 def test_randomized_topology_independent_of_seed():
-    a = gen.build_randomized_quadrilateral(1, seed=1)
-    b = gen.build_randomized_quadrilateral(1, seed=99)
+    a = gen.build_family("randomquad", 1, seed=1)
+    b = gen.build_family("randomquad", 1, seed=99)
     assert all(np.array_equal(x, y) for x, y in zip(a.cells, b.cells))
     assert np.array_equal(a.edge_vertices, b.edge_vertices)
 
@@ -220,13 +220,13 @@ def test_randomized_h_bounds_over_seeds():
     """
     lo = 0.2 * np.sqrt(2.0)
     hi = 0.36 * np.sqrt(2.0)
-    hs = [gen.build_randomized_quadrilateral(0, seed=s).h for s in range(1000)]
+    hs = [gen.build_family("randomquad", 0, seed=s).h for s in range(1000)]
     assert min(hs) >= lo - 1e-12
     assert max(hs) <= hi + 1e-12
 
 
 def test_boundary_vertices_stay_fixed():
-    mesh = gen.build_randomized_quadrilateral(0, seed=5)
+    mesh = gen.build_family("randomquad", 0, seed=5)
     grid = np.linspace(0.0, 1.0, 6)
     for v in np.flatnonzero(mesh.boundary_vertices):
         x, y = mesh.vertices[v]

@@ -321,6 +321,36 @@ def test_regularity_in_chunks_matches_one_pass(family):
     assert validate_regularity(mesh) == expected
 
 
+def test_chebyshev_ball_solved_once_per_cell(monkeypatch):
+    """The long L and the square completing it to [0, 4]^2: the L's star
+    point is off its centroid, the square's is its centroid. Building the
+    mesh and its report solves the ball once per cell, and the report is
+    the one from solving every cell's ball in the report."""
+    vertices = np.vstack([LONG_L, [[4.0, 4.0]]])
+    cells = [list(range(6)), [3, 2, 6, 4]]
+    mesh = derive_topology(vertices, cells)
+    star = edge = angle = np.inf
+    for group in mesh.cell_groups():
+        _, radii = geometry.chebyshev_ball(group.vertices)
+        star = min(star, (np.maximum(radii, 0.0) / group.diameters).min())
+        edge = min(edge, (group.edge_lengths / group.diameters[:, None]).min())
+        angle = min(angle, geometry.min_fan_angle(group.vertices, group.stars).min())
+    expected = RegularityReport(float(star), float(edge), float(angle))
+
+    solved = []
+    ball = geometry.chebyshev_ball
+
+    def counted_ball(polygons):
+        solved.append(len(polygons))
+        return ball(polygons)
+
+    monkeypatch.setattr(geometry, "chebyshev_ball", counted_ball)
+    mesh = derive_topology(vertices, cells)
+    assert sum(solved) == 1
+    assert validate_regularity(mesh) == expected
+    assert sum(solved) == mesh.n_cells
+
+
 def fuzz_polygon(rng: np.random.Generator, m: int) -> np.ndarray:
     """A star-shaped m-gon: radii 0.1 to 1 at sorted random angles about a
     random centre, squeezed along y by up to nine decades."""
@@ -405,9 +435,7 @@ def test_regularity_flags_short_edge():
 
 
 def test_mesh_io_roundtrip(tmp_path):
-    from platevem.generators import build_criss_cross
-
-    mesh = build_criss_cross(0)
+    mesh = build_family("crisscross", 0)
     path = tmp_path / "mesh.json"
     write_mesh(mesh, path)
     back = read_mesh(path)

@@ -208,9 +208,9 @@ def test_one_unknown_matrix_stack_per_solve(mesh_cache, monkeypatch):
 
 
 def test_quadratic_patch():
-    from platevem.generators import build_criss_cross
+    from platevem.generators import build_family
 
-    mesh = build_criss_cross(0)
+    mesh = build_family("crisscross", 0)
     u, grad, f = manufactured.monomial_solution(1, 1, DEFAULT_MATERIAL)
     bc = BoundarySpec.dirichlet(u, grad)
     solution, dofmap = morley.morley_solve(mesh, DEFAULT_MATERIAL, f, bc)
