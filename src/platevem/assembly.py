@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +45,8 @@ class GlobalDofMap:
     offsets: tuple = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.order, Integral):
+            raise AssemblyError(f"order must be an integer, got {self.order!r}")
         if self.order < 2:
             raise AssemblyError("order must be at least 2")
         layout = dof_layout(3, self.order)
@@ -238,38 +242,76 @@ def boundary_values(
 
 
 BACKWARD_ERROR_TOL = 1e-10
-# Smallest pivot of a factor, relative to its largest, that proves the
-# factored matrix numerically nonsingular.
-PIVOT_RATIO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpdFactor:
-    """Sparse Cholesky factor of a symmetric positive definite block of a matrix.
+def factor_spd(matrix: sp.csr_matrix, free: np.ndarray, dofmap: GlobalDofMap) -> Cholesky:
+    """Factor a symmetric positive definite block; the one factorization site.
 
-    Keeps the matrix the caller passed, the indices ``free`` of the factored
-    block and the block's 1-norm: every solve refines against them. The
-    block itself is not kept; :meth:`product` reads its products off the
-    matrix.
+    The factored matrix is the block ``matrix[free][:, free]`` of an exactly
+    symmetric, canonical CSR ``matrix`` over the unknowns of ``dofmap``;
+    ``np.arange(n)`` factors all of it. The elimination tree is a nested
+    dissection of ``dofmap``'s mesh (:func:`multifrontal.dissect`) and the
+    fronts read the free rows of ``matrix``: the block is never built.
+
+    Raises
+    ------
+    SolverError
+        When the block is not positive definite or numerically singular.
+    """
+    return multifrontal.cholesky(matrix, free, multifrontal.dissect(dofmap, free))
+
+
+def _norm_1(matrix: sp.csr_matrix, free: np.ndarray) -> float:
+    """Largest column sum of absolute values of ``matrix[free][:, free]``.
+
+    By the symmetry of ``matrix`` that is the largest sum over a free row,
+    read through a mask of the free columns, without building the block or
+    a copy of the pattern: masked entries add exact zeros.
+    """
+    mask = np.zeros(matrix.shape[1])
+    mask[free] = 1.0
+    magnitude = sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), matrix.shape)
+    return float((magnitude @ mask)[free].max(initial=0.0))
+
+
+class PlateSystem:
+    """A stiffness matrix over the unknowns of a numbering, solved on its
+    free block; shared by :class:`PlateSolver` and the Morley oracle.
+
+    Each :meth:`solve_load` call applies boundary data to an assembled load
+    and solves on the free block with :meth:`solve_free`, which factors the
+    block by :func:`factor_spd` on first use and keeps the factor in
+    :attr:`factor`. :attr:`refine_steps` holds the refinement steps of the
+    last solve. :attr:`matrix` is the only sparse matrix the system keeps:
+    the free block is never built, and its products, its 1-norm and the
+    coupling to strong boundary data are read off :attr:`matrix`.
     """
 
-    matrix: sp.spmatrix
-    free: np.ndarray
-    norm_1: float
-    cholesky: Cholesky
+    def __init__(self, matrix: sp.csr_matrix, dofmap: GlobalDofMap):
+        self.matrix = matrix
+        self.dofmap = dofmap
+        mask = dofmap.boundary_mask
+        self.free = np.flatnonzero(~mask)
+        self.constrained = np.flatnonzero(mask)
+        self.factor: Cholesky | None = None
+        self.refine_steps: int | None = None
 
     @property
-    def nnz(self) -> int:
-        """Entries of L, the diagonal included."""
-        return self.cholesky.nnz
+    def n_dofs(self) -> int:
+        return self.dofmap.n_total
 
     @property
-    def pivot_ratio(self) -> float:
-        """Smallest over largest pivot, diag(L)²."""
-        return self.cholesky.pivot_ratio
+    def nnz_factor(self) -> int | None:
+        """Stored entries of the factor of the free block, once factored."""
+        return None if self.factor is None else self.factor.nnz
+
+    @cached_property
+    def norm_1(self) -> float:
+        """The 1-norm of the free block (:func:`_norm_1`)."""
+        return _norm_1(self.matrix, self.free)
 
     def product(self, x: np.ndarray) -> np.ndarray:
-        """The factored block times x, as ``(matrix @ x_full)[free]``.
+        """The free block times x, as ``(matrix @ x_full)[free]``.
 
         ``x_full`` is x on the free unknowns and zero elsewhere. The other
         columns then add only exact zeros, so every entry is bitwise the
@@ -279,8 +321,9 @@ class SpdFactor:
         x_full[self.free] = x
         return (self.matrix @ x_full)[self.free]
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-        """Solve with iterative refinement down to ``BACKWARD_ERROR_TOL``.
+    def solve_free(self, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """Solve on the free block with iterative refinement down to
+        ``BACKWARD_ERROR_TOL``, factoring the block on first use.
 
         Convergence is measured by the normwise backward error
         ``|r| / (|A| |x| + |b|)``, the tightest residual notion a
@@ -288,7 +331,9 @@ class SpdFactor:
         drives the condition number past the inverse tolerance. Returns the
         solution and the number of refinement steps taken.
         """
-        substitute = self.cholesky.solve
+        if self.factor is None:
+            self.factor = factor_spd(self.matrix, self.free, self.dofmap)
+        substitute = self.factor.solve
         x = substitute(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError("solver produced non-finite values (singular matrix?)")
@@ -312,92 +357,20 @@ class SpdFactor:
             )
         return x, 3
 
-
-def factor_spd(matrix: sp.csr_matrix, free: np.ndarray, dofmap: GlobalDofMap) -> SpdFactor:
-    """Factor a symmetric positive definite block; the one factorization site.
-
-    The factored matrix is the block ``matrix[free][:, free]`` of an exactly
-    symmetric, canonical CSR ``matrix`` over the unknowns of ``dofmap``;
-    ``np.arange(n)`` factors all of it. The elimination tree is a nested
-    dissection of ``dofmap``'s mesh (:func:`multifrontal.dissect`) and the
-    fronts read the free rows of ``matrix``: the block is never built, and
-    only ``matrix`` is kept, for the refinement.
-
-    A Cholesky factorization that completes proves the block positive
-    definite; a pivot below ``PIVOT_RATIO_TOL`` of the largest flags it
-    numerically singular (e.g. an unconstrained kernel).
-
-    Raises
-    ------
-    SolverError
-        When a pivot block is not positive definite, or the pivots show the
-        matrix numerically singular.
-    """
-    cholesky = multifrontal.cholesky(matrix, free, multifrontal.dissect(dofmap, free))
-    if not cholesky.pivot_ratio > PIVOT_RATIO_TOL:
-        raise SolverError(
-            "factorization found a numerically zero pivot: matrix is singular "
-            "or not symmetric positive definite"
-        )
-    return SpdFactor(matrix, free, _norm_1(matrix, free), cholesky)
-
-
-def _norm_1(matrix: sp.csr_matrix, free: np.ndarray) -> float:
-    """Largest column sum of absolute values of ``matrix[free][:, free]``.
-
-    By the symmetry of ``matrix`` that is the largest sum over a free row,
-    read through a mask of the free columns, without building the block or
-    a copy of the pattern: masked entries add exact zeros.
-    """
-    mask = np.zeros(matrix.shape[1])
-    mask[free] = 1.0
-    magnitude = sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), matrix.shape)
-    return float((magnitude @ mask)[free].max(initial=0.0))
-
-
-class PlateSystem:
-    """A stiffness matrix over the unknowns of a numbering, solved on its
-    free block; shared by :class:`PlateSolver` and the Morley oracle.
-
-    Each :meth:`solve_load` call applies boundary data to an assembled load
-    and solves with the factor of the free block, made by
-    :func:`factor_spd` on the first solve and kept in :attr:`factor`.
-    :attr:`refine_steps` holds the refinement steps of the last solve.
-    :attr:`matrix` is the only sparse matrix the system and its factor
-    keep: the free block is never built, and the coupling to strong
-    boundary data is read off :attr:`matrix` at each solve.
-    """
-
-    def __init__(self, matrix: sp.csr_matrix, dofmap: GlobalDofMap):
-        self.matrix = matrix
-        self.dofmap = dofmap
-        mask = dofmap.boundary_mask
-        self.free = np.flatnonzero(~mask)
-        self.constrained = np.flatnonzero(mask)
-        self.factor: SpdFactor | None = None
-        self.refine_steps: int | None = None
-
-    @property
-    def n_dofs(self) -> int:
-        return self.dofmap.n_total
-
-    @property
-    def nnz_factor(self) -> int | None:
-        """Stored entries of the factor of the free block, once factored."""
-        return None if self.factor is None else self.factor.nnz
-
     def solve_load(self, load: np.ndarray, bc: BoundarySpec) -> np.ndarray:
-        """Solve for the full unknown vector under an assembled load and data."""
+        """Solve for the full unknown vector under an assembled load and data;
+        a non-finite load or data raises :class:`AssemblyError` first."""
         values = boundary_values(self.dofmap.mesh, self.dofmap, bc)
         rhs = load[self.free]
         vals = values[self.constrained]
+        for name, entries in (("load", rhs), ("boundary data", vals)):
+            if not np.isfinite(entries).all():
+                raise AssemblyError(f"the {name} has non-finite values")
         if np.any(vals):
             # values is zero on the free unknowns: the product is the
             # constrained columns' alone, summed in the same order.
             rhs = rhs - (self.matrix @ values)[self.free]
-        if self.factor is None:
-            self.factor = factor_spd(self.matrix, self.free, self.dofmap)
-        x, self.refine_steps = self.factor.solve(rhs)
+        x, self.refine_steps = self.solve_free(rhs)
         full = np.zeros(self.dofmap.n_total)
         full[self.free] = x
         full[self.constrained] = vals

@@ -3,7 +3,9 @@
 Exit codes classify failures: 2 configuration, 3 mesh construction,
 4 assembly/local kernels, 5 linear solver, 6 file i/o. The output directory
 defaults to the current directory and can be overridden with the
-``PLATEVEM_OUTDIR`` environment variable or ``--out``.
+``PLATEVEM_OUTDIR`` environment variable; every output path (``--out``,
+``--dump-matrix``, ``--plot-data``) that is relative resolves under it, and
+its parent directory is created.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--poisson", type=float, default=None, help="Poisson ratio (default 0.3)")
         p.add_argument("--rigidity", type=float, default=None, help="bending rigidity (default 1.0)")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized meshes (default 0)")
-        p.add_argument("--out", help="output file or directory")
+        p.add_argument("--out", help="output file, relative to PLATEVEM_OUTDIR")
 
     p_mesh = sub.add_parser("mesh", help="generate a mesh and write it as JSON")
     add_common(p_mesh, with_order=False)
@@ -169,15 +171,13 @@ def _material(args) -> MaterialParams:
         raise ConfigError(f"--rigidity {rigidity} with --poisson {poisson}: {exc}") from exc
 
 
-def _out_path(args, default_name: str) -> Path:
-    base = Path(os.environ.get("PLATEVEM_OUTDIR", "."))
-    if args.out:
-        path = Path(args.out)
-        if not path.is_absolute() and os.environ.get("PLATEVEM_OUTDIR"):
-            path = base / path
-        return path
-    base.mkdir(parents=True, exist_ok=True)
-    return base / default_name
+def _out_path(name: str) -> Path:
+    """Where an output file goes: a relative ``name`` under
+    ``PLATEVEM_OUTDIR`` (the current directory if unset), with its parent
+    directory created."""
+    path = Path(os.environ.get("PLATEVEM_OUTDIR", ".")) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _config_check(check, *values) -> None:
@@ -201,7 +201,7 @@ def _build_mesh(args):
 def _cmd_mesh(args) -> int:
     _require(args, "family", "n")
     mesh = _build_mesh(args)
-    path = _out_path(args, f"{args.family}_n{args.n}.json")
+    path = _out_path(args.out or f"{args.family}_n{args.n}.json")
     write_mesh(mesh, path)
     print(
         f"wrote {path}: {mesh.n_cells} cells, {mesh.n_edges} edges, "
@@ -221,8 +221,8 @@ def _cmd_solve(args) -> int:
     if args.dump_matrix:
         from .assembly import dump_matrix
 
-        dump_matrix(solver.matrix, args.dump_matrix)
-    path = _out_path(args, f"solution_{args.family}_n{args.n}_o{args.order}.json")
+        dump_matrix(solver.matrix, _out_path(args.dump_matrix))
+    path = _out_path(args.out or f"solution_{args.family}_n{args.n}_o{args.order}.json")
     with open(path, "w") as fh:
         json.dump(
             {
@@ -249,10 +249,10 @@ def _cmd_study(args) -> int:
     material = _material(args)
     seed = 0 if args.seed is None else args.seed
     records = cv.convergence_study(args.family, args.order, args.nmax, material, seed)
-    path = _out_path(args, f"study_{args.family}_o{args.order}.csv")
+    path = _out_path(args.out or f"study_{args.family}_o{args.order}.csv")
     cv.write_csv(records, path)
     if args.plot_data:
-        cv.write_plot_data(records, args.plot_data)
+        cv.write_plot_data(records, _out_path(args.plot_data))
     rate = cv.windowed_rate(records)
     rate_d = cv.windowed_rate(records, "dofs")
     print(f"wrote {path}: {len(records)} rows, rate vs h {rate:.3f}, vs unknowns {rate_d:.3f}")
@@ -270,7 +270,7 @@ def _cmd_patch(args) -> int:
         u, grad, f = manufactured.monomial_solution(p, q, material)
         solution = solver.solve(f, BoundarySpec.dirichlet(u, grad))
         worst = max(worst, cv.measured_error(solver, solution, u, grad))
-    path = _out_path(args, f"patch_{args.family}_n{args.n}_o{args.order}.json")
+    path = _out_path(args.out or f"patch_{args.family}_n{args.n}_o{args.order}.json")
     with open(path, "w") as fh:
         json.dump({"family": args.family, "n": args.n, "order": args.order, "max_error": worst}, fh)
     print(f"wrote {path}: max consistency error {worst:.6e}")
@@ -289,7 +289,7 @@ def _cmd_morley_compare(args) -> int:
     oracle, _ = morley.morley_solve(mesh, material, f)
     scale = float(np.abs(vem).max())
     discrepancy = float(np.abs(vem - oracle).max()) / scale if scale > 0 else 0.0
-    path = _out_path(args, f"morley_compare_n{args.n}.json")
+    path = _out_path(args.out or f"morley_compare_n{args.n}.json")
     with open(path, "w") as fh:
         json.dump({"n": args.n, "max_relative_discrepancy": discrepancy}, fh)
     print(f"wrote {path}: max relative discrepancy {discrepancy:.6e}")

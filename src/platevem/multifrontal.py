@@ -26,6 +26,9 @@ from scipy.linalg import blas, lapack
 # A part of the dissection is not bisected further once the entities touching
 # its cells carry at most this many free unknowns: a leaf front is that small.
 LEAF_UNKNOWNS = 256
+# Smallest pivot of a factor, relative to its largest, that proves the
+# factored matrix numerically nonsingular.
+PIVOT_RATIO_TOL = 1e-12
 
 
 class SolverError(Exception):
@@ -237,7 +240,8 @@ def cholesky(matrix, free: np.ndarray, tree: EliminationTree) -> Cholesky:
     Raises
     ------
     SolverError
-        When a pivot block is not positive definite.
+        When a pivot is negative, zero or not finite, or at most
+        ``PIVOT_RATIO_TOL`` of the largest (numerically singular).
     """
     perm, starts, updates = tree.perm, tree.starts, tree.updates
     n = len(perm)
@@ -299,4 +303,10 @@ def cholesky(matrix, free: np.ndarray, tree: EliminationTree) -> Cholesky:
             below = blas.dtrsm(1.0, factor, front[k:, :k], side=1, lower=1, trans_a=1)
             pending[f] = (blas.dsyrk(-1.0, below, beta=1.0, c=front[k:, k:], lower=1), upd)
         fronts.append((int(s), upd, factor, below))
-    return Cholesky(tree, fronts, float(lowest / highest) if n else 1.0)
+    ratio = float(lowest / highest) if n else 1.0
+    if not ratio > PIVOT_RATIO_TOL:
+        raise SolverError(
+            "factorization found a numerically zero pivot: matrix is singular "
+            "or not symmetric positive definite"
+        )
+    return Cholesky(tree, fronts, ratio)

@@ -12,6 +12,7 @@ from platevem.assembly import (
     AssemblyError,
     BoundarySpec,
     PlateSolver,
+    PlateSystem,
     SolverError,
     assemble_stiffness,
     boundary_values,
@@ -35,9 +36,11 @@ def zero_f(x, y):
 
 
 def test_global_count_criss_order2(mesh_cache):
-    dofmap = global_dof_map(mesh_cache("crisscross", 0), 2)
-    assert dofmap.n_total == 221
-    assert dofmap.n_total == closed_form_count(dofmap.mesh, dofmap.order)
+    """NumPy integers number as Python ones do."""
+    for order in (2, np.int64(2)):
+        dofmap = global_dof_map(mesh_cache("crisscross", 0), order)
+        assert dofmap.n_total == 221
+        assert dofmap.n_total == closed_form_count(dofmap.mesh, dofmap.order)
 
 
 def test_global_count_octagonal_order5(mesh_cache):
@@ -64,6 +67,14 @@ def test_solver_rejects_order_one(mesh_cache):
     bad order raises the numbering's classified error."""
     with pytest.raises(AssemblyError, match="order must be at least 2"):
         PlateSolver(mesh_cache("crisscross", 0), 1, DEFAULT_MATERIAL)
+
+
+@pytest.mark.parametrize("order", [2.0, "3", None])
+def test_solver_rejects_non_integral_order(order, mesh_cache):
+    """A float, string or missing order is the numbering's classified error,
+    not NumPy's."""
+    with pytest.raises(AssemblyError, match="order must be an integer"):
+        PlateSolver(mesh_cache("crisscross", 0), order, DEFAULT_MATERIAL)
 
 
 def test_cell_dofs_disjoint_blocks(mesh_cache):
@@ -220,17 +231,15 @@ def test_solver_builds_and_loads_each_cell_once(mesh_cache, monkeypatch):
 @pytest.mark.parametrize("family", ["crisscross", "hexagonal", "octagonal", "randomquad"])
 def test_free_block_is_its_own_transpose(family, mesh_cache):
     """The fronts read the free block's columns off its CSR rows, which is
-    the block only where it is exactly symmetric: so it is. The factor
-    keeps the solver's own matrix and the block's 1-norm."""
+    the block only where it is exactly symmetric: so it is. The system's
+    1-norm is the block's."""
     mesh = mesh_cache(family, 0)
     for order in (2, 3, 4, 5):
         solver = PlateSolver(mesh, order, DEFAULT_MATERIAL)
         block = free_block(solver)
         assert (block != block.T).nnz == 0, order
         solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
-        assert solver.factor.norm_1 == pytest.approx(spla.norm(block, 1), rel=1e-14)
-        assert solver.factor.matrix is solver.matrix
-        assert np.array_equal(solver.factor.free, solver.free)
+        assert solver.norm_1 == pytest.approx(spla.norm(block, 1), rel=1e-14)
 
 
 def test_norm_1_skips_empty_columns():
@@ -257,31 +266,30 @@ def test_factor_of_transposed_block_matches_copy(family, n, order, seed, mesh_ca
     fill of factoring an independent copy of its matrix and numbering."""
     solver = PlateSolver(mesh_cache(family, n, seed), order, DEFAULT_MATERIAL)
     solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
-    copy = independent_factor(solver)
-    assert solver.factor.matrix is solver.matrix
-    assert solver.nnz_factor == copy.nnz
-    assert np.array_equal(solver.factor.cholesky.tree.perm, copy.cholesky.tree.perm)
-    assert solver.factor.norm_1 == copy.norm_1
+    copy = independent_system(solver)
+    factor = factor_spd(copy.matrix, copy.free, copy.dofmap)
+    assert np.array_equal(copy.free, solver.free)
+    assert solver.nnz_factor == factor.nnz
+    assert np.array_equal(solver.factor.tree.perm, factor.tree.perm)
+    assert solver.norm_1 == copy.norm_1
 
 
-def independent_factor(solver):
-    """``factor_spd`` of copies of the solver's matrix and free unknowns,
-    over a numbering of its own."""
-    return factor_spd(
-        solver.matrix.copy(), solver.free.copy(), global_dof_map(solver.mesh, solver.order)
-    )
+def independent_system(solver):
+    """A :class:`PlateSystem` over a copy of the solver's matrix and a
+    numbering of its own."""
+    return PlateSystem(solver.matrix.copy(), global_dof_map(solver.mesh, solver.order))
 
 
-def reference_solve(solver, factor, f, bc):
+def reference_solve(solver, oracle, f, bc):
     """The solve of a solver that kept its free block: an independent copy
-    factored on its own (``factor``), the strong data coupled through the
-    constrained columns of the free rows."""
+    (``oracle``) factored and refined on its own, the strong data coupled
+    through the constrained columns of the free rows."""
     load = assembly.assemble_load(solver.mesh, solver.kernels, solver.dofmap, f)
     vals = boundary_values(solver.mesh, solver.dofmap, bc)[solver.constrained]
     rhs = load[solver.free]
     if np.any(vals):
         rhs = rhs - solver.matrix[solver.free][:, solver.constrained] @ vals
-    x, steps = factor.solve(rhs)
+    x, steps = oracle.solve_free(rhs)
     full = np.zeros(solver.n_dofs)
     full[solver.free] = x
     full[solver.constrained] = vals
@@ -303,7 +311,7 @@ def test_solutions_match_factored_block_copy(family, n, order, seed, mesh_cache)
         (manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped()),
         (f_cubic, BoundarySpec.dirichlet(u, grad)),
     ]
-    oracle = independent_factor(solver)
+    oracle = independent_system(solver)
     for f, bc in problems:
         got = solver.solve(f, bc)
         expected, steps = reference_solve(solver, oracle, f, bc)
@@ -318,11 +326,10 @@ def test_refinement_product_is_the_blocks(family, mesh_cache):
     rng = np.random.default_rng(7)
     for order in (2, 5):
         solver = PlateSolver(mesh_cache(family, 1), order, DEFAULT_MATERIAL)
-        solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
         block = free_block(solver)
         for _ in range(3):
             x = rng.uniform(-1, 1, len(solver.free))
-            assert np.array_equal(solver.factor.product(x), block @ x), order
+            assert np.array_equal(solver.product(x), block @ x), order
 
 
 def test_solver_keeps_one_sparse_matrix(mesh_cache):
@@ -364,7 +371,7 @@ def test_solve_recovers_random_vector(mesh_cache):
     matrix = free_block(solver)
     rng = np.random.default_rng(4)
     x0 = rng.uniform(-1, 1, matrix.shape[0])
-    got, _ = factor_spd(solver.matrix, solver.free, solver.dofmap).solve(matrix @ x0)
+    got, _ = solver.solve_free(matrix @ x0)
     assert np.linalg.norm(got - x0) <= 1e-8 * np.linalg.norm(x0)
 
 
@@ -375,11 +382,8 @@ def test_unconstrained_system_rejected(mesh_cache):
     kernels, stiffness = build_local_kernels(mesh, 2, DEFAULT_MATERIAL)
     dofmap = global_dof_map(mesh, 2)
     full = assemble_stiffness([group.index for group in kernels], stiffness, dofmap).tocsr()
-    rng = np.random.default_rng(1)
     with pytest.raises(SolverError):
-        factor_spd(full, np.arange(dofmap.n_total), dofmap).solve(
-            rng.uniform(-1, 1, dofmap.n_total)
-        )
+        factor_spd(full, np.arange(dofmap.n_total), dofmap)
 
 
 def test_negated_free_block_rejected(mesh_cache):
@@ -395,8 +399,8 @@ def test_factor_is_symmetric_and_sparser(mesh_cache):
     and its L fills less than default splu's L + U."""
     solver = PlateSolver(mesh_cache("octagonal", 0), 5, DEFAULT_MATERIAL)
     solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
-    lower, stored = dense_lower(solver.factor.cholesky)
-    perm = solver.factor.cholesky.tree.perm
+    lower, stored = dense_lower(solver.factor)
+    perm = solver.factor.tree.perm
     block = free_block(solver)[perm][:, perm].toarray()
     assert np.abs(lower @ lower.T - block).max() <= 1e-12 * np.abs(block).max()
     assert solver.nnz_factor == solver.factor.nnz == np.count_nonzero(stored)
@@ -599,3 +603,30 @@ def test_global_dof_counts_match_tables(mesh_cache):
             for col, order in enumerate((2, 3, 4, 5), start=3):
                 expected = table[n][col]
                 assert global_dof_map(mesh, order).n_total == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_blamed_on_the_data(bad, mesh_cache):
+    """A load or strong boundary data that is not finite is an assembly
+    error, raised before the free block is factored; a good solve of the
+    same solver then runs as usual."""
+    solver = PlateSolver(mesh_cache("crisscross", 0), 3, DEFAULT_MATERIAL)
+    u, grad, f_cubic = manufactured.monomial_solution(1, 2, DEFAULT_MATERIAL)
+
+    def bad_f(x, y):
+        return np.full_like(np.asarray(x, dtype=float), bad)
+
+    def bad_u(x, y):
+        return u(x, y) + bad
+
+    cases = [
+        (bad_f, BoundarySpec.clamped(), "the load has non-finite values"),
+        (f_cubic, BoundarySpec.dirichlet(bad_u, grad), "the boundary data has non-finite values"),
+    ]
+    for f, bc, message in cases:
+        with np.errstate(invalid="ignore"), pytest.raises(AssemblyError, match=message):
+            solver.solve(f, bc)
+        assert solver.factor is None
+    solution = solver.solve(f_cubic, BoundarySpec.dirichlet(u, grad))
+    assert solver.factor is not None
+    assert cv.measured_error(solver, solution, u, grad) <= 1e-8

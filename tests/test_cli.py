@@ -330,6 +330,40 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "crisscross_n0.json").exists()
 
 
+def test_every_output_path_resolves_under_outdir(tmp_path, monkeypatch):
+    """``--out``, ``--dump-matrix`` and ``--plot-data`` follow one rule: a
+    relative path lands under ``PLATEVEM_OUTDIR``, whose missing
+    directories are created, and an absolute path stays as given."""
+    outdir = tmp_path / "new" / "dir"
+    monkeypatch.setenv("PLATEVEM_OUTDIR", str(outdir))
+    monkeypatch.chdir(tmp_path)
+    assert main(["mesh", "--family", "crisscross", "--n", "0", "--out", "m.json"]) == 0
+    assert (outdir / "m.json").exists()
+    solve = ["solve", "--family", "crisscross", "--n", "0", "--order", "2"]
+    assert main(solve + ["--dump-matrix", "sub/matrix.txt"]) == 0
+    assert (outdir / "sub" / "matrix.txt").exists()
+    assert (outdir / "solution_crisscross_n0_o2.json").exists()
+    study = ["study", "--family", "crisscross", "--order", "2", "--nmax", "1"]
+    assert main(study + ["--plot-data", "plots/rate.dat", "--out", "runs/study.csv"]) == 0
+    assert len((outdir / "plots" / "rate.dat").read_text().splitlines()) == 2
+    assert (outdir / "runs" / "study.csv").exists()
+    absolute = tmp_path / "abs" / "m.json"
+    assert main(["mesh", "--family", "crisscross", "--n", "0", "--out", str(absolute)]) == 0
+    assert absolute.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["abs", "new"]
+
+
+def test_output_paths_without_outdir(tmp_path, monkeypatch):
+    """Without ``PLATEVEM_OUTDIR`` relative paths resolve under the current
+    directory, their parents created the same way."""
+    monkeypatch.delenv("PLATEVEM_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    solve = ["solve", "--family", "crisscross", "--n", "0", "--order", "2"]
+    assert main(solve + ["--dump-matrix", "a/matrix.txt", "--out", "b/solution.json"]) == 0
+    assert (tmp_path / "a" / "matrix.txt").exists()
+    assert (tmp_path / "b" / "solution.json").exists()
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

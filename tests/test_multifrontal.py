@@ -68,7 +68,7 @@ def test_solutions_match_spsolve(family, mesh_cache):
             solver = PlateSolver(mesh_cache(family, n), order, DEFAULT_MATERIAL)
             block = free_block(solver)
             rhs = rng.uniform(-1, 1, block.shape[0])
-            x, _ = factor_spd(solver.matrix, solver.free, solver.dofmap).solve(rhs)
+            x, _ = solver.solve_free(rhs)
             expected = spla.spsolve(block.tocsc(), rhs)
             scale = spla.norm(block, 1) * np.linalg.norm(x) + np.linalg.norm(rhs)
             assert np.linalg.norm(rhs - block @ x) <= 1e-10 * scale, (n, order)
@@ -81,11 +81,12 @@ def test_factor_reports_its_fill_and_pivots(mesh_cache):
     solver = PlateSolver(mesh_cache("octagonal", 1), 5, DEFAULT_MATERIAL)
     solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
     factor = solver.factor
-    lower, stored = dense_lower(factor.cholesky)
+    assert isinstance(factor, multifrontal.Cholesky)
+    lower, stored = dense_lower(factor)
     pivots = np.diag(lower) ** 2
     assert factor.nnz == solver.nnz_factor == np.count_nonzero(stored)
     assert factor.pivot_ratio == pivots.min() / pivots.max()
-    assert factor.cholesky.tree.n_fronts > 1
+    assert factor.tree.n_fronts > 1
 
 
 def test_dissection_waits_for_the_first_solve(mesh_cache, monkeypatch):
@@ -128,7 +129,19 @@ def test_all_constrained_mesh_has_an_empty_factor():
     solver = PlateSolver(mesh, 2, DEFAULT_MATERIAL)
     solution = solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
     assert np.array_equal(solution, np.zeros(6))
-    assert solver.nnz_factor == solver.factor.cholesky.tree.n_fronts == 0
+    assert solver.nnz_factor == solver.factor.tree.n_fronts == 0
+
+
+def test_pivot_ratio_proves_the_block_nonsingular():
+    """Positive pivots pass only while the smallest exceeds
+    ``PIVOT_RATIO_TOL`` of the largest; below it the block is numerically
+    singular, although every pivot block factors."""
+    tree = multifrontal.EliminationTree(np.arange(2), np.array([0, 2]), [np.arange(0)], np.array([-1]))
+    tol = multifrontal.PIVOT_RATIO_TOL
+    factor = multifrontal.cholesky(sp.csr_matrix(np.diag([1.0, 10 * tol])), np.arange(2), tree)
+    assert factor.pivot_ratio == pytest.approx(10 * tol, rel=1e-15)
+    with pytest.raises(SolverError, match="numerically zero pivot"):
+        multifrontal.cholesky(sp.csr_matrix(np.diag([1.0, tol])), np.arange(2), tree)
 
 
 def test_free_block_with_nan_rejected(mesh_cache):
@@ -158,7 +171,7 @@ def test_shuffled_numbering_factors(mesh_cache):
     solver = PlateSolver(shuffled, 5, DEFAULT_MATERIAL)
     block = free_block(solver)
     rhs = rng.uniform(-1, 1, block.shape[0])
-    x, steps = factor_spd(solver.matrix, solver.free, solver.dofmap).solve(rhs)
+    x, steps = solver.solve_free(rhs)
     scale = spla.norm(block, 1) * np.linalg.norm(x) + np.linalg.norm(rhs)
     assert np.linalg.norm(rhs - block @ x) <= 1e-10 * scale
     assert steps <= 1
