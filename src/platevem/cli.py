@@ -15,12 +15,13 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import convergence as cv
 from . import generators, manufactured, morley
-from .assembly import AssemblyError, BoundarySpec, PlateSolver, SolverError
+from .assembly import AssemblyError, BoundarySpec, PlateSolver, SolverError, dump_matrix
 from .local import ProjectorError
 from .mesh import MeshError, MeshIOError, write_mesh
 from .plate import MaterialParams
@@ -54,106 +55,84 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+class _Option(NamedTuple):
+    """An option's argparse type, help and choices, and the values it admits with
+    their wording, which :func:`_check_ranges` checks on flags and config keys alike."""
+
+    help: str
+    type: type = str
+    admits: Callable = lambda value: True
+    what: str = ""
+    choices: tuple | None = None
+
+
+def _one_of(help: str, values: tuple, type: type = str) -> _Option:
+    return _Option(help, type, values.__contains__, f"one of {', '.join(map(str, values))}", values)
+
+
+# NaN fails every comparison and so every range. A notch ratio of 0.5 or
+# more is finite and positive but folds the octagon; the generator rejects
+# it as a mesh construction error. The Poisson ratio and the rigidity are
+# checked by ``MaterialParams`` alone.
+_OPTIONS = {
+    "config": _Option("key=value file supplying defaults"),
+    "family": _one_of("mesh family", generators.FAMILIES),
+    "order": _one_of("method order", (2, 3, 4, 5), int),
+    "poisson": _Option("Poisson ratio (default 0.3)", float),
+    "rigidity": _Option("bending rigidity (default 1.0)", float),
+    "seed": _Option(
+        "seed for randomized meshes (default 0)", int, lambda v: v >= 0, "a nonnegative integer"
+    ),
+    "out": _Option("output file, relative to PLATEVEM_OUTDIR"),
+    "n": _Option(
+        "refinement index",
+        int,
+        lambda v: 0 <= v <= cv.MAX_REFINEMENT,
+        f"a nonnegative integer at most {cv.MAX_REFINEMENT}",
+    ),
+    "notch": _Option(
+        "octagonal notch ratio in (0, 0.5)", float, lambda v: 0 < v < np.inf, "positive and finite"
+    ),
+    "dump_matrix": _Option("also write the full matrix, over all unknowns, in coordinate format"),
+    "nmax": _Option("last refinement index", int),
+    "plot_data": _Option("also write log-log (h, error) pairs"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="platevem",
         description="Polygonal virtual element solver for the clamped plate",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_order=True):
-        p.add_argument("--config", help="key=value file supplying defaults")
-        p.add_argument(
-            "--family",
-            choices=generators.FAMILIES,
-            help="mesh family",
-        )
-        if with_order:
-            p.add_argument("--order", type=int, help="method order, 2..5")
-        p.add_argument("--poisson", type=float, default=None, help="Poisson ratio (default 0.3)")
-        p.add_argument("--rigidity", type=float, default=None, help="bending rigidity (default 1.0)")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized meshes (default 0)")
-        p.add_argument("--out", help="output file, relative to PLATEVEM_OUTDIR")
-
-    p_mesh = sub.add_parser("mesh", help="generate a mesh and write it as JSON")
-    add_common(p_mesh, with_order=False)
-    p_mesh.add_argument("--n", type=int, help="refinement index")
-    p_mesh.add_argument("--notch", type=float, default=None, help="octagonal notch ratio in (0, 0.5)")
-
-    p_solve = sub.add_parser("solve", help="solve the benchmark problem on one mesh")
-    add_common(p_solve)
-    p_solve.add_argument("--n", type=int, help="refinement index")
-    p_solve.add_argument(
-        "--dump-matrix",
-        help="also write the full matrix, over all unknowns, in coordinate format",
-    )
-
-    p_study = sub.add_parser("study", help="run a refinement study and write CSV")
-    add_common(p_study)
-    p_study.add_argument("--nmax", type=int, help="last refinement index")
-    p_study.add_argument("--plot-data", help="also write log-log (h, error) pairs")
-
-    p_patch = sub.add_parser("patch", help="consistency sweep over monomial solutions")
-    add_common(p_patch)
-    p_patch.add_argument("--n", type=int, help="refinement index")
-
-    p_morley = sub.add_parser(
-        "morley-compare", help="compare the order-2 method with the triangular oracle"
-    )
-    add_common(p_morley, with_order=False)
-    p_morley.add_argument("--n", type=int, help="refinement index")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.options:
+            flag, option = f"--{key.replace('_', '-')}", _OPTIONS[key]
+            p.add_argument(flag, type=option.type, choices=option.choices, help=option.help)
     return parser
 
 
 def _merge_config(args) -> None:
     """Fill unset flags from the optional config file."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return
-    file_values = _read_config_file(args.config)
-    casts = {
-        "n": int,
-        "nmax": int,
-        "order": int,
-        "seed": int,
-        "poisson": float,
-        "rigidity": float,
-        "notch": float,
-    }
-    for key, value in file_values.items():
-        if not hasattr(args, key):
+    for key, value in _read_config_file(args.config).items():
+        if key not in _COMMANDS[args.command].options:
             raise ConfigError(f"unknown config key {key!r}")
         if getattr(args, key) is None:
-            cast = casts.get(key, str)
             try:
-                setattr(args, key, cast(value))
+                setattr(args, key, _OPTIONS[key].type(value))
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
 
 
-# Admissible values of the numeric options and the mesh family, checked
-# before any work starts: a config file sets them unchecked by argparse.
-# NaN fails every comparison and so every range. A notch ratio of 0.5 or
-# more is finite and positive but folds the octagon; the generator rejects
-# it as a mesh construction error.
-_RANGES = {
-    "n": (
-        lambda v: 0 <= v <= cv.MAX_REFINEMENT,
-        f"a nonnegative integer at most {cv.MAX_REFINEMENT}",
-    ),
-    "seed": (lambda v: v >= 0, "a nonnegative integer"),
-    "poisson": (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
-    "rigidity": (lambda v: 0.0 < v < np.inf, "positive and finite"),
-    "notch": (lambda v: 0.0 < v < np.inf, "positive and finite"),
-    "family": (lambda v: v in generators.FAMILIES, f"one of {', '.join(generators.FAMILIES)}"),
-}
-
-
 def _check_ranges(args) -> None:
-    for name, (admissible, what) in _RANGES.items():
-        value = getattr(args, name, None)
-        if value is not None and not admissible(value):
-            raise ConfigError(f"--{name} must be {what}, got {value}")
+    """Reject an inadmissible value before any work starts."""
+    for key in _COMMANDS[args.command].options:
+        value, option = getattr(args, key), _OPTIONS[key]
+        if value is not None and not option.admits(value):
+            raise ConfigError(f"--{key} must be {option.what}, got {value}")
 
 
 def _require(args, *names) -> None:
@@ -167,7 +146,7 @@ def _material(args) -> MaterialParams:
     rigidity = 1.0 if args.rigidity is None else args.rigidity
     try:
         return MaterialParams.from_rigidity(rigidity, poisson)
-    except ValueError as exc:  # a rigidity so large that the modulus overflows
+    except (ValueError, OverflowError) as exc:  # OverflowError: poisson**2 of a huge ratio
         raise ConfigError(f"--rigidity {rigidity} with --poisson {poisson}: {exc}") from exc
 
 
@@ -180,22 +159,13 @@ def _out_path(name: str) -> Path:
     return path
 
 
-def _config_check(check, *values) -> None:
-    """Run a library range check, reporting its ``ValueError`` as a
-    configuration error."""
-    try:
-        check(*values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _build_mesh(args):
-    family = args.family
-    n = args.n
-    seed = 0 if args.seed is None else args.seed
-    if family == "octagonal" and getattr(args, "notch", None) is not None:
-        return generators.nonconvex_octagonal_mesh(generators.resolution(n), args.notch)
-    return generators.build_family(family, n, seed)
+    notch = getattr(args, "notch", None)
+    if notch is None:
+        return generators.build_family(args.family, args.n, 0 if args.seed is None else args.seed)
+    if args.family != "octagonal":
+        raise ConfigError(f"--notch applies to the octagonal family only, not {args.family}")
+    return generators.nonconvex_octagonal_mesh(generators.resolution(args.n), notch)
 
 
 def _cmd_mesh(args) -> int:
@@ -212,15 +182,12 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_solve(args) -> int:
     _require(args, "family", "n", "order")
-    _config_check(cv.check_order, args.order)
     material = _material(args)
     mesh = _build_mesh(args)
     solver = PlateSolver(mesh, args.order, material)
     solution = solver.solve(manufactured.load(material), BoundarySpec.clamped())
     err = cv.measured_error(solver, solution, manufactured.displacement, manufactured.gradient)
     if args.dump_matrix:
-        from .assembly import dump_matrix
-
         dump_matrix(solver.matrix, _out_path(args.dump_matrix))
     path = _out_path(args.out or f"solution_{args.family}_n{args.n}_o{args.order}.json")
     with open(path, "w") as fh:
@@ -245,7 +212,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_study(args) -> int:
     _require(args, "family", "order", "nmax")
-    _config_check(cv.check_study_range, args.order, args.nmax)
+    try:
+        cv.check_study_range(args.order, args.nmax)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     material = _material(args)
     seed = 0 if args.seed is None else args.seed
     records = cv.convergence_study(args.family, args.order, args.nmax, material, seed)
@@ -261,7 +231,6 @@ def _cmd_study(args) -> int:
 
 def _cmd_patch(args) -> int:
     _require(args, "family", "n", "order")
-    _config_check(cv.check_order, args.order)
     material = _material(args)
     mesh = _build_mesh(args)
     solver = PlateSolver(mesh, args.order, material)
@@ -279,8 +248,6 @@ def _cmd_patch(args) -> int:
 
 def _cmd_morley_compare(args) -> int:
     _require(args, "n")
-    if args.family not in (None, "crisscross"):
-        raise ConfigError("the triangular oracle runs on the crisscross family")
     material = _material(args)
     mesh = generators.build_family("crisscross", args.n)
     f = manufactured.load(material)
@@ -296,22 +263,42 @@ def _cmd_morley_compare(args) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    """A command's handler, its help and the options it reads: all its parser takes."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple[str, ...]
+
+
+_SOLVE = ("config", "family", "order", "poisson", "rigidity", "seed", "out")
 _COMMANDS = {
-    "mesh": _cmd_mesh,
-    "solve": _cmd_solve,
-    "study": _cmd_study,
-    "patch": _cmd_patch,
-    "morley-compare": _cmd_morley_compare,
+    "mesh": _Command(
+        _cmd_mesh,
+        "generate a mesh and write it as JSON",
+        ("config", "family", "seed", "out", "n", "notch"),
+    ),
+    "solve": _Command(
+        _cmd_solve, "solve the benchmark problem on one mesh", _SOLVE + ("n", "dump_matrix")
+    ),
+    "study": _Command(
+        _cmd_study, "run a refinement study and write CSV", _SOLVE + ("nmax", "plot_data")
+    ),
+    "patch": _Command(_cmd_patch, "consistency sweep over monomial solutions", _SOLVE + ("n",)),
+    "morley-compare": _Command(
+        _cmd_morley_compare,
+        "compare the order-2 method with the triangular oracle",
+        ("config", "poisson", "rigidity", "out", "n"),
+    ),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _merge_config(args)
         _check_ranges(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

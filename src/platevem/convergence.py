@@ -136,8 +136,11 @@ def windowed_rate(records: list[ConvergenceRecord], versus: str = "h") -> float:
 
     ``versus='h'`` fits against log h (positive slope for convergence);
     ``versus='dofs'`` fits against log n_dofs and negates, so both
-    conventions report a positive order of convergence.
+    conventions report a positive order of convergence. Fewer than two
+    rows fit no line: the rate is NaN, as in the first row's rate columns.
     """
+    if len(records) < 2:
+        return float("nan")
     errs = np.log([r.error for r in records])
     if versus == "h":
         x = np.log([r.h for r in records])
@@ -163,15 +166,10 @@ def measured_error(solver: PlateSolver, solution: np.ndarray, exact, exact_grad)
 MAX_REFINEMENT = 8
 
 
-def check_order(order: int) -> None:
-    """Raise ``ValueError`` unless the method is implemented at ``order``."""
-    if order not in (2, 3, 4, 5):
-        raise ValueError("order must be one of 2, 3, 4, 5")
-
-
 def check_study_range(order: int, n_max: int) -> None:
     """Raise ``ValueError`` unless ``convergence_study`` accepts the pair."""
-    check_order(order)
+    if order not in (2, 3, 4, 5):
+        raise ValueError("order must be one of 2, 3, 4, 5")
     if not 0 <= n_max <= (4 if order == 5 else MAX_REFINEMENT):
         raise ValueError("n_max out of range for this order")
 

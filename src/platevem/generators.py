@@ -260,7 +260,10 @@ FAMILIES = tuple(_BUILDERS)
 
 
 def build_family(family: str, n: int, seed: int = 0) -> PolygonMesh:
-    """Build a mesh of one of the named families at refinement index n."""
+    """Build a mesh of one of the named families at refinement index n. The
+    seed, read by the randomized family only, must be a nonnegative integer."""
     if family not in FAMILIES:
         raise MeshError(f"unknown mesh family {family!r}; choose from {FAMILIES}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise MeshError(f"seed must be a nonnegative integer, got {seed!r}")
     return _BUILDERS[family](resolution(n), seed)

@@ -1,4 +1,7 @@
+import argparse
 import json
+import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +9,10 @@ import pytest
 
 from platevem import generators
 from platevem.cli import (
+    _COMMANDS,
     EXIT_CONFIG,
     EXIT_MESH,
+    _build_parser,
     main,
 )
 
@@ -151,7 +156,10 @@ NUMERIC_FLAGS = [
     (flag, value)
     for flag in ("seed", "rigidity", "poisson", "notch")
     for value in ("-1", "0", "nan", "inf")
-] + [("rigidity", "1e308")]  # finite, but the Young modulus overflows
+] + [
+    ("rigidity", "1e308"),  # finite, but the Young modulus overflows
+    ("poisson", "1e200"),  # finite, but its square overflows
+]
 
 
 @pytest.mark.parametrize("flag, value", NUMERIC_FLAGS, ids=[f"{f}={v}" for f, v in NUMERIC_FLAGS])
@@ -272,6 +280,104 @@ def test_quad_degree_option_rejected(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+SOLVE_OPTIONS = {"config", "family", "order", "poisson", "rigidity", "seed", "out"}
+COMMAND_OPTIONS = {
+    "mesh": {"config", "family", "seed", "out", "n", "notch"},
+    "solve": SOLVE_OPTIONS | {"n", "dump_matrix"},
+    "study": SOLVE_OPTIONS | {"nmax", "plot_data"},
+    "patch": SOLVE_OPTIONS | {"n"},
+    "morley-compare": {"config", "poisson", "rigidity", "out", "n"},
+}
+
+
+def test_each_command_takes_the_options_it_reads():
+    """Each subparser takes exactly the options of its row in the command
+    table: the options its handler reads."""
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_COMMANDS) == set(COMMAND_OPTIONS)
+    for name, options in COMMAND_OPTIONS.items():
+        taken = {a.dest for a in sub.choices[name]._actions} - {"help"}
+        assert taken == set(_COMMANDS[name].options) == options, name
+    assert [len(o) for o in COMMAND_OPTIONS.values()] == [6, 9, 9, 8, 5]
+
+
+DROPPED = [
+    ("mesh", ["--family", "crisscross", "--n", "0"], "poisson", "0.2"),
+    ("mesh", ["--family", "crisscross", "--n", "0"], "rigidity", "5"),
+    ("morley-compare", ["--n", "0"], "seed", "5"),
+    ("morley-compare", ["--n", "0"], "family", "crisscross"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, argv, flag, value", DROPPED, ids=[f"{c}-{f}" for c, _, f, _ in DROPPED]
+)
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, command, argv, flag, value):
+    """A flag the command never reads exits 2, as a flag or a config key,
+    and writes nothing."""
+    out = ["--out", str(tmp_path / "x.json")]
+    with pytest.raises(SystemExit) as exc:
+        main([command] + argv + [f"--{flag}", value] + out)
+    assert exc.value.code == EXIT_CONFIG
+    assert f"--{flag}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    assert main([command] + argv + ["--config", str(cfg)] + out) == EXIT_CONFIG
+    assert f"unknown config key {flag!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "patch"])
+def test_order_outside_two_to_five_is_config_error(tmp_path, capsys, command):
+    argv = [command, "--family", "crisscross", "--n", "0", "--out", str(tmp_path / "x.json")]
+    with pytest.raises(SystemExit) as exc:  # argparse checks the choices
+        main(argv + ["--order", "6"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--order" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("order = 1\n")
+    assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+    assert "--order must be one of 2, 3, 4, 5, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("family", ["crisscross", "hexagonal", "randomquad"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_notch_outside_octagonal_is_config_error(tmp_path, capsys, monkeypatch, family, source):
+    """``--notch`` shapes only the octagonal family; for another family it
+    exits 2 before any mesh is built."""
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built for a rejected --notch")
+
+    for name in ("build_family", "nonconvex_octagonal_mesh"):
+        monkeypatch.setattr(generators, name, no_mesh)
+    if source == "flag":
+        extra = ["--notch", "0.3"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("notch = 0.3\n")
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "out" / "x.json"
+    code = main(["mesh", "--family", family, "--n", "0"] + extra + ["--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"--notch applies to the octagonal family only, not {family}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_row_study_prints_no_rate(tmp_path, capsys):
+    """A study of one refinement has no rate to fit: it prints NaN, the
+    value of the CSV's rate columns on that row, and NumPy warns nothing."""
+    out = tmp_path / "study.csv"
+    argv = ["study", "--family", "crisscross", "--order", "2", "--nmax", "0", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(": 1 rows, rate vs h nan, vs unknowns nan\n")
+    assert out.read_text().splitlines()[1].endswith(",nan,nan")
+
+
 def test_patch_command(tmp_path):
     out = tmp_path / "patch.json"
     code = main(
@@ -374,3 +480,20 @@ def test_readme_library_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, str(README), "exec"), {})
     assert 0.0 < float(capsys.readouterr().out) < 1.0
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    """Every ``platevem`` line of the code block under README's "Command
+    line" heading runs as written and exits 0, writing under
+    ``PLATEVEM_OUTDIR``."""
+    monkeypatch.setenv("PLATEVEM_OUTDIR", str(tmp_path))
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("platevem ")]
+    commands = [shlex.split(line)[1:] for line in lines]
+    assert [argv[0] for argv in commands] == ["mesh", "solve", "study", "patch", "morley-compare"]
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.startswith(f"wrote {tmp_path}")
+    outputs = {argv[argv.index("--out") + 1] for argv in commands}
+    assert {p.name for p in tmp_path.iterdir()} == outputs

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from platevem.assembly import (
     interpolate,
 )
 from platevem.local import build_local_kernels
+from platevem.mesh import MeshError
 from platevem.plate import DEFAULT_MATERIAL
 from platevem.quadrature import polygon_rule
 
@@ -202,6 +205,22 @@ def test_study_rejects_bad_arguments():
         cv.convergence_study("crisscross", 7, 2)
     with pytest.raises(ValueError):
         cv.convergence_study("crisscross", 5, 8)
+
+
+def test_study_rejects_negative_seed():
+    with pytest.raises(MeshError, match="seed must be a nonnegative integer"):
+        cv.convergence_study("randomquad", 2, 0, seed=-3)
+
+
+def test_windowed_rate_of_one_row_is_nan():
+    """One row fits no line: the rate is NaN, and no fit is attempted (any
+    NumPy warning fails the test)."""
+    records = [cv.ConvergenceRecord("x", 0, 0.2, 96, 0.3, float("nan"), float("nan"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(cv.windowed_rate(records))
+        assert np.isnan(cv.windowed_rate(records, "dofs"))
+        assert np.isnan(cv.windowed_rate([]))
 
 
 def test_error_ratio_between_refinements(mesh_cache):

@@ -263,3 +263,18 @@ def test_criss_cross_passes_point_two(mesh_cache):
 def test_build_family_dispatch():
     with pytest.raises(MeshError):
         gen.build_family("nosuch", 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "1", None])
+def test_build_family_rejects_bad_seed(seed):
+    """A negative or non-integral seed is a mesh construction error, for
+    every family, not NumPy's bare ``ValueError`` or ``TypeError``."""
+    for family in gen.FAMILIES:
+        with pytest.raises(MeshError, match="seed must be a nonnegative integer"):
+            gen.build_family(family, 0, seed=seed)
+
+
+def test_build_family_takes_numpy_integer_seed():
+    a = gen.build_family("randomquad", 0, seed=np.int64(7))
+    b = gen.build_family("randomquad", 0, seed=7)
+    assert np.array_equal(a.vertices, b.vertices)
