@@ -11,9 +11,9 @@ import scipy.sparse as sp
 
 from . import multifrontal
 from .local import (
+    DofLayout,
     KernelGroup,
     build_local_kernels,
-    dof_layout,
     edge_moments,
     interior_moments,
     local_load,
@@ -49,7 +49,7 @@ class GlobalDofMap:
             raise AssemblyError(f"order must be an integer, got {self.order!r}")
         if self.order < 2:
             raise AssemblyError("order must be at least 2")
-        layout = dof_layout(3, self.order)
+        layout = DofLayout(self.order, 3)
         mesh = self.mesh
         self._n_en = layout.n_edge_normal
         self._n_ev = layout.n_edge_value

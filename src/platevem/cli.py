@@ -38,8 +38,9 @@ class ConfigError(Exception):
 
 
 def _read_config_file(path: str) -> dict:
-    """Parse a simple key=value file (same keys as the long flags)."""
-    out = {}
+    """Parse a simple key=value file (same keys as the long flags), each key
+    once; config files do not nest, so a ``config`` key is an error."""
+    out, seen = {}, {}
     try:
         with open(path) as fh:
             for line_no, raw in enumerate(fh, 1):
@@ -49,7 +50,12 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{line_no}: expected key=value")
                 key, value = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key == "config":
+                    raise ConfigError(f"{path}:{line_no}: config files do not nest")
+                if key in seen:
+                    raise ConfigError(f"{path}: key {key!r} on lines {seen[key]} and {line_no}")
+                out[key], seen[key] = value.strip(), line_no
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out

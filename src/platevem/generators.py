@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import geometry
 from .mesh import MeshError, PolygonMesh, derive_topology
 
 DEFAULT_NOTCH_RATIO = 0.25
 RANDOM_BOX_RATIO = 0.8
-_MAX_RANDOM_RETRIES = 20
 
 
 def resolution(n: int) -> int:
@@ -59,38 +57,27 @@ def criss_cross_mesh(r: int) -> PolygonMesh:
     return derive_topology(vertices, cells.tolist())
 
 
-def randomized_quadrilateral_mesh(
-    r: int, seed: int, box_ratio: float = RANDOM_BOX_RATIO
-) -> PolygonMesh:
+def randomized_quadrilateral_mesh(r: int, seed: int) -> PolygonMesh:
     """r x r quadrilaterals with interior nodes displaced uniformly at random.
 
     Each interior grid node moves inside an axis-aligned box of side
-    ``box_ratio / r`` centered at the node. The draw order is row-major over
-    interior nodes, so identical seeds reproduce identical meshes bit for
-    bit. A draw that produces a self-intersecting or inverted quadrilateral
-    is rejected and redrawn a bounded number of times.
+    ``RANDOM_BOX_RATIO / r`` centered at the node, drawn once and row-major
+    over interior nodes, so identical seeds reproduce identical meshes bit
+    for bit. No draw needs a check: a node moves at most 0.4 / r per
+    coordinate, so the opposite edges of a quadrilateral lie on either side
+    of a band 0.2 / r wide and never meet, and the signed area
+    1/2 (v2 - v0) x (v3 - v1) is positive because each diagonal's components
+    keep their signs. :func:`~platevem.mesh.derive_topology` still checks
+    every mesh.
     """
     if r < 1:
         raise MeshError("resolution must be at least 1")
-    base = _grid_vertices(r)
+    vertices = _grid_vertices(r)
     interior = _grid_nodes(r, 1, r)
+    half = 0.5 * RANDOM_BOX_RATIO * (1.0 / r)
     rng = np.random.default_rng(seed)
-    spacing = 1.0 / r
-    half = 0.5 * box_ratio * spacing
-    cells = _grid_quads(r)
-    for _ in range(_MAX_RANDOM_RETRIES):
-        vertices = base.copy()
-        if len(interior):
-            offsets = rng.uniform(-half, half, size=(len(interior), 2))
-            vertices[interior] += offsets
-        quads = vertices[cells]
-        if np.all(geometry.signed_area(quads) > 0.0) and np.all(
-            geometry.is_simple_quad(quads)
-        ):
-            return derive_topology(vertices, cells.tolist())
-    raise MeshError(
-        f"could not draw a valid randomized mesh after {_MAX_RANDOM_RETRIES} tries"
-    )
+    vertices[interior] += rng.uniform(-half, half, size=(len(interior), 2))
+    return derive_topology(vertices, _grid_quads(r).tolist())
 
 
 def nonconvex_octagonal_mesh(

@@ -179,29 +179,3 @@ def min_fan_angle(vertices: np.ndarray, center: np.ndarray):
     dots = np.stack([(p * q).sum(-1), -(p * e).sum(-1), (q * e).sum(-1)])
     return np.arctan2(twice_area, dots).min(axis=(0, -1))
 
-
-def segments_properly_intersect(p1, p2, q1, q2):
-    """True when the open segments (p1, p2) and (q1, q2) cross.
-
-    Endpoints have shape (..., 2); the answer has one entry per segment pair.
-    """
-
-    def orient(a, b, c):
-        u = b - a
-        w = c - a
-        return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-
-
-def is_simple_quad(vertices: np.ndarray):
-    """True when the closed quadrilateral has no crossing opposite edges."""
-    v = [vertices[..., k, :] for k in range(4)]
-    return ~(
-        segments_properly_intersect(v[0], v[1], v[2], v[3])
-        | segments_properly_intersect(v[1], v[2], v[3], v[0])
-    )

@@ -78,10 +78,14 @@ REPRODUCTION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DofLayout:
-    """Index layout of the local unknowns of one cell."""
+    """Index layout of the local unknowns of one cell at ``order`` >= 2."""
 
     order: int
     n_vertices: int
+
+    def __post_init__(self):
+        if self.order < 2:
+            raise ValueError("order must be at least 2")
 
     @property
     def n_edge_normal(self) -> int:
@@ -103,13 +107,6 @@ class DofLayout:
     def cell_slice(self) -> slice:
         start = self.n_vertices * (1 + self.n_edge_normal + self.n_edge_value)
         return slice(start, start + self.n_cell)
-
-
-def dof_layout(n_vertices: int, order: int) -> DofLayout:
-    """Local layout for a cell with ``n_vertices`` vertices at ``order`` >= 2."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    return DofLayout(order, n_vertices)
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ def _order_tables(order: int) -> _OrderTables:
     lap = derivative_map(order, 2, 0) + derivative_map(order, 0, 2)
     sigma = centered_power_moments(2 * order)
     n = order + 1
-    layout = dof_layout(3, order)
+    layout = DofLayout(order, 3)
 
     def pairing(rows):
         return np.array([2.0**k * sigma[k : k + n] for k in range(rows)]).reshape(rows, n)
@@ -281,7 +278,7 @@ def group_basis(group: CellGroup, order: int) -> GroupBasis:
     A cell whose monomial Gram fails its Cholesky factorization raises
     :class:`ProjectorError` naming the cell.
     """
-    layout = dof_layout(group.n_vertices, order)
+    layout = DofLayout(order, group.n_vertices)
     scaled = (group.vertices - group.centroids[:, None, :]) / group.diameters[:, None, None]
     vertex_values = monomials(scaled[..., 0], scaled[..., 1], order)
     restrictions = _edge_restrictions(group, order)
@@ -630,7 +627,7 @@ def edge_moments(mesh, edges: np.ndarray, order: int, w, grad_w):
     vertex id, with normal (t_y, -t_x). One Gauss-Legendre rule serves every
     edge, and its nodes are the centered edge variable t itself.
     """
-    layout = dof_layout(3, order)
+    layout = DofLayout(order, 3)
     nodes, weights = gauss_legendre(data_degree(order) // 2 + 1)
     p0, p1 = (mesh.vertices[mesh.edge_vertices[edges, k]] for k in (0, 1))
     half = 0.5 * (p1 - p0)
@@ -746,7 +743,7 @@ def group_kernels(
     (G, n_total, n_total) is returned apart: only the global scatter reads
     it, so it need not outlive the assembly.
     """
-    layout = dof_layout(group.n_vertices, order)
+    layout = DofLayout(order, group.n_vertices)
     size = max(1, KERNEL_CHUNK_BYTES // (8 * layout.n_total**2))
     if group.n_cells <= size:
         stacks = _chunk_stacks(group, order, material)

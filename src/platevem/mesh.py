@@ -93,8 +93,7 @@ class CellGroup:
 class PolygonMesh:
     """Polygonal decomposition of a simply connected planar domain.
 
-    Treated as immutable once derived; a finished mesh is safe to share
-    read-only across parallel per-cell computations.
+    Treated as immutable once derived.
     """
 
     vertices: np.ndarray  # (n_vertices, 2)

@@ -215,7 +215,7 @@ def reference_cell_dofs(frame, order: int, w, grad_w) -> np.ndarray:
     in the global orientation, with the centered edge variable recomputed
     from the quadrature points; the interior moments use the cell's fan rule.
     """
-    layout = local.dof_layout(frame.n_vertices, order)
+    layout = local.DofLayout(order, frame.n_vertices)
     degree = order + 8
     out = np.empty(layout.n_total)
     out[: layout.n_vertices] = w(frame.vertices[:, 0], frame.vertices[:, 1])

@@ -456,7 +456,7 @@ def test_shared_edge_normal_moments_opposite(mesh_cache):
         frame = cell_frame(mesh, c)
         local_edge = list(frame.edge_ids).index(interior)
         dofs = reference_cell_dofs(frame, 3, w, gw)
-        layout_slice = edge_normal_slice(assembly.dof_layout(frame.n_vertices, 3), local_edge)
+        layout_slice = edge_normal_slice(local.DofLayout(3, frame.n_vertices), local_edge)
         sign = frame.edge_signs[local_edge]
         vals.append(sign * dofs[layout_slice])
         assert np.allclose(sign * shared, vals[-1], rtol=1e-12, atol=1e-14)
@@ -559,7 +559,7 @@ def test_one_cell_numbering_is_local_layout(small_corpus):
     """On a one-cell mesh the global unknowns are the local layout."""
     for mesh in small_corpus:
         for order in (2, 3, 4, 5):
-            n_local = assembly.dof_layout(cell_frame(mesh, 0).n_vertices, order).n_total
+            n_local = local.DofLayout(order, cell_frame(mesh, 0).n_vertices).n_total
             dofmap = global_dof_map(mesh, order)
             assert dofmap.n_total == n_local
             assert np.array_equal(dofmap.group_dofs([0])[0], np.arange(n_local))

@@ -280,6 +280,32 @@ def test_quad_degree_option_rejected(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+BAD_CONFIG_FILES = [
+    (["mesh"], "config = nonexistent.cfg\nfamily = crisscross\nn = 0\n", ":1: config files do not nest"),
+    (["mesh"], "family = crisscross\nn = 0\n\nn = 1\n", ": key 'n' on lines 2 and 4"),
+    (
+        ["solve", "--family", "crisscross", "--n", "0", "--order", "2"],
+        "dump-matrix = a.txt\n# the same key\ndump_matrix = b.txt\n",
+        ": key 'dump_matrix' on lines 1 and 3",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, message", BAD_CONFIG_FILES, ids=["nested", "repeated", "repeated-spelling"]
+)
+def test_bad_config_file_is_config_error(tmp_path, capsys, monkeypatch, argv, text, message):
+    """A ``config`` key inside a config file (files do not nest) or a key
+    given twice, in either spelling, exits 2 before any work, naming the
+    line or lines, where either used to be ignored."""
+    monkeypatch.setenv("PLATEVEM_OUTDIR", str(tmp_path / "out"))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+    assert f"{cfg}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 SOLVE_OPTIONS = {"config", "family", "order", "poisson", "rigidity", "seed", "out"}
 COMMAND_OPTIONS = {
     "mesh": {"config", "family", "seed", "out", "n", "notch"},

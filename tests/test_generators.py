@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from platevem import generators as gen
+from platevem import geometry
 from platevem.mesh import MeshError, validate_regularity
 
 from oracles import barycentric_dual_walk, regularity_passes
@@ -200,15 +201,43 @@ def test_randomized_topology_independent_of_seed():
     assert np.array_equal(a.edge_vertices, b.edge_vertices)
 
 
-def test_randomized_zero_amplitude_uniform():
-    mesh = gen.randomized_quadrilateral_mesh(5, seed=7, box_ratio=0.0)
-    assert mesh.h == pytest.approx(np.sqrt(2.0) / 5)
+def reference_random_vertices(r: int, seed: int) -> np.ndarray:
+    """The linspace grid plus one uniform draw, row-major over interior nodes."""
+    side = np.linspace(0.0, 1.0, r + 1)
+    vertices = np.array([[x, y] for y in side for x in side])
+    interior = [j * (r + 1) + i for j in range(1, r) for i in range(1, r)]
+    half = 0.5 * gen.RANDOM_BOX_RATIO * (1.0 / r)
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-half, half, (len(interior), 2))
+    return vertices
 
 
-def test_randomized_gives_up_after_retries():
-    # boxes three cells wide let neighbouring nodes cross on almost every draw
-    with pytest.raises(MeshError, match="could not draw a valid randomized mesh"):
-        gen.randomized_quadrilateral_mesh(5, seed=0, box_ratio=3.0)
+def test_randomized_is_one_draw():
+    for r in (1, 2, 5, 40):
+        for seed in (0, 1, 7, 123):
+            mesh = gen.randomized_quadrilateral_mesh(r, seed)
+            assert np.array_equal(mesh.vertices, reference_random_vertices(r, seed))
+    for n in (0, 1):
+        for seed in (0, 3):
+            mesh = gen.build_family("randomquad", n, seed)
+            assert np.array_equal(mesh.vertices, reference_random_vertices(gen.resolution(n), seed))
+
+
+@pytest.mark.parametrize("r, seeds", [(1, 100), (2, 100), (5, 100), (10, 100), (40, 10)])
+def test_randomized_quads_need_no_check(r, seeds):
+    """Every quadrilateral has positive area, and each pair of opposite edges
+    lies on either side of a band (1 - RANDOM_BOX_RATIO) / r wide, so the
+    edges are at least that far apart and never cross."""
+    band = (1.0 - gen.RANDOM_BOX_RATIO) / r
+    for seed in range(seeds):
+        mesh = gen.randomized_quadrilateral_mesh(r, seed)
+        quads = mesh.vertices[mesh.cells.stack(np.arange(mesh.n_cells))]
+        assert np.all(geometry.signed_area(quads) > 0.0)
+        x, y = quads[..., 0], quads[..., 1]
+        # corners counterclockwise from the lower left; 1e-15 allows the
+        # rounding of grid coordinate plus offset
+        assert np.all(y[:, 2:].min(axis=1) - y[:, :2].max(axis=1) >= band - 1e-15)
+        assert np.all(x[:, 1:3].min(axis=1) - x[:, [0, 3]].max(axis=1) >= band - 1e-15)
 
 
 def test_randomized_h_bounds_over_seeds():

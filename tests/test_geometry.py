@@ -140,12 +140,6 @@ def test_min_fan_angle_positive():
     )
 
 
-def test_simple_quad_detection():
-    bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    assert geometry.is_simple_quad(SQUARE)
-    assert not geometry.is_simple_quad(bowtie)
-
-
 def linprog_chebyshev_radii(vertices: np.ndarray) -> np.ndarray:
     """Radii of the largest discs in the kernels of a (G, m, 2) stack of
     polygons, by one SciPy LP: max Σ r_k subject to n_i . x_k + r_k <=

@@ -45,19 +45,19 @@ PENTAGON = np.array(
 
 
 def test_layout_counts():
-    assert local.dof_layout(3, 2).n_total == 6
-    assert local.dof_layout(4, 3).n_total == 16
-    assert local.dof_layout(5, 4).n_total == 31
-    assert local.dof_layout(8, 5).n_total == 8 + 8 * 4 + 8 * 3 + 3
+    assert local.DofLayout(2, 3).n_total == 6
+    assert local.DofLayout(3, 4).n_total == 16
+    assert local.DofLayout(4, 5).n_total == 31
+    assert local.DofLayout(5, 8).n_total == 8 + 8 * 4 + 8 * 3 + 3
 
 
 def test_layout_rejects_low_order():
     with pytest.raises(ValueError):
-        local.dof_layout(3, 1)
+        local.DofLayout(1, 3)
 
 
 def test_layout_block_slices_partition():
-    layout = local.dof_layout(5, 4)
+    layout = local.DofLayout(4, 5)
     covered = list(range(layout.n_vertices))
     for i in range(5):
         covered.extend(range(layout.n_total)[edge_normal_slice(layout, i)])
@@ -72,7 +72,7 @@ def test_compute_dofs_constant():
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     zero2 = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
     dofs = cell_interpolant(mesh, 2, one, zero2)
-    layout = local.dof_layout(4, 2)
+    layout = local.DofLayout(2, 4)
     assert np.allclose(dofs[:4], 1.0)
     assert np.abs(dofs[4:]).max() == 0.0
 
@@ -85,7 +85,7 @@ def test_compute_dofs_normal_derivative_sign():
     w = lambda x, y: np.asarray(x, dtype=float)
     gw = lambda x, y: (np.ones_like(x), np.zeros_like(x))
     dofs = cell_interpolant(mesh, 2, w, gw)
-    layout = local.dof_layout(4, 2)
+    layout = local.DofLayout(2, 4)
     left = 3  # local edge 3 joins vertices (0,1) and (0,0)
     normal = frame.normals[left]
     value = dofs[edge_normal_slice(layout, left)][0]
@@ -98,7 +98,7 @@ def test_compute_dofs_interior_moment():
     w = lambda x, y: x**2 * y**2
     gw = lambda x, y: (2 * x * y**2, 2 * x**2 * y)
     dofs = cell_interpolant(mesh, 4, w, gw)
-    layout = local.dof_layout(4, 4)
+    layout = local.DofLayout(4, 4)
     assert dofs[layout.cell_slice][0] == pytest.approx(1.0 / 9.0, rel=1e-13)
 
 
@@ -148,7 +148,7 @@ def test_b_matrix_ignores_trace_moments_at_order_two(small_corpus):
     # effective shear of quadratics vanishes identically, so no order-2
     # pairing can touch trace unknowns (none exist in the layout either)
     mesh = small_corpus[0]
-    layout = local.dof_layout(cell_frame(mesh, 0).n_vertices, 2)
+    layout = local.DofLayout(2, cell_frame(mesh, 0).n_vertices)
     assert layout.n_edge_value == 0
     b = local.load_rows(cell_group_basis(mesh, 2), DEFAULT_MATERIAL)[0]
     assert b.shape[1] == layout.n_total
@@ -317,11 +317,11 @@ def test_interior_moments_span_chunks(order, mesh_cache):
     assert np.count_nonzero(sizes) > 1
     w, gw = manufactured.displacement, manufactured.gradient
     got = local.interior_moments(mesh, order, w)
-    layout = local.dof_layout(3, order)
+    layout = local.DofLayout(order, 3)
     for c in range(mesh.n_cells):
         frame = cell_frame(mesh, c)
         ref = reference_cell_dofs(frame, order, w, gw)[
-            local.dof_layout(frame.n_vertices, order).cell_slice
+            local.DofLayout(order, frame.n_vertices).cell_slice
         ]
         assert got[c].shape == (layout.n_cell,)
         assert np.abs(got[c] - ref).max() <= 1e-14 * np.abs(ref).max(), c
@@ -585,7 +585,7 @@ def test_projector_error_names_unreproducing_cell():
 
 def chunked_kernels(monkeypatch, group, order: int, cells_per_chunk: int):
     """``group_kernels`` with chunks of ``cells_per_chunk`` cells."""
-    n_total = local.dof_layout(group.n_vertices, order).n_total
+    n_total = local.DofLayout(order, group.n_vertices).n_total
     monkeypatch.setattr(local, "KERNEL_CHUNK_BYTES", 8 * n_total**2 * cells_per_chunk)
     return local.group_kernels(group, order, DEFAULT_MATERIAL)
 
