@@ -42,7 +42,7 @@ def _read_config_file(path: str) -> dict:
     once; config files do not nest, so a ``config`` key is an error."""
     out, seen = {}, {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -56,7 +56,7 @@ def _read_config_file(path: str) -> dict:
                 if key in seen:
                     raise ConfigError(f"{path}: key {key!r} on lines {seen[key]} and {line_no}")
                 out[key], seen[key] = value.strip(), line_no
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
 

@@ -182,26 +182,36 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
     Raises
     ------
     MeshError
-        On invalid indices, repeated vertices in a cell, a zero-length
+        On non-numeric vertices or cells, invalid indices (not integers, or
+        out of range), repeated vertices in a cell, a zero-length
         edge, non-positive cell area, non-manifold edges (more than two
         incident cells), inconsistently oriented neighbors, a violated Euler
         identity, or a cell with an empty kernel. Each check reports the
         first offender.
     """
-    vertices = np.asarray(vertices, dtype=float)
+    try:
+        vertices = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MeshError(f"vertices must be an (n, 2) array: {exc}") from exc
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertices must be an (n, 2) array")
     if not np.all(np.isfinite(vertices)):
         raise MeshError("vertex coordinates must be finite")
     n_vert = len(vertices)
-    lengths = np.fromiter(map(len, cells), dtype=int)
+    # Indices are read as float64, exact below 2**53, so that a fraction or a
+    # huge index is reported by _check_cell_lists rather than truncated.
+    try:
+        lengths = np.fromiter(map(len, cells), dtype=int)
+        flat = np.fromiter(chain.from_iterable(cells), dtype=float, count=lengths.sum())
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MeshError(f"cells must be sequences of vertex indices: {exc}") from exc
     n_cells = len(lengths)
     if not n_cells:
         raise MeshError("mesh has no cells")
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    flat = np.fromiter(chain.from_iterable(cells), dtype=int, count=offsets[-1])
     cell_of = np.repeat(np.arange(n_cells), lengths)
     _check_cell_lists(flat, cell_of, lengths, n_vert)
+    flat = flat.astype(int)
 
     # Half-edge h runs from flat[h] to flat[nxt[h]], the next vertex of its cell.
     nxt = np.arange(1, len(flat) + 1)
@@ -276,15 +286,21 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
 
 
 def _check_cell_lists(flat, cell_of, lengths, n_vert) -> None:
-    """Raise for the first cell that is too short, repeats a vertex or names
-    one out of range; within a cell the checks run in that order."""
+    """Raise for the first cell that is too short, has an index that is not
+    an integer, repeats a vertex or names one out of range; within a cell the
+    checks run in that order. ``flat`` holds the indices as floats."""
     n_cells = len(lengths)
     order = np.lexsort((flat, cell_of))
     owner, ids = cell_of[order], flat[order]
     repeated = owner[1:][(owner[1:] == owner[:-1]) & (ids[1:] == ids[:-1])]
     out_of_range = cell_of[(flat < 0) | (flat >= n_vert)]
+    fractional = cell_of[~(flat == np.floor(flat))]  # NaN included
     checks = (
         (lengths < 3, "has fewer than 3 vertices"),
+        (
+            np.bincount(fractional, minlength=n_cells) > 0,
+            "has a vertex index that is not an integer",
+        ),
         (np.bincount(repeated, minlength=n_cells) > 0, "repeats a vertex"),
         (
             np.bincount(out_of_range, minlength=n_cells) > 0,
@@ -380,6 +396,14 @@ def write_mesh(mesh: PolygonMesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _lists_of(value, types: tuple) -> bool:
+    """Whether ``value`` is a list of lists whose entries have exactly one of
+    ``types`` (so a bool is not an int)."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(x) in types for x in row) for row in value
+    )
+
+
 def read_mesh(path) -> PolygonMesh:
     """Read a mesh file written by :func:`write_mesh` and rebuild topology."""
     try:
@@ -392,16 +416,17 @@ def read_mesh(path) -> PolygonMesh:
     cells = data["cells"]
     if not cells:
         raise MeshIOError("mesh file has an empty cell list")
+    # JSON numbers only: a bool is an int to Python, and NumPy would read
+    # true or "1" as 1.0; a float index would truncate
+    if not _lists_of(data["vertices"], (int, float)):
+        raise MeshIOError("vertices must be lists of numeric coordinates")
     try:
         vertices = np.array(data["vertices"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise MeshIOError(f"bad vertex data: {exc}") from exc
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshIOError("vertices must be an (n, 2) array")
-    # JSON integers only: a bool is an int to Python, a float would truncate
-    if not isinstance(cells, list) or not all(
-        isinstance(cell, list) and all(type(i) is int for i in cell) for cell in cells
-    ):
+    if not _lists_of(cells, (int,)):
         raise MeshIOError("cells must be lists of integer vertex indices")
     for c, cell in enumerate(cells):
         if not all(0 <= i < len(vertices) for i in cell):

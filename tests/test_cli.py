@@ -306,6 +306,17 @@ def test_bad_config_file_is_config_error(tmp_path, capsys, monkeypatch, argv, te
     assert not (tmp_path / "out").exists()
 
 
+def test_config_file_not_utf8_is_config_error(tmp_path, capsys, monkeypatch):
+    """A config file that is not UTF-8 text exits 2 naming the file, where
+    the decoding error used to escape ``main`` with a traceback."""
+    monkeypatch.setenv("PLATEVEM_OUTDIR", str(tmp_path / "out"))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"family = crisscross\nn = 0\n\xff\xfe = 1\n")
+    assert main(["mesh", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"cannot read config file {cfg}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 SOLVE_OPTIONS = {"config", "family", "order", "poisson", "rigidity", "seed", "out"}
 COMMAND_OPTIONS = {
     "mesh": {"config", "family", "seed", "out", "n", "notch"},

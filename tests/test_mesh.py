@@ -177,6 +177,22 @@ def test_rejects_bad_index():
         derive_topology(SQUARE, [[0, 1, 9]])
 
 
+def test_rejects_fractional_index():
+    # the index used to truncate, building a triangle on vertex 2
+    with pytest.raises(MeshError, match="cell 0 has a vertex index that is not an integer"):
+        derive_topology(SQUARE, [[0, 1, 2.7]])
+
+
+def test_rejects_huge_index():
+    with pytest.raises(MeshError, match="cell 0 references a vertex out of range"):
+        derive_topology(SQUARE, [[0, 1, 2**70]])
+
+
+def test_rejects_ragged_vertex_rows():
+    with pytest.raises(MeshError, match=r"\(n, 2\) array"):
+        derive_topology([[0, 0], [1], [1, 1]], [[0, 1, 2]])
+
+
 def test_rejects_nonmanifold_edge():
     verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, -1]], dtype=float)
     cells = [[0, 1, 2], [0, 2, 3], [0, 1, 2][::-1]]
@@ -485,6 +501,23 @@ MALFORMED_CELLS = {
 def test_malformed_cell_lists_raise_mesh_io_error(name, tmp_path):
     path = tmp_path / "mesh.json"
     path.write_text(TRIANGLE_FILE.format(cells=MALFORMED_CELLS[name]))
+    with pytest.raises(MeshIOError):
+        read_mesh(path)
+
+
+# Coordinates follow the cells' rule: a JSON int or float, never a bool.
+TRIANGLE_CELL_FILE = '{{"vertices": {vertices}, "cells": [[0, 1, 2]]}}'
+MALFORMED_VERTICES = {
+    "bool coordinate": "[[0, 0], [true, 0], [0, 1]]",
+    "string coordinate": '[[0, 0], ["1", 0], [0, 1]]',
+    "huge coordinate": f"[[0, 0], [1, 0], [0, {10**400}]]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_VERTICES))
+def test_malformed_vertex_lists_raise_mesh_io_error(name, tmp_path):
+    path = tmp_path / "mesh.json"
+    path.write_text(TRIANGLE_CELL_FILE.format(vertices=MALFORMED_VERTICES[name]))
     with pytest.raises(MeshIOError):
         read_mesh(path)
 
