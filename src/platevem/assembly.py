@@ -274,6 +274,15 @@ def _norm_1(matrix: sp.csr_matrix, free: np.ndarray) -> float:
     return float((magnitude @ mask)[free].max(initial=0.0))
 
 
+def _norm_2(vec: np.ndarray) -> float:
+    """The 2-norm of ``vec`` over its largest magnitude, times that magnitude:
+    no square underflows or overflows, whatever the rigidity."""
+    scale = float(np.abs(vec).max(initial=0.0))
+    if not 0.0 < scale < np.inf:  # zero, or not finite
+        return scale
+    return scale * float(np.linalg.norm(vec / scale))
+
+
 class PlateSystem:
     """A stiffness matrix over the unknowns of a numbering, solved on its
     free block; shared by :class:`PlateSolver` and the Morley oracle.
@@ -284,10 +293,13 @@ class PlateSystem:
     :attr:`factor`. :attr:`refine_steps` holds the refinement steps of the
     last solve. :attr:`matrix` is the only sparse matrix the system keeps:
     the free block is never built, and its products, its 1-norm and the
-    coupling to strong boundary data are read off :attr:`matrix`.
+    coupling to strong boundary data are read off :attr:`matrix`. A matrix
+    with a non-finite entry raises :class:`AssemblyError`.
     """
 
     def __init__(self, matrix: sp.csr_matrix, dofmap: GlobalDofMap):
+        if not np.isfinite(matrix.data).all():
+            raise AssemblyError("the stiffness matrix has non-finite entries")
         self.matrix = matrix
         self.dofmap = dofmap
         mask = dofmap.boundary_mask
@@ -337,20 +349,20 @@ class PlateSystem:
         x = substitute(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError("solver produced non-finite values (singular matrix?)")
-        rhs_norm = float(np.linalg.norm(rhs))
-        if rhs_norm == 0.0:
+        if not rhs.any():
             return np.zeros_like(rhs), 0
+        rhs_norm = _norm_2(rhs)
 
         def backward_error(vec):
-            res = float(np.linalg.norm(rhs - self.product(vec)))
-            return res / (self.norm_1 * float(np.linalg.norm(vec)) + rhs_norm)
+            res = _norm_2(rhs - self.product(vec))
+            return res / (self.norm_1 * _norm_2(vec) + rhs_norm)
 
         for step in range(3):
             if backward_error(x) <= BACKWARD_ERROR_TOL:
                 return x, step
             x = x + substitute(rhs - self.product(x))
         err = backward_error(x)
-        if err > BACKWARD_ERROR_TOL:
+        if not err <= BACKWARD_ERROR_TOL:  # NaN fails too
             raise SolverError(
                 f"backward error {err:.3e} exceeds {BACKWARD_ERROR_TOL:.1e}: "
                 "matrix is not symmetric positive definite"

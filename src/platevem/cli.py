@@ -24,7 +24,7 @@ from . import generators, manufactured, morley
 from .assembly import AssemblyError, BoundarySpec, PlateSolver, SolverError, dump_matrix
 from .local import ProjectorError
 from .mesh import MeshError, MeshIOError, write_mesh
-from .plate import MaterialParams
+from .plate import DEFAULT_MATERIAL, MaterialParams
 
 EXIT_CONFIG = 2
 EXIT_MESH = 3
@@ -148,11 +148,11 @@ def _require(args, *names) -> None:
 
 
 def _material(args) -> MaterialParams:
-    poisson = 0.3 if args.poisson is None else args.poisson
-    rigidity = 1.0 if args.rigidity is None else args.rigidity
+    poisson = DEFAULT_MATERIAL.poisson if args.poisson is None else args.poisson
+    rigidity = DEFAULT_MATERIAL.rigidity if args.rigidity is None else args.rigidity
     try:
-        return MaterialParams.from_rigidity(rigidity, poisson)
-    except (ValueError, OverflowError) as exc:  # OverflowError: poisson**2 of a huge ratio
+        return MaterialParams(rigidity, poisson)
+    except ValueError as exc:
         raise ConfigError(f"--rigidity {rigidity} with --poisson {poisson}: {exc}") from exc
 
 

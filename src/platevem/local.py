@@ -332,7 +332,7 @@ def _in_element_basis(gb: GroupBasis, gram: np.ndarray) -> np.ndarray:
 
 
 def energy_grams(gb: GroupBasis, material: MaterialParams):
-    """Energy and broken-H2 seminorm Gram matrices of the element basis, (G, dim, dim).
+    """Energy (per unit rigidity) and broken-H2 seminorm Grams of the element basis, (G, dim, dim).
 
     The energy Gram is symmetric positive semidefinite with the linear
     polynomials as kernel: its rows and columns 0, 1, 2 are exact zeros.
@@ -344,7 +344,7 @@ def energy_grams(gb: GroupBasis, material: MaterialParams):
     mixed = gb.moments[:, t.mixed]
     nu = material.poisson
     coupling = nu * t.c_cross + 2.0 * (1.0 - nu) * t.c_xy
-    energy = material.rigidity * scale * (straight + coupling * mixed)
+    energy = scale * (straight + coupling * mixed)
     seminorm = scale * (straight + t.c_xy * mixed)
     del straight, mixed
     return _in_element_basis(gb, energy), _in_element_basis(gb, seminorm)
@@ -387,10 +387,10 @@ def dof_matrix(gb: GroupBasis) -> np.ndarray:
 
 
 def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
-    """Energy pairings a(q_beta, .) of the element basis against the unknowns.
+    """Energy pairings a(q_beta, .) / D of the element basis against the unknowns.
 
     Row beta of each returned (dim x n_total) block represents the
-    functional v -> a_K(q_beta, v), which involves only the local unknowns.
+    functional v -> a_K(q_beta, v) / D, which involves only the local unknowns.
     The cell energy is ``a_K(u, v) = D \\int_K (nu Lap(u) Lap(v) + (1 - nu)
     u_,ij v_,ij) dx``, with the Einstein double sum over second derivatives.
     For a polynomial u, integration by parts expands it into D times: the
@@ -404,7 +404,7 @@ def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
     """
     group, layout = gb.group, gb.layout
     t = _order_tables(gb.order)
-    rigidity, nu = material.rigidity, material.poisson
+    nu = material.poisson
     h = group.diameters[:, None]
     nx, ny = group.normals[..., 0], group.normals[..., 1]
     tx, ty = group.tangents[..., 0], group.tangents[..., 1]
@@ -414,27 +414,27 @@ def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
     # against powers of t = 2 s, so coefficient k picks up 2^-k
     halving = 0.5 ** np.arange(layout.order + 1)
 
-    # corner twist D (1 - nu) d_nt, even in the pair: -1 at the edge start,
+    # corner twist (1 - nu) d_nt, even in the pair: -1 at the edge start,
     # +1 at its end, which is the next vertex
     w_twist = np.stack([nx * tx, nx * ty + ny * tx, ny * ty], axis=-1) * (
-        rigidity * (1.0 - nu) / h**2
+        (1.0 - nu) / h**2
     )[..., None]
     # vertex i ends edge i - 1 and starts edge i
     w_twist = np.roll(w_twist, 1, axis=1) - w_twist
     vertex = _edge_contraction(w_twist, t.second, gb.vertex_values[..., None, :])[..., 0, :]
     del w_twist
 
-    # bending moment D (nu Lap + (1 - nu) d_nn), even in the normal
+    # bending moment nu Lap + (1 - nu) d_nn, even in the normal
     n_mom = layout.n_edge_normal
     w_moment = np.stack(
         [nu + (1.0 - nu) * nx**2, 2.0 * (1.0 - nu) * nx * ny, nu + (1.0 - nu) * ny**2],
         axis=-1,
-    ) * (rigidity / h**2)[..., None]
+    ) * (1.0 / h**2)[..., None]
     edge_normal = _edge_contraction(w_moment, t.second, restr[..., :n_mom, :])
     edge_normal *= sign[..., None, None] * halving[:n_mom, None]
     del w_moment
 
-    # effective shear D (d_n Lap + (1 - nu) d_ntt) on the outward pair
+    # effective shear d_n Lap + (1 - nu) d_ntt on the outward pair
     # (sign n, sign t), odd in the pair
     n_val = layout.n_edge_value
     w_shear = np.stack(
@@ -445,12 +445,12 @@ def load_rows(gb: GroupBasis, material: MaterialParams) -> np.ndarray:
             ny + (1.0 - nu) * ty**2 * ny,
         ],
         axis=-1,
-    ) * (sign * rigidity / h**3)[..., None]
+    ) * (sign / h**3)[..., None]
     edge_value = _edge_contraction(w_shear, t.third, restr[..., :n_val, :])
     edge_value *= -(group.edge_lengths[..., None, None] * halving[:n_val, None])
     del w_shear
 
-    scale = rigidity * group.areas / group.diameters**4
+    scale = group.areas / group.diameters**4
     interior = scale[:, None, None] * t.bilap[: layout.n_cell]
     rows = _by_unknown(vertex, edge_normal, edge_value, interior)
     del vertex, edge_normal, edge_value  # gone before the transform is applied
@@ -555,17 +555,19 @@ def local_stiffness(
     pi: np.ndarray,
     dofs_of_basis: np.ndarray,
 ) -> np.ndarray:
-    """Consistency plus stabilization stiffness, (G, n_total, n_total).
+    """Consistency plus stabilization stiffness, (G, n_total, n_total), the
+    one reader of the rigidity r, which scales both parts.
 
-    The consistency part pi^T G pi evaluates the energy of the projected
-    polynomials; the stabilization s (I - D pi)^T (I - D pi), with
-    s = rigidity / diameter^2, is the Euclidean product of the unknowns on
-    the projector complement. Expanded, their sum is the symmetric part of
-    one (n_total x dim) by (dim x n_total) product plus s I:
+    The consistency part r pi^T G pi, with G the energy Gram per unit
+    rigidity, evaluates the energy of the projected polynomials; the
+    stabilization s (I - D pi)^T (I - D pi), with s = r / diameter^2, is
+    the Euclidean product of the unknowns on the projector complement.
+    Expanded, their sum is the symmetric part of one (n_total x dim) by
+    (dim x n_total) product plus s I:
 
-        K = sym(s I + pi^T [(G + s D^T D) pi - 2 s D^T]),
+        K = sym(s I + pi^T [(r G + s D^T D) pi - 2 s D^T]),
 
-    as pi^T (G + s D^T D) pi is symmetric and the symmetric part of
+    as pi^T (r G + s D^T D) pi is symmetric and the symmetric part of
     -2 s pi^T D^T is -s (D pi + pi^T D^T). The element basis keeps the
     expansion free of cancellation, since there |pi| and |D| are of order
     one.
@@ -574,7 +576,7 @@ def local_stiffness(
     dofs_t = np.swapaxes(dofs_of_basis, 1, 2)
     weighted = dofs_t @ dofs_of_basis
     weighted *= s
-    weighted += gram
+    weighted += material.rigidity * gram
     right = weighted @ pi
     del weighted
     right -= (2.0 * s) * dofs_t

@@ -413,24 +413,14 @@ def read_mesh(path) -> PolygonMesh:
         raise MeshIOError(f"cannot parse mesh file {path}: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "cells" not in data:
         raise MeshIOError("mesh file must contain 'vertices' and 'cells'")
-    cells = data["cells"]
-    if not cells:
-        raise MeshIOError("mesh file has an empty cell list")
-    # JSON numbers only: a bool is an int to Python, and NumPy would read
-    # true or "1" as 1.0; a float index would truncate
-    if not _lists_of(data["vertices"], (int, float)):
+    vertices, cells = data["vertices"], data["cells"]
+    # JSON numbers only, and integer indices: a bool is an int to Python,
+    # and NumPy would read true or "1" as 1.0. derive_topology makes every
+    # structural check (shape, index range, no cells).
+    if not _lists_of(vertices, (int, float)):
         raise MeshIOError("vertices must be lists of numeric coordinates")
-    try:
-        vertices = np.array(data["vertices"], dtype=float)
-    except (ValueError, OverflowError) as exc:
-        raise MeshIOError(f"bad vertex data: {exc}") from exc
-    if vertices.ndim != 2 or vertices.shape[1] != 2:
-        raise MeshIOError("vertices must be an (n, 2) array")
     if not _lists_of(cells, (int,)):
         raise MeshIOError("cells must be lists of integer vertex indices")
-    for c, cell in enumerate(cells):
-        if not all(0 <= i < len(vertices) for i in cell):
-            raise MeshIOError(f"cell {c} has a vertex index outside 0..{len(vertices) - 1}")
     try:
         return derive_topology(vertices, cells)
     except MeshError as exc:

@@ -1,4 +1,4 @@
-"""Kirchhoff plate material: Young modulus, thickness, Poisson ratio."""
+"""Kirchhoff plate material: bending rigidity and Poisson ratio."""
 
 from __future__ import annotations
 
@@ -9,10 +9,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Plate material: Young modulus, thickness, and Poisson ratio."""
+    """Plate material: bending rigidity D and Poisson ratio."""
 
-    young: float
-    thickness: float
+    rigidity: float
     poisson: float
 
     def __post_init__(self):
@@ -21,15 +20,5 @@ class MaterialParams:
         if not 0.0 < self.rigidity < np.inf:
             raise ValueError("bending rigidity must be positive and finite")
 
-    @property
-    def rigidity(self) -> float:
-        """Bending rigidity D = E t^3 / (12 (1 - nu^2))."""
-        return self.young * self.thickness**3 / (12.0 * (1.0 - self.poisson**2))
 
-    @classmethod
-    def from_rigidity(cls, rigidity: float, poisson: float, thickness: float = 1.0):
-        young = 12.0 * rigidity * (1.0 - poisson**2) / thickness**3
-        return cls(young, thickness, poisson)
-
-
-DEFAULT_MATERIAL = MaterialParams.from_rigidity(1.0, 0.3)
+DEFAULT_MATERIAL = MaterialParams(1.0, 0.3)

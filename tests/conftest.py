@@ -285,11 +285,6 @@ def unit_square_mesh():
 
 
 @pytest.fixture(scope="session")
-def reference_triangle_mesh():
-    return single_cell_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-
-
-@pytest.fixture(scope="session")
 def mesh_cache():
     """Session-wide cache of generated family meshes keyed by (family, n)."""
     from platevem.generators import build_family

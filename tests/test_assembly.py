@@ -24,7 +24,7 @@ from platevem.assembly import (
 from platevem.generators import build_family
 from platevem.local import build_local_kernels
 from platevem.mesh import CellGroup, CellRows, derive_topology
-from platevem.plate import DEFAULT_MATERIAL
+from platevem.plate import DEFAULT_MATERIAL, MaterialParams
 
 from conftest import cell_views, dense_lower, reference_cell_dofs
 from oracles import cell_frame, edge_normal_slice, point_interior_moments, transposed_stiffness
@@ -373,6 +373,49 @@ def test_solve_recovers_random_vector(mesh_cache):
     x0 = rng.uniform(-1, 1, matrix.shape[0])
     got, _ = solver.solve_free(matrix @ x0)
     assert np.linalg.norm(got - x0) <= 1e-8 * np.linalg.norm(x0)
+
+
+@pytest.mark.parametrize(
+    "family, n", [("crisscross", 0), ("hexagonal", 1), ("octagonal", 0), ("randomquad", 1)]
+)
+def test_solutions_independent_of_rigidity_scale(family, n, mesh_cache):
+    """Stiffness and loads scale with the rigidity; at a power of 4 the
+    Cholesky factor scales by its exact square root, so the clamped and
+    Dirichlet solutions and their refinement steps are bitwise those at
+    rigidity 1, however far the scale is from 1."""
+    mesh = mesh_cache(family, n)
+
+    def run(rigidity):
+        material = MaterialParams(rigidity, 0.3)
+        solver = PlateSolver(mesh, 3, material)
+        u, grad, f_cubic = manufactured.monomial_solution(1, 2, material)
+        problems = [
+            (manufactured.load(material), BoundarySpec.clamped()),
+            (f_cubic, BoundarySpec.dirichlet(u, grad)),
+        ]
+        return [(solver.solve(f, bc), solver.refine_steps) for f, bc in problems]
+
+    want = run(1.0)
+    for rigidity in (4.0**-300, 4.0**300):
+        for (got, steps), (expected, expected_steps) in zip(run(rigidity), want):
+            assert np.array_equal(got, expected)
+            assert steps == expected_steps
+
+
+def test_non_finite_stiffness_is_assembly_error(mesh_cache):
+    solver = PlateSolver(mesh_cache("crisscross", 0), 2, DEFAULT_MATERIAL)
+    matrix = solver.matrix.copy()
+    matrix.data[0] = np.inf
+    with pytest.raises(AssemblyError, match="stiffness matrix has non-finite entries"):
+        PlateSystem(matrix, solver.dofmap)
+
+
+def test_nan_backward_error_is_not_converged(mesh_cache):
+    """A backward error that is NaN fails the tolerance, as one above it does."""
+    solver = PlateSolver(mesh_cache("crisscross", 0), 2, DEFAULT_MATERIAL)
+    solver.norm_1 = np.nan
+    with pytest.raises(SolverError, match="backward error nan"):
+        solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
 
 
 def test_unconstrained_system_rejected(mesh_cache):

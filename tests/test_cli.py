@@ -10,6 +10,7 @@ import pytest
 from platevem import generators
 from platevem.cli import (
     _COMMANDS,
+    EXIT_ASSEMBLY,
     EXIT_CONFIG,
     EXIT_MESH,
     _build_parser,
@@ -157,8 +158,7 @@ NUMERIC_FLAGS = [
     for flag in ("seed", "rigidity", "poisson", "notch")
     for value in ("-1", "0", "nan", "inf")
 ] + [
-    ("rigidity", "1e308"),  # finite, but the Young modulus overflows
-    ("poisson", "1e200"),  # finite, but its square overflows
+    ("poisson", "1e200"),  # finite, but outside [0, 0.5)
 ]
 
 
@@ -432,6 +432,39 @@ def test_patch_command(tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["max_error"] <= 1e-8
+
+
+SOLVE_AND_PATCH = {
+    "solve": ["solve", "--family", "crisscross", "--n", "0", "--order", "2"],
+    "patch": ["patch", "--family", "hexagonal", "--n", "0", "--order", "3"],
+}
+
+
+def test_tiny_rigidity_gives_the_default_answers(tmp_path):
+    """The rigidity scales the stiffness and the loads alike, so a rigidity
+    whose squared loads underflow gives the default run's error and
+    consistency."""
+    results = {}
+    for rigidity in ("1", "1e-200"):
+        for command, argv in SOLVE_AND_PATCH.items():
+            out = tmp_path / f"{command}_{rigidity}.json"
+            assert main(argv + ["--rigidity", rigidity, "--out", str(out)]) == 0
+            results[command, rigidity] = json.loads(out.read_text())
+    want = results["solve", "1"]["error_2h"]
+    assert results["solve", "1e-200"]["error_2h"] == pytest.approx(want, rel=1e-12)
+    assert results["patch", "1e-200"]["max_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("command", sorted(SOLVE_AND_PATCH))
+def test_overflowing_stiffness_is_assembly_error(tmp_path, capsys, command):
+    """A rigidity that is finite but whose stiffness overflows exits 4,
+    naming the matrix, and writes nothing."""
+    argv = SOLVE_AND_PATCH[command] + ["--rigidity", "1e308", "--out", str(tmp_path / "x.json")]
+    with np.errstate(all="ignore"):
+        code = main(argv)
+    assert code == EXIT_ASSEMBLY
+    assert "stiffness matrix has non-finite entries" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_morley_compare_command(tmp_path):

@@ -344,12 +344,32 @@ def test_projector_material_independent_rates_data():
     # projector depends on the material only through scale-free ratios;
     # polynomial reproduction must hold for other admissible materials
     mesh = single_cell_mesh(PENTAGON)
-    material = MaterialParams(young=70.0, thickness=0.02, poisson=0.45)
+    material = MaterialParams(rigidity=70.0 * 0.02**3 / (12.0 * (1.0 - 0.45**2)), poisson=0.45)
     gb = cell_group_basis(mesh, 3)
     gram, _ = local.energy_grams(gb, material)
     dm = local.dof_matrix(gb)
     pi = local.elliptic_projector(gb, material, gram, dm)[0]
     assert np.abs(pi @ dm[0] - np.eye(gb.vertex_values.shape[2])).max() <= 1e-12
+
+
+def test_rigidity_only_scales_the_stiffness(mesh_cache):
+    """The projector, load operator and seminorm Gram do not read the
+    rigidity, bitwise; the stiffness stack is exactly proportional to it,
+    which a power of two keeps bitwise."""
+    mesh = mesh_cache("octagonal", 0)
+    for order in (2, 5):
+        soft, stiff = (
+            local.build_local_kernels(mesh, order, MaterialParams(rigidity, 0.3))
+            for rigidity in (0.1, 1e5)
+        )
+        for a, b in zip(soft[0], stiff[0]):
+            for name in ("pi", "load_op", "seminorm_gram"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        _, unit = local.build_local_kernels(mesh, order, MaterialParams(1.0, 0.3))
+        for k in (-60, 3, 40):
+            _, scaled = local.build_local_kernels(mesh, order, MaterialParams(2.0**k, 0.3))
+            for a, b in zip(unit, scaled):
+                assert np.array_equal(b, 2.0**k * a)
 
 
 def fan_quadrature_reference(frame, order, transform):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,23 +39,30 @@ def unscaled(basis, p, q):
 
 
 def test_material_rigidity():
-    mat = MaterialParams(young=2.1, thickness=0.5, poisson=0.3)
+    mat = MaterialParams(rigidity=2.1 * 0.125 / (12 * 0.91), poisson=0.3)
     assert mat.rigidity == pytest.approx(2.1 * 0.125 / (12 * 0.91))
-    same = MaterialParams.from_rigidity(mat.rigidity, 0.3, 0.5)
+    same = MaterialParams(mat.rigidity, 0.3)
     assert same.rigidity == pytest.approx(mat.rigidity)
+
+
+def test_material_is_rigidity_and_poisson():
+    """A material holds its rigidity as given: nothing derives it."""
+    assert [f.name for f in dataclasses.fields(MaterialParams)] == ["rigidity", "poisson"]
+    assert MaterialParams(0.1, 0.3).rigidity == 0.1
+    assert DEFAULT_MATERIAL == MaterialParams(1.0, 0.3)
 
 
 def test_material_validation():
     with pytest.raises(ValueError):
-        MaterialParams(1.0, 1.0, 0.7)
+        MaterialParams(1.0, 0.7)
     with pytest.raises(ValueError):
-        MaterialParams(-1.0, 1.0, 0.3)
+        MaterialParams(-1.0, 0.3)
 
 
 def test_material_rejects_non_finite_rigidity():
-    for rigidity in (np.inf, np.nan, 1e308):
+    for rigidity in (np.inf, np.nan):
         with pytest.raises(ValueError, match="positive and finite"):
-            MaterialParams.from_rigidity(rigidity, 0.3)
+            MaterialParams(rigidity, 0.3)
 
 
 def test_bilinear_kills_linears(unit_square_mesh):
