@@ -204,6 +204,15 @@ def assemble_load(
     return b
 
 
+def _vertex_and_edge_unknowns(out, dofmap: GlobalDofMap, verts, edges, w, grad_w) -> None:
+    """Write into ``out`` the values of w at the vertices ``verts`` (an index
+    array or a slice) and both kinds of edge moment of the ``edges``."""
+    mesh = dofmap.mesh
+    out[verts] = w(mesh.vertices[verts, 0], mesh.vertices[verts, 1])
+    normal, value = dofmap.edge_dofs(edges)
+    out[normal], out[value] = edge_moments(mesh, edges, dofmap.order, w, grad_w)
+
+
 def interpolate(dofmap: GlobalDofMap, w, grad_w) -> np.ndarray:
     """Global unknown vector of a smooth function given value and gradient.
 
@@ -213,10 +222,8 @@ def interpolate(dofmap: GlobalDofMap, w, grad_w) -> np.ndarray:
     """
     mesh = dofmap.mesh
     out = np.empty(dofmap.n_total)
-    out[: mesh.n_vertices] = w(mesh.vertices[:, 0], mesh.vertices[:, 1])
     edges = np.arange(mesh.n_edges)
-    normal, value = dofmap.edge_dofs(edges)
-    out[normal], out[value] = edge_moments(mesh, edges, dofmap.order, w, grad_w)
+    _vertex_and_edge_unknowns(out, dofmap, slice(mesh.n_vertices), edges, w, grad_w)
     if dofmap.order >= 4:
         out[dofmap.offsets[3] :] = interior_moments(mesh, dofmap.order, w).ravel()
     return out
@@ -232,12 +239,8 @@ def boundary_values(
     if bc.is_clamped:
         return values
     verts = np.flatnonzero(mesh.boundary_vertices)
-    values[verts] = bc.value(mesh.vertices[verts, 0], mesh.vertices[verts, 1])
     edges = np.flatnonzero(mesh.edge_is_boundary)
-    normal, value = dofmap.edge_dofs(edges)
-    values[normal], values[value] = edge_moments(
-        mesh, edges, dofmap.order, bc.value, bc.gradient
-    )
+    _vertex_and_edge_unknowns(values, dofmap, verts, edges, bc.value, bc.gradient)
     return values
 
 
@@ -312,11 +315,6 @@ class PlateSystem:
     def n_dofs(self) -> int:
         return self.dofmap.n_total
 
-    @property
-    def nnz_factor(self) -> int | None:
-        """Stored entries of the factor of the free block, once factored."""
-        return None if self.factor is None else self.factor.nnz
-
     @cached_property
     def norm_1(self) -> float:
         """The 1-norm of the free block (:func:`_norm_1`)."""
@@ -349,12 +347,12 @@ class PlateSystem:
         x = substitute(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError("solver produced non-finite values (singular matrix?)")
-        if not rhs.any():
-            return np.zeros_like(rhs), 0
         rhs_norm = _norm_2(rhs)
 
         def backward_error(vec):
             res = _norm_2(rhs - self.product(vec))
+            if not res:  # a zero load solves to zeros, with both norms 0
+                return 0.0
             return res / (self.norm_1 * _norm_2(vec) + rhs_norm)
 
         for step in range(3):

@@ -63,7 +63,7 @@ def _read_config_file(path: str) -> dict:
 
 class _Option(NamedTuple):
     """An option's argparse type, help and choices, and the values it admits with
-    their wording, which :func:`_check_ranges` checks on flags and config keys alike."""
+    their wording, which :func:`_check_options` checks on flags and config keys alike."""
 
     help: str
     type: type = str
@@ -133,18 +133,17 @@ def _merge_config(args) -> None:
                 raise ConfigError(f"config key {key}: {exc}") from exc
 
 
-def _check_ranges(args) -> None:
-    """Reject an inadmissible value before any work starts."""
-    for key in _COMMANDS[args.command].options:
+def _check_options(args) -> None:
+    """Reject an inadmissible value, then a missing required option, before
+    any work starts."""
+    command = _COMMANDS[args.command]
+    for key in command.options:
         value, option = getattr(args, key), _OPTIONS[key]
         if value is not None and not option.admits(value):
             raise ConfigError(f"--{key} must be {option.what}, got {value}")
-
-
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ConfigError(f"missing required option --{name.replace('_', '-')}")
+    for key in command.required:
+        if getattr(args, key) is None:
+            raise ConfigError(f"missing required option --{key}")
 
 
 def _material(args) -> MaterialParams:
@@ -175,7 +174,6 @@ def _build_mesh(args):
 
 
 def _cmd_mesh(args) -> int:
-    _require(args, "family", "n")
     mesh = _build_mesh(args)
     path = _out_path(args.out or f"{args.family}_n{args.n}.json")
     write_mesh(mesh, path)
@@ -187,7 +185,6 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    _require(args, "family", "n", "order")
     material = _material(args)
     mesh = _build_mesh(args)
     solver = PlateSolver(mesh, args.order, material)
@@ -205,7 +202,7 @@ def _cmd_solve(args) -> int:
                 "n_dofs": solver.n_dofs,
                 "h": mesh.h,
                 "error_2h": err,
-                "nnz_factor": solver.nnz_factor,
+                "nnz_factor": solver.factor.nnz,
                 "pivot_ratio": solver.factor.pivot_ratio,
                 "refine_steps": solver.refine_steps,
                 "dofs": solution.tolist(),
@@ -217,7 +214,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    _require(args, "family", "order", "nmax")
     try:
         cv.check_study_range(args.order, args.nmax)
     except ValueError as exc:
@@ -236,7 +232,6 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_patch(args) -> int:
-    _require(args, "family", "n", "order")
     material = _material(args)
     mesh = _build_mesh(args)
     solver = PlateSolver(mesh, args.order, material)
@@ -253,7 +248,6 @@ def _cmd_patch(args) -> int:
 
 
 def _cmd_morley_compare(args) -> int:
-    _require(args, "n")
     material = _material(args)
     mesh = generators.build_family("crisscross", args.n)
     f = manufactured.load(material)
@@ -270,11 +264,13 @@ def _cmd_morley_compare(args) -> int:
 
 
 class _Command(NamedTuple):
-    """A command's handler, its help and the options it reads: all its parser takes."""
+    """A command's handler, its help, the options it reads (all its parser
+    takes) and those of them it cannot run without, in the order checked."""
 
     run: Callable[[argparse.Namespace], int]
     help: str
     options: tuple[str, ...]
+    required: tuple[str, ...]
 
 
 _SOLVE = ("config", "family", "order", "poisson", "rigidity", "seed", "out")
@@ -283,18 +279,31 @@ _COMMANDS = {
         _cmd_mesh,
         "generate a mesh and write it as JSON",
         ("config", "family", "seed", "out", "n", "notch"),
+        ("family", "n"),
     ),
     "solve": _Command(
-        _cmd_solve, "solve the benchmark problem on one mesh", _SOLVE + ("n", "dump_matrix")
+        _cmd_solve,
+        "solve the benchmark problem on one mesh",
+        _SOLVE + ("n", "dump_matrix"),
+        ("family", "n", "order"),
     ),
     "study": _Command(
-        _cmd_study, "run a refinement study and write CSV", _SOLVE + ("nmax", "plot_data")
+        _cmd_study,
+        "run a refinement study and write CSV",
+        _SOLVE + ("nmax", "plot_data"),
+        ("family", "order", "nmax"),
     ),
-    "patch": _Command(_cmd_patch, "consistency sweep over monomial solutions", _SOLVE + ("n",)),
+    "patch": _Command(
+        _cmd_patch,
+        "consistency sweep over monomial solutions",
+        _SOLVE + ("n",),
+        ("family", "n", "order"),
+    ),
     "morley-compare": _Command(
         _cmd_morley_compare,
         "compare the order-2 method with the triangular oracle",
         ("config", "poisson", "rigidity", "out", "n"),
+        ("n",),
     ),
 }
 
@@ -303,7 +312,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _merge_config(args)
-        _check_ranges(args)
+        _check_options(args)
         return _COMMANDS[args.command].run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

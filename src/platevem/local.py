@@ -572,19 +572,21 @@ def local_stiffness(
     expansion free of cancellation, since there |pi| and |D| are of order
     one.
     """
-    s = (material.rigidity / group.diameters**2)[:, None, None]
     dofs_t = np.swapaxes(dofs_of_basis, 1, 2)
     weighted = dofs_t @ dofs_of_basis
-    weighted *= s
-    weighted += material.rigidity * gram
-    right = weighted @ pi
-    del weighted
-    right -= (2.0 * s) * dofs_t
-    stiff = np.swapaxes(pi, 1, 2) @ right
-    del right
-    diag = np.arange(stiff.shape[1])
-    stiff[:, diag, diag] += s[:, :, 0]
-    return _symmetrized(stiff)
+    # A huge rigidity overflows here; PlateSystem rejects the matrix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (material.rigidity / group.diameters**2)[:, None, None]
+        weighted *= s
+        weighted += material.rigidity * gram
+        right = weighted @ pi
+        del weighted
+        right -= (2.0 * s) * dofs_t
+        stiff = np.swapaxes(pi, 1, 2) @ right
+        del right
+        diag = np.arange(stiff.shape[1])
+        stiff[:, diag, diag] += s[:, :, 0]
+        return _symmetrized(stiff)
 
 
 def moment_operator(gb: GroupBasis, pi: np.ndarray):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -64,9 +64,7 @@ class CellGroup:
     """
 
     index: np.ndarray  # (G,) mesh cell ids
-    vertex_ids: np.ndarray  # (G, m)
     vertices: np.ndarray  # (G, m, 2), counterclockwise
-    edge_ids: np.ndarray  # (G, m)
     edge_signs: np.ndarray  # (G, m)
     edge_lengths: np.ndarray  # (G, m)
     normals: np.ndarray  # (G, m, 2), global-orientation normals
@@ -82,7 +80,7 @@ class CellGroup:
 
     @property
     def n_vertices(self) -> int:
-        return self.vertex_ids.shape[1]
+        return self.vertices.shape[1]
 
     def rows(self, start: int, stop: int) -> CellGroup:
         """Cells ``start`` to ``stop - 1`` of the group, as views into its stacks."""
@@ -101,13 +99,11 @@ class PolygonMesh:
     edge_vertices: np.ndarray  # (n_edges, 2), lower id first
     edge_cells: np.ndarray  # (n_edges, 2), -1 when absent
     cell_edges: CellRows  # per-cell edge ids aligned with local edges
-    cell_edge_signs: CellRows  # per-cell +-1 traversal signs
     areas: np.ndarray
     centroids: np.ndarray
     diameters: np.ndarray
     stars: np.ndarray
     clearances: np.ndarray  # star point to kernel boundary (ball radius off the centroid)
-    boundary_vertices: np.ndarray = field(repr=False)  # bool mask
 
     @property
     def n_vertices(self) -> int:
@@ -126,6 +122,13 @@ class PolygonMesh:
         return self.edge_cells[:, 1] < 0
 
     @property
+    def boundary_vertices(self) -> np.ndarray:
+        """Bool mask of the vertices that end a boundary edge."""
+        mask = np.zeros(self.n_vertices, dtype=bool)
+        mask[self.edge_vertices[self.edge_is_boundary].ravel()] = True
+        return mask
+
+    @property
     def h(self) -> float:
         return float(self.diameters.max())
 
@@ -134,7 +137,6 @@ class PolygonMesh:
         cells = np.asarray(cells, dtype=int)
         ids = self.cells.stack(cells)
         eids = self.cell_edges.stack(cells)
-        signs = self.cell_edge_signs.stack(cells)
         ends = self.vertices[self.edge_vertices[eids]]  # (G, m, 2, 2)
         vecs = ends[:, :, 1] - ends[:, :, 0]
         lengths = np.sqrt((vecs**2).sum(axis=-1))
@@ -142,10 +144,8 @@ class PolygonMesh:
         normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
         return CellGroup(
             index=cells,
-            vertex_ids=ids,
             vertices=self.vertices[ids],
-            edge_ids=eids,
-            edge_signs=signs,
+            edge_signs=np.where(ids < np.roll(ids, -1, axis=1), 1, -1),
             edge_lengths=lengths,
             normals=normals,
             tangents=tangents,
@@ -267,21 +267,17 @@ def derive_topology(vertices: np.ndarray, cells) -> PolygonMesh:
 
     cell_rows = CellRows(flat, offsets)
     areas, centroids, diameters, stars, clearances = _cell_geometry(vertices, cell_rows)
-    boundary_vertices = np.zeros(n_vert, dtype=bool)
-    boundary_vertices[edge_vertices[edge_cells[:, 1] < 0].ravel()] = True
     return PolygonMesh(
         vertices=vertices,
         cells=cell_rows,
         edge_vertices=edge_vertices,
         edge_cells=edge_cells,
         cell_edges=CellRows(cell_edge_flat, offsets),
-        cell_edge_signs=CellRows(signs, offsets),
         areas=areas,
         centroids=centroids,
         diameters=diameters,
         stars=stars,
         clearances=clearances,
-        boundary_vertices=boundary_vertices,
     )
 
 

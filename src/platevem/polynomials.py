@@ -22,26 +22,12 @@ def space_dim(degree: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def exponents(degree: int) -> tuple[tuple[int, int], ...]:
-    """Exponent pairs (a, b) of the basis, in canonical order."""
-    out = []
-    for d in range(degree + 1):
-        for b in range(d + 1):
-            out.append((d - b, b))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def exponent_table(degree: int) -> np.ndarray:
-    """Exponent pairs of the basis as a (dim, 2) integer array (shared, read-only)."""
-    table = np.array(exponents(degree), dtype=int)
+    """Exponent pairs (a, b) of the basis in canonical order, as a (dim, 2)
+    integer array (shared, read-only); (a, b) is row ``space_dim(a + b - 1) + b``."""
+    table = np.array([(d - b, b) for d in range(degree + 1) for b in range(d + 1)], dtype=int)
     table.flags.writeable = False
     return table
-
-
-@lru_cache(maxsize=None)
-def _exponent_index(degree: int) -> dict[tuple[int, int], int]:
-    return {ab: k for k, ab in enumerate(exponents(degree))}
 
 
 def power_table(x: np.ndarray, degree: int) -> np.ndarray:
@@ -71,18 +57,18 @@ def monomial_rows(xi: np.ndarray, eta: np.ndarray, degree: int) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    row = _exponent_index(degree)
     out = np.empty((space_dim(degree),) + xi.shape)
     out[0] = 1.0
     for d in range(1, degree + 1):
-        x_row, y_row = out[row[d, 0]], out[row[0, d]]
+        first, prev = space_dim(d - 1), space_dim(d - 2)  # rows of x^d and x^(d - 1)
+        x_row, y_row = out[first], out[first + d]
         if d == 1:
             x_row[...], y_row[...] = xi, eta
         else:
-            np.multiply(out[row[d - 1, 0]], xi, out=x_row)
-            np.multiply(out[row[0, d - 1]], eta, out=y_row)
+            np.multiply(out[prev], xi, out=x_row)
+            np.multiply(out[prev + d - 1], eta, out=y_row)
         for b in range(1, d):
-            np.multiply(out[row[d - b, 0]], out[row[0, b]], out=out[row[d - b, b]])
+            np.multiply(out[space_dim(d - b - 1)], out[space_dim(b - 1) + b], out=out[first + b])
     return out
 
 
@@ -116,11 +102,10 @@ def derivative_map(order: int, i: int, j: int) -> np.ndarray:
     """
     exps = exponent_table(order)
     fac = _derivative_factors(order, i, j)
-    idx = _exponent_index(order)
     mat = np.zeros((len(exps), len(exps)))
-    for k, (a, b) in enumerate(exps):
+    for k, (a, b) in enumerate(exps - (i, j)):
         if fac[k]:
-            mat[idx[(a - i, b - j)], k] = fac[k]
+            mat[space_dim(a + b - 1) + b, k] = fac[k]
     mat.flags.writeable = False
     return mat
 

@@ -10,11 +10,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Point set and weights integrating polynomials exactly up to ``degree``."""
+    """Point set and weights of a quadrature rule."""
 
     points: np.ndarray  # (n, 2); a fan rule's columns x and y are each contiguous
     weights: np.ndarray  # (n,)
-    degree: int
 
 
 @lru_cache(maxsize=None)
@@ -111,4 +110,4 @@ def polygon_rule(vertices: np.ndarray, center: np.ndarray, degree: int) -> Quadr
     vertices = np.asarray(vertices, dtype=float)[None]
     center = np.asarray(center, dtype=float)[None]
     x, y, weights = fan_rules(vertices, center, degree)
-    return QuadratureRule(np.stack((x[0], y[0])).T, weights[0], degree)
+    return QuadratureRule(np.stack((x[0], y[0])).T, weights[0])

@@ -118,7 +118,7 @@ def cell_views(mesh: PolygonMesh, order: int, material=DEFAULT_MATERIAL) -> list
         moment_mass = gb.moments[:, local._order_tables(order).mass[:mid, :mid]]
         for k, c in enumerate(group.index):
             kern = group.cells[k]
-            frame = group_frame(kern.group, kern.k)
+            frame = group_frame(mesh, kern.group, kern.k)
             views[c] = CellView(
                 group=kern.group,
                 k=kern.k,

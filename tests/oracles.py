@@ -172,7 +172,7 @@ def edge_rule(p0: np.ndarray, p1: np.ndarray, degree: int) -> QuadratureRule:
     half = 0.5 * (np.asarray(p1) - np.asarray(p0))
     points = mid[None, :] + nodes[:, None] * half[None, :]
     length = 2.0 * np.linalg.norm(half)
-    return QuadratureRule(points, weights * (length / 2.0), degree)
+    return QuadratureRule(points, weights * (length / 2.0))
 
 
 def mapped_triangles(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int):
@@ -194,7 +194,7 @@ def mapped_triangles(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int):
 def triangle_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, degree: int) -> QuadratureRule:
     """Product Gauss rule on a triangle, exact for polynomials up to ``degree``."""
     points, weights = mapped_triangles(*(np.asarray(p, dtype=float) for p in (a, b, c)), degree)
-    return QuadratureRule(points, weights, degree)
+    return QuadratureRule(points, weights)
 
 
 def point_fan_rules(vertices: np.ndarray, centers: np.ndarray, degree: int):
@@ -445,13 +445,15 @@ class CellFrame:
         return len(self.vertex_ids)
 
 
-def group_frame(group: CellGroup, k: int) -> CellFrame:
-    """The frame of the k-th cell of a group, as views into its stacks."""
+def group_frame(mesh: PolygonMesh, group: CellGroup, k: int) -> CellFrame:
+    """The frame of the k-th cell of a group of ``mesh``, as views into the
+    group's stacks and, for the vertex and edge ids, the mesh's rows."""
+    c = int(group.index[k])
     return CellFrame(
-        index=int(group.index[k]),
-        vertex_ids=group.vertex_ids[k],
+        index=c,
+        vertex_ids=mesh.cells[c],
         vertices=group.vertices[k],
-        edge_ids=group.edge_ids[k],
+        edge_ids=mesh.cell_edges[c],
         edge_signs=group.edge_signs[k],
         edge_lengths=group.edge_lengths[k],
         normals=group.normals[k],
@@ -465,7 +467,7 @@ def group_frame(group: CellGroup, k: int) -> CellFrame:
 
 def cell_frame(mesh: PolygonMesh, i: int) -> CellFrame:
     """Geometry of cell i: its one-cell group's frame."""
-    return group_frame(mesh.cell_group([i]), 0)
+    return group_frame(mesh, mesh.cell_group([i]), 0)
 
 
 def outward_normal(frame: CellFrame, i: int) -> np.ndarray:

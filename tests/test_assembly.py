@@ -269,7 +269,7 @@ def test_factor_of_transposed_block_matches_copy(family, n, order, seed, mesh_ca
     copy = independent_system(solver)
     factor = factor_spd(copy.matrix, copy.free, copy.dofmap)
     assert np.array_equal(copy.free, solver.free)
-    assert solver.nnz_factor == factor.nnz
+    assert solver.factor.nnz == factor.nnz
     assert np.array_equal(solver.factor.tree.perm, factor.tree.perm)
     assert solver.norm_1 == copy.norm_1
 
@@ -366,6 +366,17 @@ def test_zero_load_gives_zero_solution(mesh_cache):
     assert np.abs(solution).max() == 0.0
 
 
+@pytest.mark.parametrize("family, order", [("crisscross", 4), ("octagonal", 5), ("randomquad", 2)])
+def test_zero_rhs_solves_to_zeros_without_refinement(family, order, mesh_cache):
+    """A zero right-hand side substitutes to +0.0 everywhere, and its
+    backward error reads 0 although residual and denominator are both 0."""
+    solver = PlateSolver(mesh_cache(family, 1), order, DEFAULT_MATERIAL)
+    x, steps = solver.solve_free(np.zeros(len(solver.free)))
+    assert np.array_equal(x, np.zeros(len(solver.free)))
+    assert not np.signbit(x).any()
+    assert steps == 0
+
+
 def test_solve_recovers_random_vector(mesh_cache):
     solver = PlateSolver(mesh_cache("crisscross", 0), 2, DEFAULT_MATERIAL)
     matrix = free_block(solver)
@@ -446,8 +457,8 @@ def test_factor_is_symmetric_and_sparser(mesh_cache):
     perm = solver.factor.tree.perm
     block = free_block(solver)[perm][:, perm].toarray()
     assert np.abs(lower @ lower.T - block).max() <= 1e-12 * np.abs(block).max()
-    assert solver.nnz_factor == solver.factor.nnz == np.count_nonzero(stored)
-    assert solver.nnz_factor < spla.splu(free_block(solver).tocsc()).nnz
+    assert solver.factor.nnz == np.count_nonzero(stored)
+    assert solver.factor.nnz < spla.splu(free_block(solver).tocsc()).nnz
 
 
 def test_singular_free_block_rejected_on_every_solve(mesh_cache, monkeypatch):

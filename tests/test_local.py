@@ -419,7 +419,7 @@ def test_exact_moments_match_fan_quadrature(order, small_corpus, mesh_cache):
                     "mass": group.areas[k] * factor @ factor.T,
                     "interior": dofs[k, kernels.layout.cell_slice],
                 }
-                ref = fan_quadrature_reference(group_frame(group, k), order, gb.transform[k])
+                ref = fan_quadrature_reference(group_frame(mesh, group, k), order, gb.transform[k])
                 for name, value in ref.items():
                     err = np.abs(got[name] - value).max(initial=0.0)
                     rel = err / max(np.abs(value).max(initial=0.0), 1e-300)

@@ -84,7 +84,7 @@ def test_factor_reports_its_fill_and_pivots(mesh_cache):
     assert isinstance(factor, multifrontal.Cholesky)
     lower, stored = dense_lower(factor)
     pivots = np.diag(lower) ** 2
-    assert factor.nnz == solver.nnz_factor == np.count_nonzero(stored)
+    assert factor.nnz == np.count_nonzero(stored)
     assert factor.pivot_ratio == pivots.min() / pivots.max()
     assert factor.tree.n_fronts > 1
 
@@ -129,7 +129,7 @@ def test_all_constrained_mesh_has_an_empty_factor():
     solver = PlateSolver(mesh, 2, DEFAULT_MATERIAL)
     solution = solver.solve(manufactured.load(DEFAULT_MATERIAL), BoundarySpec.clamped())
     assert np.array_equal(solution, np.zeros(6))
-    assert solver.nnz_factor == solver.factor.tree.n_fronts == 0
+    assert solver.factor.nnz == solver.factor.tree.n_fronts == 0
 
 
 def test_pivot_ratio_proves_the_block_nonsingular():

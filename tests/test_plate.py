@@ -59,6 +59,15 @@ def test_material_validation():
         MaterialParams(-1.0, 0.3)
 
 
+def test_material_rejects_subnormal_rigidity():
+    """The smallest normal float is a rigidity; every subnormal one is not."""
+    tiny = np.finfo(float).tiny
+    assert MaterialParams(tiny, 0.3).rigidity == tiny
+    for rigidity in (np.nextafter(tiny, 0.0), 1e-310, 1e-323):
+        with pytest.raises(ValueError, match="not subnormal"):
+            MaterialParams(rigidity, 0.3)
+
+
 def test_material_rejects_non_finite_rigidity():
     for rigidity in (np.inf, np.nan):
         with pytest.raises(ValueError, match="positive and finite"):

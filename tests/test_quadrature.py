@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from platevem.polynomials import exponents
+from platevem.polynomials import exponent_table
 from platevem.quadrature import FanPointError, fan_rules, gauss_legendre, polygon_rule
 
 from oracles import ScaledMonomialBasis, cell_frame, edge_rule, point_fan_rules, triangle_rule
@@ -34,7 +34,7 @@ def test_triangle_rule_area_and_degree():
     from math import factorial
 
     rule = triangle_rule(a, b, c, 6)
-    for p, q in exponents(6):
+    for p, q in exponent_table(6):
         exact = factorial(p) * factorial(q) / factorial(p + q + 2)
         got = rule.weights @ (rule.points[:, 0] ** p * rule.points[:, 1] ** q)
         assert got == pytest.approx(exact, rel=1e-13), (p, q)
